@@ -3,9 +3,9 @@ objectives on a shared time grid."""
 
 from .config import ConfigError, ExperimentConfig, build_config, parse_config_file
 from .data import (
-    BinnedBatch, CsvFormatError, DegenerateGridError, FeatureScaler, Sample,
+    BinnedBatch, CsvFormatError, DegenerateGridError, FeatureScaler,
     SurvivalDataset, TimeGrid, apply_scaler, assign_bin, bin_dataset,
-    bin_midpoint, bin_midpoints, build_time_grid, crop, load_csv, load_grid,
+    bin_midpoint, bin_midpoints, build_time_grid, load_csv, load_grid,
     normalize_time, save_grid, split_dataset, write_csv,
 )
 from .losses import (

@@ -110,6 +110,12 @@ def _load_splits(cfg: ExperimentConfig) -> _Splits:
     raise ConfigError("provide either data= or train_csv= and val_csv=")
 
 
+def _oracle_sidecar(csv_path) -> Path:
+    """Where `synth` writes the oracle risks and C-index for a generated CSV."""
+    csv_path = Path(csv_path)
+    return csv_path.with_suffix(csv_path.suffix + ".oracle.json")
+
+
 def _train_once(splits: _Splits, grid, cfg: ExperimentConfig,
                 weights: LossWeights, out_dir: Path):
     """Shared train-and-persist path used by both `train` and `ablate`."""
@@ -253,7 +259,6 @@ def _row_weights(cfg: ExperimentConfig, row) -> LossWeights:
             gamma=cfg.gamma if "calibration" in row else 0.0,
             sigma=cfg.sigma, rho=cfg.rho, g_bins=cfg.calib_bins,
             likelihood_mode=cfg.likelihood_mode,
-            pairwise_sign=cfg.pairwise_sign,
             pairwise_kind=kind,
         )
     except ValueError as exc:
@@ -285,6 +290,10 @@ def cmd_ablate(args) -> int:
         print(f"ablate [{'+'.join(row)}]: C-index {report.c_index:.4f}, "
               f"IBS {report.ibs:.4f}, mTDAUC {report.m_tdauc:.4f}")
     (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sidecar = _oracle_sidecar(cfg.data) if cfg.data else None
+    if sidecar is not None and sidecar.exists():
+        oracle = json.loads(sidecar.read_text(encoding="utf-8"))
+        print(f"ablate: oracle C-index {oracle['bayes_c_index']:.4f} (whole cohort)")
     print(f"ablate: summary written to {out / 'ablation.csv'}")
     return 0
 
@@ -310,7 +319,7 @@ def cmd_synth(args) -> int:
         "bayes_c_index": ceiling,
         "oracle_risks": risks.tolist(),
     }
-    sidecar_path = out_csv.with_suffix(out_csv.suffix + ".oracle.json")
+    sidecar_path = _oracle_sidecar(out_csv)
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh)
         fh.write("\n")

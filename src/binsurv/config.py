@@ -39,7 +39,6 @@ class ExperimentConfig:
     rho: float = 1.0
     calib_bins: int = 10
     likelihood_mode: str = "prob"
-    pairwise_sign: str = "concordant"
     pairwise_kind: str = "time_rank"
     # optimization
     epochs: int = 150
@@ -65,7 +64,6 @@ class ExperimentConfig:
                 alpha=self.alpha, beta=self.beta, gamma=self.gamma,
                 sigma=self.sigma, rho=self.rho, g_bins=self.calib_bins,
                 likelihood_mode=self.likelihood_mode,
-                pairwise_sign=self.pairwise_sign,
                 pairwise_kind=self.pairwise_kind,
             )
         except ValueError as exc:

@@ -33,13 +33,6 @@ class DegenerateGridError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    time: float
-    event: int
-
-
-@dataclass(frozen=True)
 class FeatureScaler:
     """Per-feature z-score statistics, reusable on held-out data."""
 
@@ -80,9 +73,6 @@ class TimeGrid:
     @property
     def span(self) -> float:
         return self.t_max_2 - self.t_min_prime
-
-    def normalize(self, t):
-        return normalize_time(t, self)
 
     def to_raw(self, t_norm):
         """Invert the affine part of the normalization (no cropping)."""
@@ -128,12 +118,6 @@ class SurvivalDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], float(self.times[i]), int(self.events[i]))
-
-    def __iter__(self):
-        return (self.sample(i) for i in range(len(self)))
-
     def subset(self, indices) -> "SurvivalDataset":
         idx = np.asarray(indices)
         return SurvivalDataset(
@@ -148,15 +132,6 @@ def apply_scaler(dataset: SurvivalDataset, scaler: FeatureScaler) -> SurvivalDat
         scaler.transform(dataset.features), dataset.times.copy(),
         dataset.events.copy(), dataset.feature_names, scaler=scaler,
     )
-
-
-@dataclass(frozen=True)
-class BinnedSample:
-    features: np.ndarray
-    time: float
-    t_norm: float
-    bin: int
-    event: int
 
 
 @dataclass(eq=False)
@@ -177,25 +152,12 @@ class BinnedBatch:
     def k_bins(self) -> int:
         return self.grid.k_bins
 
-    def __getitem__(self, i: int) -> BinnedSample:
-        return BinnedSample(
-            self.features[i], float(self.times[i]), float(self.t_norm[i]),
-            int(self.bins[i]), int(self.events[i]),
-        )
-
     def take(self, indices) -> "BinnedBatch":
         idx = np.asarray(indices)
         return BinnedBatch(
             self.features[idx], self.times[idx], self.t_norm[idx],
             self.bins[idx], self.events[idx], self.grid,
         )
-
-
-def crop(x: float, lower: float, upper: float) -> float:
-    """Clamp ``x`` into [lower, upper]."""
-    if lower > upper:
-        raise ValueError("crop needs lower <= upper")
-    return float(min(max(x, lower), upper))
 
 
 def build_time_grid(dataset: SurvivalDataset, k_bins: int) -> TimeGrid:
@@ -349,6 +311,14 @@ def load_csv(
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)
+    # one vectorised pass instead of a per-cell check in the read loop
+    nonfinite = np.argwhere(~np.isfinite(features))
+    if nonfinite.size:
+        row, col = nonfinite[0]
+        raise CsvFormatError(
+            f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
+            f"in column '{feature_names[col]}'"
+        )
     if scaler is not None:
         features = scaler.transform(features)
     elif standardize:

@@ -7,11 +7,10 @@ flavors: ranking on the CDF at the earlier sample's event bin, or ranking on
 expected-time risk scores with a margin proportional to the normalized time
 gap between the two samples.
 
-Sign conventions: under ``concordant`` (default) every pairwise term is
-oriented so that plain gradient descent on the combined value pushes the
-shorter-lived sample's risk above its partner's.  ``verbatim`` keeps the
-positive exponent and flips the term's sign inside the combination instead;
-the training direction is the same either way.
+Sign convention: every pairwise exponent is negated, exp(-sigma * ...), so
+each term shrinks as the shorter-lived sample's risk (or CDF) rises above its
+partner's, and plain gradient descent on the combined value ranks that sample
+higher.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .model import predict_risk
 LIKELIHOOD_FLOOR = 1e-12
 
 LIKELIHOOD_MODES = ("prob", "logprob")
-PAIRWISE_SIGNS = ("concordant", "verbatim")
 PAIRWISE_KINDS = ("time_rank", "rank")
 
 
@@ -42,7 +40,6 @@ class LossWeights:
     rho: float = 1.0
     g_bins: int = 10
     likelihood_mode: str = "prob"
-    pairwise_sign: str = "concordant"
     pairwise_kind: str = "time_rank"
 
     def __post_init__(self):
@@ -56,8 +53,6 @@ class LossWeights:
             raise ValueError("g_bins must be at least 1")
         if self.likelihood_mode not in LIKELIHOOD_MODES:
             raise ValueError(f"likelihood_mode must be one of {LIKELIHOOD_MODES}")
-        if self.pairwise_sign not in PAIRWISE_SIGNS:
-            raise ValueError(f"pairwise_sign must be one of {PAIRWISE_SIGNS}")
         if self.pairwise_kind not in PAIRWISE_KINDS:
             raise ValueError(f"pairwise_kind must be one of {PAIRWISE_KINDS}")
 
@@ -108,14 +103,6 @@ class CalibrationBins:
         return self.edges.size - 1
 
 
-def _sign_factor(sign: str) -> float:
-    if sign == "concordant":
-        return -1.0
-    if sign == "verbatim":
-        return 1.0
-    raise ValueError(f"pairwise_sign must be one of {PAIRWISE_SIGNS}")
-
-
 def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch, mode: str = "prob"):
     """Mean per-sample likelihood term; higher is better.
 
@@ -151,16 +138,14 @@ def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch, mode: str = "prob"):
     return value, grad
 
 
-def rank_loss(pmfs: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
-              sign: str = "concordant"):
+def rank_loss(pmfs: np.ndarray, batch: BinnedBatch, sigma: float = 1.0):
     """Pairwise exponential ranking on the CDF at the earlier event's bin.
 
     For each comparable pair the CDFs of both samples are read at sample i's
-    event bin; the per-pair term is exp(s * sigma * (F_i - F_j)) and the value
+    event bin; the per-pair term is exp(-sigma * (F_i - F_j)) and the value
     sums those terms divided by the number of events in the batch.  Returns
     (value, grad_pmf).
     """
-    s = _sign_factor(sign)
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     n, k = p.shape
     pairs = comparable_pairs(batch.t_norm, batch.events)
@@ -171,9 +156,9 @@ def rank_loss(pmfs: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
     ki = batch.bins[pairs.i] - 1
     f_i = cdf[pairs.i, ki]
     f_j = cdf[pairs.j, ki]
-    terms = np.exp(s * sigma * (f_i - f_j))
+    terms = np.exp(-sigma * (f_i - f_j))
     value = float(terms.sum() / pairs.n_events)
-    w = (s * sigma / pairs.n_events) * terms
+    w = (-sigma / pairs.n_events) * terms
     # dF/dp hits every bin up to the threshold: accumulate at the threshold
     # column, then suffix-sum across bins
     acc = np.zeros_like(p)
@@ -184,7 +169,7 @@ def rank_loss(pmfs: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
 
 
 def time_rank_loss(risks: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
-                   rho: float = 1.0, sign: str = "concordant"):
+                   rho: float = 1.0):
     """Pairwise ranking on risk scores with a time-gap margin.
 
     The per-pair exponent compares the risk difference against rho times the
@@ -192,16 +177,15 @@ def time_rank_loss(risks: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
     risk before their term stops moving.  Value sums per-pair terms divided by
     the batch event count.  Returns (value, grad_risk).
     """
-    s = _sign_factor(sign)
     r = np.asarray(risks, dtype=np.float64)
     pairs = comparable_pairs(batch.t_norm, batch.events)
     if pairs.n_events == 0 or len(pairs) == 0:
         warnings.warn("time rank loss: no comparable pairs in batch", RuntimeWarning)
         return 0.0, np.zeros_like(r)
     gap = batch.t_norm[pairs.j] - batch.t_norm[pairs.i]
-    terms = np.exp(s * sigma * ((r[pairs.i] - r[pairs.j]) - rho * gap))
+    terms = np.exp(-sigma * ((r[pairs.i] - r[pairs.j]) - rho * gap))
     value = float(terms.sum() / pairs.n_events)
-    w = (s * sigma / pairs.n_events) * terms
+    w = (-sigma / pairs.n_events) * terms
     grad = np.zeros_like(r)
     np.add.at(grad, pairs.i, w)
     np.add.at(grad, pairs.j, -w)
@@ -262,11 +246,12 @@ def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch,
 def combined_loss(pmfs: np.ndarray, batch: BinnedBatch, weights: LossWeights):
     """Weighted combination of the three objectives.
 
-    Value is -alpha * likelihood + (pairwise term, oriented per the sign
-    convention, scaled by beta) + gamma * calibration, so lower is better for
-    gradient descent under either convention.  Components with zero weight
-    are skipped entirely.  Returns (value, grad_pmf, parts) where ``parts``
-    holds the raw component values for logging.
+    Value is -alpha * likelihood + beta * pairwise + gamma * calibration, so
+    lower is better for gradient descent: the pairwise term's negated exponent
+    already makes it fall as the shorter-lived sample of each comparable pair
+    ranks higher.  Components with zero weight are skipped entirely.  Returns
+    (value, grad_pmf, parts) where ``parts`` holds the raw component values
+    for logging.
     """
     if weights.alpha == 0.0 and weights.beta == 0.0 and weights.gamma == 0.0:
         raise ValueError("at least one loss weight must be positive")
@@ -282,21 +267,15 @@ def combined_loss(pmfs: np.ndarray, batch: BinnedBatch, weights: LossWeights):
         parts["likelihood"] = lv
 
     if weights.beta > 0.0:
-        # concordant terms are minimized directly; verbatim terms carry the
-        # positive exponent and enter negated, which trains in the same
-        # direction
-        orient = 1.0 if weights.pairwise_sign == "concordant" else -1.0
         if weights.pairwise_kind == "time_rank":
             risks = predict_risk(p)
-            pv, grad_risk = time_rank_loss(
-                risks, batch, weights.sigma, weights.rho, weights.pairwise_sign
-            )
+            pv, grad_risk = time_rank_loss(risks, batch, weights.sigma, weights.rho)
             mids = bin_midpoints(p.shape[1])
-            grad += (orient * weights.beta) * grad_risk[:, None] * (-mids[None, :])
+            grad += weights.beta * grad_risk[:, None] * (-mids[None, :])
         else:
-            pv, pg = rank_loss(p, batch, weights.sigma, weights.pairwise_sign)
-            grad += (orient * weights.beta) * pg
-        value += orient * weights.beta * pv
+            pv, pg = rank_loss(p, batch, weights.sigma)
+            grad += weights.beta * pg
+        value += weights.beta * pv
         parts["pairwise"] = pv
 
     if weights.gamma > 0.0:

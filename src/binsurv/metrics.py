@@ -145,10 +145,17 @@ def brier_score_t(pmfs, times, events, t_star: float, censor_km: KMCurve,
     return float(total / n)
 
 
-def _trapezoid(ys, xs) -> float:
+def _grid_mean(ys, xs) -> float:
+    """Trapezoidal integral of ys over xs divided by the span of xs.
+
+    A constant curve averages to itself; a single point returns its value.
+    """
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    return float((0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)).sum())
+    if xs.size == 1:
+        return float(ys[0])
+    area = float((0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)).sum())
+    return area / float(xs[-1] - xs[0])
 
 
 def ibs(pmfs, times, events, t_grid, grid: TimeGrid,
@@ -167,9 +174,7 @@ def ibs(pmfs, times, events, t_grid, grid: TimeGrid,
     if censor_km is None:
         censor_km = kaplan_meier(times, events, target="censoring")
     bs = [brier_score_t(pmfs, times, events, float(ts), censor_km, grid) for ts in t_grid]
-    if t_grid.size == 1:
-        return float(bs[0])
-    return _trapezoid(bs, t_grid) / float(t_grid[-1] - t_grid[0])
+    return _grid_mean(bs, t_grid)
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -206,16 +211,23 @@ def tdauc(scores, times, events, t: float) -> float:
     return float((rank_sum - n_cases * (n_cases + 1) / 2.0) / (n_cases * n_controls))
 
 
-def m_tdauc(scores, times, events, t_grid) -> float:
-    """Mean TDAUC over the evaluable grid points (empty case/control sets skipped)."""
+def _tdauc_curve(scores, times, events, t_grid):
+    """(times, values) of TDAUC at the grid points that have cases and controls."""
     tm = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
-    values = []
+    ts, values = [], []
     for t in np.asarray(t_grid, dtype=np.float64):
         if np.any((tm <= t) & (e == 1)) and np.any(tm > t):
+            ts.append(float(t))
             values.append(tdauc(scores, times, events, float(t)))
     if not values:
         raise UndefinedMetricError("no evaluable time points for mean TDAUC")
+    return np.asarray(ts), np.asarray(values)
+
+
+def m_tdauc(scores, times, events, t_grid) -> float:
+    """Mean TDAUC over the evaluable grid points (empty case/control sets skipped)."""
+    _, values = _tdauc_curve(scores, times, events, t_grid)
     return float(np.mean(values))
 
 
@@ -365,19 +377,8 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
     brier = np.asarray(
         [brier_score_t(pmfs, times, events, float(t), censor_km, grid) for t in eval_times]
     )
-    if eval_times.size > 1:
-        ibs_value = _trapezoid(brier, eval_times) / float(eval_times[-1] - eval_times[0])
-    else:
-        ibs_value = float(brier[0])
-
-    td_times, td_vals = [], []
-    for t in eval_times:
-        if np.any((times <= t) & (events == 1)) and np.any(times > t):
-            td_times.append(float(t))
-            td_vals.append(tdauc(risks, times, events, float(t)))
-    if not td_vals:
-        raise UndefinedMetricError("no evaluable time points for mean TDAUC")
-    mtd = float(np.mean(td_vals))
+    ibs_value = _grid_mean(brier, eval_times)
+    td_times, td_vals = _tdauc_curve(risks, times, events, eval_times)
 
     if not group_metrics:
         cutoff, cutoff_source, hr = float("nan"), "none", float("nan")
@@ -391,10 +392,10 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
         hr = hazard_ratio(risks, times, events, cutoff)
 
     return EvalReport(
-        c_index=cindex, ibs=ibs_value, m_tdauc=mtd, hazard_ratio=hr,
-        cutoff=cutoff, cutoff_source=cutoff_source,
+        c_index=cindex, ibs=ibs_value, m_tdauc=float(np.mean(td_vals)),
+        hazard_ratio=hr, cutoff=cutoff, cutoff_source=cutoff_source,
         eval_times=eval_times, brier_curve=brier,
-        tdauc_times=np.asarray(td_times), tdauc_curve=np.asarray(td_vals),
+        tdauc_times=td_times, tdauc_curve=td_vals,
     )
 
 

@@ -44,18 +44,15 @@ def test_a01_full_loss_gradients_match_finite_differences(head, rng):
                          dropout_rate=0.2, head=head, k_bins=5)
     ds, _, batch = random_batch(rng, 16, k_bins=5, n_features=4,
                                 censored_low=True)
-    for sign in ("concordant", "verbatim"):
-        weights = LossWeights(alpha=1.0, beta=0.05, gamma=1.0,
-                              pairwise_sign=sign)
-        params = init_params(config, seed=11)
-        _, analytic = composite_grads(params, ds.features, batch, weights,
-                                      seed=3)
-        numeric = fd_param_grads(
-            lambda p: composite_value(p, ds.features, batch, weights, seed=3),
-            params, h=1e-5,
-        )
-        err = max_rel_err(analytic, numeric, floor=GRAD_FLOOR)
-        assert err <= 1e-4, f"{head}/{sign}: max relative error {err:.3e}"
+    weights = LossWeights(alpha=1.0, beta=0.05, gamma=1.0)
+    params = init_params(config, seed=11)
+    _, analytic = composite_grads(params, ds.features, batch, weights, seed=3)
+    numeric = fd_param_grads(
+        lambda p: composite_value(p, ds.features, batch, weights, seed=3),
+        params, h=1e-5,
+    )
+    err = max_rel_err(analytic, numeric, floor=GRAD_FLOOR)
+    assert err <= 1e-4, f"{head}: max relative error {err:.3e}"
 
 
 def test_a02_heads_emit_valid_probability_distributions(rng):
@@ -191,23 +188,22 @@ def test_a07_pairwise_gradients_push_risks_apart_under_both_signs(rng):
                         bins=np.array([2, 4]), events=np.array([1, 0]),
                         grid=grid)
     beta = 0.05
-    for sign, orient in (("concordant", 1.0), ("verbatim", -1.0)):
-        _, grad_risk = time_rank_loss(np.array([0.55, 0.45]), batch,
-                                      sigma=1.0, rho=1.0, sign=sign)
-        effective = orient * beta * grad_risk
-        # descent must raise the early sample's risk and lower the other's
-        assert effective[0] < 0.0 < effective[1]
+    _, grad_risk = time_rank_loss(np.array([0.55, 0.45]), batch,
+                                  sigma=1.0, rho=1.0)
+    effective = beta * grad_risk
+    # descent must raise the early sample's risk and lower the other's
+    assert effective[0] < 0.0 < effective[1]
 
-        for kind in ("time_rank", "rank"):
-            weights = LossWeights(alpha=0.0, beta=beta, gamma=0.0,
-                                  pairwise_sign=sign, pairwise_kind=kind)
-            pmfs = random_pmfs(rng, 2, 5)
-            _, grad, _ = combined_loss(pmfs, batch, weights)
-            # moving pmf mass from the last bin to the first raises a
-            # sample's risk; that must lower the loss for the early sample
-            # and raise it for the late one
-            assert grad[0, 0] - grad[0, 4] < 0.0
-            assert grad[1, 0] - grad[1, 4] > 0.0
+    for kind in ("time_rank", "rank"):
+        weights = LossWeights(alpha=0.0, beta=beta, gamma=0.0,
+                              pairwise_kind=kind)
+        pmfs = random_pmfs(rng, 2, 5)
+        _, grad, _ = combined_loss(pmfs, batch, weights)
+        # moving pmf mass from the last bin to the first raises a
+        # sample's risk; that must lower the loss for the early sample
+        # and raise it for the late one
+        assert grad[0, 0] - grad[0, 4] < 0.0
+        assert grad[1, 0] - grad[1, 4] > 0.0
 
 
 def test_a08_default_config_recovers_synthetic_signal_end_to_end():

@@ -86,7 +86,7 @@ class TestConfigModule:
         lines = cfg.resolved_lines()
         keys = {line.split("=")[0] for line in lines}
         for expected in ("alpha", "beta", "gamma", "sigma", "rho",
-                         "calib_bins", "likelihood_mode", "pairwise_sign",
+                         "calib_bins", "likelihood_mode", "pairwise_kind",
                          "epochs", "batch_size", "head", "k_bins"):
             assert expected in keys
         assert lines == cfg.resolved_lines()  # stable across calls
@@ -263,7 +263,7 @@ class TestAblateCommand:
         assert (out / "history.csv").read_bytes() == \
             (ablation / "row_1_mle" / "history.csv").read_bytes()
 
-    def test_custom_rows(self, data_csv, tmp_path):
+    def test_custom_rows(self, data_csv, tmp_path, capsys):
         out = tmp_path / "abl2"
         assert run(["ablate", "--data", str(data_csv), "--out", str(out),
                     "--seed", "5", "--rows", "mle,mle+rank",
@@ -271,6 +271,12 @@ class TestAblateCommand:
                     "--set", "hidden_dim=8", "--set", "n_blocks=1"]) == 0
         lines = (out / "ablation.csv").read_text().splitlines()
         assert len(lines) == 3
+        # data_csv comes from `synth`, so its oracle sidecar sits next to it
+        sidecar = json.loads(
+            (data_csv.parent / "synthetic.csv.oracle.json").read_text())
+        expected = (f"ablate: oracle C-index {sidecar['bayes_c_index']:.4f} "
+                    "(whole cohort)")
+        assert expected in capsys.readouterr().out.splitlines()
 
     def test_unknown_component_exits_two(self, data_csv, tmp_path, capsys):
         code = run(["ablate", "--data", str(data_csv),

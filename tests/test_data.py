@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from binsurv.data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
     apply_scaler, assign_bin, bin_dataset, bin_midpoint, bin_midpoints,
-    build_time_grid, crop, load_csv, load_grid, normalize_time, save_grid,
+    build_time_grid, load_csv, load_grid, normalize_time, save_grid,
     split_dataset, write_csv,
 )
 from helpers import random_dataset
@@ -24,19 +24,6 @@ def make_dataset(times, events, n_features=2, seed=0):
     names = tuple(f"x{i + 1}" for i in range(n_features))
     return SurvivalDataset(features=x, times=times, events=events,
                            feature_names=names)
-
-
-class TestCrop:
-    def test_inside_unchanged(self):
-        assert crop(0.5, 0.0, 1.0) == 0.5
-
-    def test_clamps_both_sides(self):
-        assert crop(-3.0, 0.0, 1.0) == 0.0
-        assert crop(7.0, 0.0, 1.0) == 1.0
-
-    def test_rejects_inverted_range(self):
-        with pytest.raises(ValueError):
-            crop(0.5, 1.0, 0.0)
 
 
 class TestGridConstruction:
@@ -220,6 +207,13 @@ class TestCsvIO:
             load_csv(path)
         path = self.write(tmp_path, "time,event,x1\n1.0,1,abc\n")
         with pytest.raises(CsvFormatError, match="row 1"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_names_row_and_column(self, tmp_path, cell):
+        path = self.write(
+            tmp_path, f"time,event,x1,x2\n1.0,1,0.2,0.3\n2.0,0,0.1,{cell}\n")
+        with pytest.raises(CsvFormatError, match=r"row 2: .*column 'x2'"):
             load_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):

@@ -114,22 +114,20 @@ class TestRank:
         # anchor fully inside bin 1, partner fully beyond it: F_i - F_j = 1
         pmfs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         batch = manual_batch([1, 3], [1, 0], k=3)
-        value, _ = rank_loss(pmfs, batch, sigma=1.0, sign="concordant")
+        value, _ = rank_loss(pmfs, batch, sigma=1.0)
         assert value == pytest.approx(np.exp(-1.0))
-        value, _ = rank_loss(pmfs, batch, sigma=1.0, sign="verbatim")
-        assert value == pytest.approx(np.exp(1.0))
 
     def test_normalizer_is_batch_event_count(self):
         # two events, one comparable pair: the sum divides by two
         pmfs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         batch = manual_batch([1, 3], [1, 1], k=3)
-        value, _ = rank_loss(pmfs, batch, sign="concordant")
+        value, _ = rank_loss(pmfs, batch)
         assert value == pytest.approx(np.exp(-1.0) / 2.0)
 
     def test_sigma_scales_exponent(self):
         pmfs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         batch = manual_batch([1, 3], [1, 0], k=3)
-        v, _ = rank_loss(pmfs, batch, sigma=0.5, sign="concordant")
+        v, _ = rank_loss(pmfs, batch, sigma=0.5)
         assert v == pytest.approx(np.exp(-0.5))
 
     def test_no_pairs_warns_and_returns_zero(self):
@@ -143,18 +141,16 @@ class TestRank:
     def test_fd(self, rng):
         _, _, batch = random_batch(rng, 14, k_bins=5)
         pmfs = random_pmfs(rng, 14, 5)
-        for sign in ("concordant", "verbatim"):
-            _, grad = rank_loss(pmfs, batch, sigma=0.8, sign=sign)
-            num = fd_input_grad(
-                lambda p: rank_loss(p, batch, sigma=0.8, sign=sign)[0], pmfs)
-            assert rel_err_arr(grad, num) < 1e-6
+        _, grad = rank_loss(pmfs, batch, sigma=0.8)
+        num = fd_input_grad(lambda p: rank_loss(p, batch, sigma=0.8)[0], pmfs)
+        assert rel_err_arr(grad, num) < 1e-6
 
     def test_better_separation_lowers_concordant_value(self):
         batch = manual_batch([1, 3], [1, 0], k=3)
         sharp = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         blur = np.array([[0.6, 0.2, 0.2], [0.2, 0.2, 0.6]])
-        v_sharp, _ = rank_loss(sharp, batch, sign="concordant")
-        v_blur, _ = rank_loss(blur, batch, sign="concordant")
+        v_sharp, _ = rank_loss(sharp, batch)
+        v_blur, _ = rank_loss(blur, batch)
         assert v_sharp < v_blur
 
 
@@ -163,29 +159,26 @@ class TestTimeRank:
         # risk gap equals rho times the time gap: exponent is exactly zero
         batch = manual_batch([1, 3], [1, 0], k=5, t_norm=[0.1, 0.5])
         risks = np.array([0.9, 0.5])
-        for sign in ("concordant", "verbatim"):
-            value, _ = time_rank_loss(risks, batch, sigma=1.0, rho=1.0, sign=sign)
-            assert value == pytest.approx(1.0)
+        value, _ = time_rank_loss(risks, batch, sigma=1.0, rho=1.0)
+        assert value == pytest.approx(1.0)
 
     def test_hand_value(self):
         batch = manual_batch([1, 3], [1, 0], k=5, t_norm=[0.1, 0.5])
         risks = np.array([0.8, 0.2])
         # concordant: exp(-((0.8 - 0.2) - 1.0 * 0.4)) = exp(-0.2)
-        value, _ = time_rank_loss(risks, batch, sigma=1.0, rho=1.0,
-                                  sign="concordant")
+        value, _ = time_rank_loss(risks, batch, sigma=1.0, rho=1.0)
         assert value == pytest.approx(np.exp(-0.2))
 
     def test_rho_scales_margin(self):
         batch = manual_batch([1, 3], [1, 0], k=5, t_norm=[0.1, 0.5])
         risks = np.array([0.8, 0.2])
-        value, _ = time_rank_loss(risks, batch, sigma=1.0, rho=2.0,
-                                  sign="concordant")
+        value, _ = time_rank_loss(risks, batch, sigma=1.0, rho=2.0)
         assert value == pytest.approx(np.exp(-(0.6 - 0.8)))
 
     def test_widening_risk_gap_helps_concordant(self):
         batch = manual_batch([1, 3], [1, 0], k=5, t_norm=[0.1, 0.5])
-        tight, _ = time_rank_loss(np.array([0.6, 0.5]), batch, sign="concordant")
-        wide, _ = time_rank_loss(np.array([0.9, 0.2]), batch, sign="concordant")
+        tight, _ = time_rank_loss(np.array([0.6, 0.5]), batch)
+        wide, _ = time_rank_loss(np.array([0.9, 0.2]), batch)
         assert wide < tight
 
     def test_no_pairs_warns(self):
@@ -197,12 +190,10 @@ class TestTimeRank:
     def test_fd_on_risks(self, rng):
         _, _, batch = random_batch(rng, 16, k_bins=5)
         risks = rng.uniform(0.1, 0.9, size=16)
-        for sign in ("concordant", "verbatim"):
-            _, grad = time_rank_loss(risks, batch, sigma=0.7, rho=1.3, sign=sign)
-            num = fd_input_grad(
-                lambda r: time_rank_loss(r, batch, sigma=0.7, rho=1.3,
-                                         sign=sign)[0], risks)
-            assert rel_err_arr(grad, num) < 1e-6
+        _, grad = time_rank_loss(risks, batch, sigma=0.7, rho=1.3)
+        num = fd_input_grad(
+            lambda r: time_rank_loss(r, batch, sigma=0.7, rho=1.3)[0], risks)
+        assert rel_err_arr(grad, num) < 1e-6
 
 
 class TestCalibration:
@@ -283,33 +274,21 @@ class TestCombined:
                         g_bins=6)
         value, _, parts = combined_loss(pmfs, batch, w)
         lv, _ = likelihood_loss(pmfs, batch, "prob")
-        pv, _ = time_rank_loss(predict_risk(pmfs), batch, 0.9, 1.2, "concordant")
+        pv, _ = time_rank_loss(predict_risk(pmfs), batch, 0.9, 1.2)
         cv, _ = calibration_loss(pmfs, batch, CalibrationBins.equal_width(6))
         assert value == pytest.approx(-0.7 * lv + 0.03 * pv + 1.1 * cv)
         assert parts["likelihood"] == pytest.approx(lv)
         assert parts["pairwise"] == pytest.approx(pv)
         assert parts["calibration"] == pytest.approx(cv)
 
-    def test_verbatim_orientation_flips_the_term(self, rng):
-        _, _, batch = random_batch(rng, 20, k_bins=5)
-        pmfs = random_pmfs(rng, 20, 5)
-        w = LossWeights(alpha=0.5, beta=0.1, gamma=0.0,
-                        pairwise_sign="verbatim")
-        value, _, parts = combined_loss(pmfs, batch, w)
-        lv, _ = likelihood_loss(pmfs, batch, "prob")
-        pv, _ = time_rank_loss(predict_risk(pmfs), batch, 1.0, 1.0, "verbatim")
-        assert value == pytest.approx(-0.5 * lv - 0.1 * pv)
-        assert parts["pairwise"] == pytest.approx(pv)
-
     @pytest.mark.parametrize("kind", ["time_rank", "rank"])
-    @pytest.mark.parametrize("sign", ["concordant", "verbatim"])
-    @pytest.mark.parametrize("mode", ["prob", "logprob"])
-    def test_fd_full_composite(self, rng, kind, sign, mode):
+    @pytest.mark.parametrize("mode", ["prob", "logprob"],
+                             ids=["prob-concordant", "logprob-concordant"])
+    def test_fd_full_composite(self, rng, kind, mode):
         _, _, batch = random_batch(rng, 12, k_bins=5, censored_low=True)
         pmfs = random_pmfs(rng, 12, 5)
         w = LossWeights(alpha=1.0, beta=0.05, gamma=1.0, sigma=0.9, rho=1.1,
-                        g_bins=5, likelihood_mode=mode, pairwise_sign=sign,
-                        pairwise_kind=kind)
+                        g_bins=5, likelihood_mode=mode, pairwise_kind=kind)
         _, grad, _ = combined_loss(pmfs, batch, w)
         num = fd_input_grad(lambda p: combined_loss(p, batch, w)[0], pmfs)
         assert rel_err_arr(grad, num) < 1e-5
@@ -360,8 +339,6 @@ class TestWeightsValidation:
     def test_enumerations_checked(self):
         with pytest.raises(ValueError):
             LossWeights(likelihood_mode="probability")
-        with pytest.raises(ValueError):
-            LossWeights(pairwise_sign="up")
         with pytest.raises(ValueError):
             LossWeights(pairwise_kind="margin")
         with pytest.raises(ValueError):

@@ -14,7 +14,9 @@ from binsurv.metrics import (
     evaluate_model, hazard_ratio, ibs, kaplan_meier, log_rank, m_tdauc,
     select_cutoff, tdauc,
 )
-from binsurv.model import ModelConfig, init_params
+from binsurv.model import (
+    ModelConfig, apply_head, forward, init_params, predict_risk,
+)
 from helpers import (
     brute_c_index, brute_tdauc, random_dataset, slow_brier,
     slow_km_survival_before,
@@ -355,6 +357,20 @@ class TestEvaluateModel:
         given_cut = evaluate_model(params, ds, grid, cutoff=report.cutoff)
         assert given_cut.cutoff_source == "checkpoint"
         assert given_cut.cutoff == report.cutoff
+
+    def test_summaries_equal_the_metric_functions(self, rng):
+        params, ds, grid = self.make_model_and_data(rng)
+        report = evaluate_model(params, ds, grid, group_metrics=False)
+        logits, _ = forward(params, ds.features, mode="eval")
+        pmfs = apply_head(params.config.head, logits)
+        risks = predict_risk(pmfs)
+        assert report.ibs == ibs(pmfs, ds.times, ds.events, report.eval_times, grid)
+        assert report.m_tdauc == m_tdauc(risks, ds.times, ds.events,
+                                         report.eval_times)
+        evaluable = [t for t in report.eval_times
+                     if np.any((ds.times <= t) & (ds.events == 1))
+                     and np.any(ds.times > t)]
+        assert np.array_equal(report.tdauc_times, evaluable)
 
     def test_group_metrics_can_be_skipped(self, rng):
         params, ds, grid = self.make_model_and_data(rng)
