@@ -10,7 +10,7 @@ from .data import (
 )
 from .losses import (
     CalibrationBins, LossWeights, calibration_loss, combined_loss,
-    comparable_pairs, likelihood_loss, rank_loss, time_rank_loss,
+    likelihood_loss, rank_loss, time_rank_loss,
 )
 from .metrics import (
     EvalReport, KMCurve, UndefinedMetricError, brier_score_t, c_index,

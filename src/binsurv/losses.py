@@ -11,6 +11,16 @@ Sign convention: every pairwise exponent is negated, exp(-sigma * ...), so
 each term shrinks as the shorter-lived sample's risk (or CDF) rises above its
 partner's, and plain gradient descent on the combined value ranks that sample
 higher.
+
+Pairs are summed, not enumerated.  A comparable pair (i, j) has event_i = 1
+and t_j > t_i, strictly: samples tied in normalized time never pair.  Each
+pairwise term factorises as exp(-sigma * a_i) * exp(sigma * b_j), so after
+one stable sort of the batch by time the partner side of every anchor is a
+suffix sum of the exp(sigma * b) factors, starting at the first strictly
+later time (``searchsorted(..., "right")``), and the anchor side of every
+partner is a prefix sum of the events' exp(-sigma * a) factors, ending before
+the first equal time (``searchsorted(..., "left")``).  Both values and
+gradients are exact; no B x B array is formed.
 """
 
 from __future__ import annotations
@@ -27,6 +37,9 @@ LIKELIHOOD_FLOOR = 1e-12
 
 LIKELIHOOD_MODES = ("prob", "logprob")
 PAIRWISE_KINDS = ("time_rank", "rank")
+# with sigma <= 1 and risks and normalized times in [0, 1], every time-rank
+# pair term stays below exp(701), short of the float64 limit exp(709.8)
+RHO_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -47,35 +60,14 @@ class LossWeights:
             raise ValueError("loss weights must be non-negative")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must lie in (0, 1]")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
+        if not 0.0 <= self.rho <= RHO_MAX:
+            raise ValueError(f"rho must lie in [0, {RHO_MAX:g}]")
         if self.g_bins < 1:
             raise ValueError("g_bins must be at least 1")
         if self.likelihood_mode not in LIKELIHOOD_MODES:
             raise ValueError(f"likelihood_mode must be one of {LIKELIHOOD_MODES}")
         if self.pairwise_kind not in PAIRWISE_KINDS:
             raise ValueError(f"pairwise_kind must be one of {PAIRWISE_KINDS}")
-
-
-@dataclass(frozen=True)
-class ComparablePairs:
-    """Index pairs (i, j) with event_i = 1 and t_j > t_i, plus the event count."""
-
-    i: np.ndarray
-    j: np.ndarray
-    n_events: int
-
-    def __len__(self) -> int:
-        return self.i.shape[0]
-
-
-def comparable_pairs(times, events) -> ComparablePairs:
-    """Enumerate in-batch pairs where sample i's event precedes sample j's time."""
-    t = np.asarray(times, dtype=np.float64)
-    ev = np.asarray(events) == 1
-    mask = ev[:, None] & (t[None, :] > t[:, None])
-    i, j = np.nonzero(mask)
-    return ComparablePairs(i=i, j=j, n_events=int(ev.sum()))
 
 
 @dataclass(frozen=True)
@@ -138,32 +130,75 @@ def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch, mode: str = "prob"):
     return value, grad
 
 
+def _pair_layout(t_norm, events):
+    """Time order of a batch and the bounds of its comparable pairs.
+
+    Returns ``(order, later, earlier, is_event, n_events)``, or None when the
+    batch has no comparable pair.  ``order`` sorts the batch by time (stable).
+    In that order, the partners of sample i (t_j > t_i) sit at positions
+    ``later[i]`` and beyond, and the samples that can anchor sample j
+    (t_i < t_j) sit before position ``earlier[j]``.
+    """
+    t = np.asarray(t_norm, dtype=np.float64)
+    is_event = np.asarray(events) == 1
+    n_events = int(is_event.sum())
+    if n_events == 0 or not np.any(t[is_event] < t.max()):
+        return None
+    order = np.argsort(t, kind="stable")
+    t_sorted = t[order]
+    later = np.searchsorted(t_sorted, t, side="right")
+    earlier = np.searchsorted(t_sorted, t, side="left")
+    return order, later, earlier, is_event, n_events
+
+
+def _suffix_sums(x):
+    """out[m] = x[m:].sum(axis=0), with a trailing zero row at m = len(x)."""
+    out = np.zeros((x.shape[0] + 1,) + x.shape[1:])
+    out[:-1] = np.cumsum(x[::-1], axis=0)[::-1]
+    return out
+
+
+def _prefix_sums(x):
+    """out[m] = x[:m].sum(axis=0), with a leading zero row at m = 0."""
+    out = np.zeros((x.shape[0] + 1,) + x.shape[1:])
+    np.cumsum(x, axis=0, out=out[1:])
+    return out
+
+
 def rank_loss(pmfs: np.ndarray, batch: BinnedBatch, sigma: float = 1.0):
     """Pairwise exponential ranking on the CDF at the earlier event's bin.
 
     For each comparable pair the CDFs of both samples are read at sample i's
-    event bin; the per-pair term is exp(-sigma * (F_i - F_j)) and the value
-    sums those terms divided by the number of events in the batch.  Returns
-    (value, grad_pmf).
+    event bin k_i; the per-pair term is exp(-sigma * (F_i - F_j)) and the
+    value sums those terms divided by the number of events in the batch.
+
+    The term splits into exp(-sigma * F_i[k_i]) * exp(sigma * F_j[k_i]).  Per
+    threshold column, suffix sums of exp(sigma * F) over the time-sorted rows,
+    read at each event's bin, give the value and the anchor-side gradient;
+    prefix sums of the event factors, placed at their bins, give the partner
+    side.  O(B log B + B K) time and O(B K) memory.  Returns (value, grad_pmf).
     """
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
-    n, k = p.shape
-    pairs = comparable_pairs(batch.t_norm, batch.events)
-    if pairs.n_events == 0 or len(pairs) == 0:
+    layout = _pair_layout(batch.t_norm, batch.events)
+    if layout is None:
         warnings.warn("rank loss: no comparable pairs in batch", RuntimeWarning)
         return 0.0, np.zeros_like(p)
+    order, later, earlier, is_event, n_events = layout
     cdf = np.cumsum(p, axis=1)
-    ki = batch.bins[pairs.i] - 1
-    f_i = cdf[pairs.i, ki]
-    f_j = cdf[pairs.j, ki]
-    terms = np.exp(-sigma * (f_i - f_j))
-    value = float(terms.sum() / pairs.n_events)
-    w = (-sigma / pairs.n_events) * terms
-    # dF/dp hits every bin up to the threshold: accumulate at the threshold
-    # column, then suffix-sum across bins
-    acc = np.zeros_like(p)
-    np.add.at(acc, (pairs.i, ki), w)
-    np.add.at(acc, (pairs.j, ki), -w)
+    cols = batch.bins[is_event] - 1
+    partner = np.exp(sigma * cdf)
+    anchor = np.exp(-sigma * cdf[is_event, cols])
+    # sum over each event's partners of its pair terms
+    as_anchor = anchor * _suffix_sums(partner[order])[later[is_event], cols]
+    placed = np.zeros_like(p)
+    placed[is_event, cols] = anchor
+    # per threshold column, sum over each sample's anchors of its pair terms
+    as_partner = partner * _prefix_sums(placed[order])[earlier]
+    value = float(as_anchor.sum() / n_events)
+    # d term / dF_i = -sigma * term, d term / dF_j = sigma * term; dF/dp hits
+    # every bin up to the threshold, so suffix-sum across bins
+    acc = (sigma / n_events) * as_partner
+    acc[is_event, cols] -= (sigma / n_events) * as_anchor
     grad = np.cumsum(acc[:, ::-1], axis=1)[:, ::-1]
     return value, grad
 
@@ -175,20 +210,30 @@ def time_rank_loss(risks: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
     The per-pair exponent compares the risk difference against rho times the
     normalized time gap, so pairs far apart in time must also be far apart in
     risk before their term stops moving.  Value sums per-pair terms divided by
-    the batch event count.  Returns (value, grad_risk).
+    the batch event count.
+
+    With u = r + rho * t_norm the term exp(-sigma * ((r_i - r_j) -
+    rho * (t_j - t_i))) is exp(-sigma * u_i) * exp(sigma * u_j), so the value
+    and both gradient sides come from one sort plus a suffix and a prefix
+    sum: O(B log B) time, O(B) memory.  Both factors are taken relative to
+    the midpoint of sigma * u, which cancels in every product and keeps each
+    factor within exp(+-range / 2).  Returns (value, grad_risk).
     """
     r = np.asarray(risks, dtype=np.float64)
-    pairs = comparable_pairs(batch.t_norm, batch.events)
-    if pairs.n_events == 0 or len(pairs) == 0:
+    layout = _pair_layout(batch.t_norm, batch.events)
+    if layout is None:
         warnings.warn("time rank loss: no comparable pairs in batch", RuntimeWarning)
         return 0.0, np.zeros_like(r)
-    gap = batch.t_norm[pairs.j] - batch.t_norm[pairs.i]
-    terms = np.exp(-sigma * ((r[pairs.i] - r[pairs.j]) - rho * gap))
-    value = float(terms.sum() / pairs.n_events)
-    w = (-sigma / pairs.n_events) * terms
-    grad = np.zeros_like(r)
-    np.add.at(grad, pairs.i, w)
-    np.add.at(grad, pairs.j, -w)
+    order, later, earlier, is_event, n_events = layout
+    su = sigma * (r + rho * batch.t_norm)
+    shift = 0.5 * (su.max() + su.min())
+    partner = np.exp(su - shift)
+    anchor = np.where(is_event, np.exp(shift - su), 0.0)
+    # sum over each event's partners, and over each sample's anchors
+    as_anchor = anchor * _suffix_sums(partner[order])[later]
+    as_partner = partner * _prefix_sums(anchor[order])[earlier]
+    value = float(as_anchor.sum() / n_events)
+    grad = (-sigma / n_events) * (as_anchor - as_partner)
     return value, grad
 
 

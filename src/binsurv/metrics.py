@@ -79,26 +79,61 @@ def c_index(scores, times, events) -> float:
     """Harrell's concordance over pairs (event_i = 1, t_i < t_j).
 
     A pair is concordant when the shorter-lived sample scores strictly
-    higher; tied scores earn half credit.
+    higher; tied scores earn half credit.  Pairs are counted, not visited:
+    a sort by time, a merge count of later-and-lower-scored samples, and a
+    sort of (score, time) ranks for the tied scores, in O(n log n).  The
+    counts are exact integers, so the result does not depend on the order
+    of summation.
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
-    order = np.argsort(t, kind="mergesort")
-    s, t, e = s[order], t[order], e[order]
-    n = t.size
-    num = 0.0
-    den = 0
-    for idx in np.flatnonzero(e == 1):
-        start = np.searchsorted(t, t[idx], side="right")
-        if start >= n:
-            continue
-        later = s[start:]
-        den += later.size
-        num += np.count_nonzero(s[idx] > later) + 0.5 * np.count_nonzero(s[idx] == later)
+    # time order; same-time samples by score, so none is later and lower
+    order = np.lexsort((s, t))
+    s, t, is_event = s[order], t[order], e[order] == 1
+    den = int((t.size - np.searchsorted(t, t[is_event], side="right")).sum())
     if den == 0:
         raise UndefinedMetricError("no comparable pairs for the concordance index")
-    return float(num / den)
+    # a NaN score is neither higher than nor tied with any other, so its
+    # pairs count in the denominator only
+    scored = ~np.isnan(s)
+    s, t, is_event = s[scored], t[scored], is_event[scored]
+    lower = _later_lower_count(s, is_event)
+    n = t.size
+    t_rank = np.unique(t, return_inverse=True)[1]
+    s_rank = np.unique(s, return_inverse=True)[1]
+    key = s_rank * n + t_rank
+    sorted_key = np.sort(key)
+    ev_key = key[is_event]
+    last_of_score = ev_key - t_rank[is_event] + (n - 1)
+    tied = int((np.searchsorted(sorted_key, last_of_score, side="right")
+                - np.searchsorted(sorted_key, ev_key, side="right")).sum())
+    return float((lower + 0.5 * tied) / den)
+
+
+def _later_lower_count(s, is_event) -> int:
+    """Sum over events i of #{j > i : s[j] < s[i]}, by merge counting.
+
+    Top down over the bits of the position: the sequence is kept in
+    (position block, score) order, and at each level every block splits
+    stably into its two halves.  A left-half event then counts the
+    right-half samples ahead of it in its block, which are exactly its
+    later partners with a lower score.  O(n) per level, O(n log n) in all.
+    """
+    n = s.size
+    index = np.arange(n)
+    seq = np.argsort(s, kind="stable")
+    total = 0
+    for level in reversed(range((n - 1).bit_length())):
+        right = (seq >> level) & 1
+        ahead = np.cumsum(right) - right
+        block = (seq >> (level + 1)) << (level + 1)
+        ahead -= ahead[block]
+        total += int(ahead[(right == 0) & is_event[seq]].sum())
+        half = (seq >> level) << level
+        dest = half + np.where(right == 1, ahead, index - block - ahead)
+        seq[dest] = seq.copy()
+    return total
 
 
 def brier_score_t(pmfs, times, events, t_star: float, censor_km: KMCurve,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 
 from binsurv.data import SurvivalDataset, bin_dataset, build_time_grid
@@ -182,3 +185,82 @@ def brute_tdauc(scores, times, events, t):
             elif s[i] == s[j]:
                 num += 0.5
     return num / (cases.size * controls.size)
+
+
+@dataclass(frozen=True)
+class ComparablePairs:
+    """Index pairs (i, j) with event_i = 1 and t_j > t_i, plus the event count."""
+
+    i: np.ndarray
+    j: np.ndarray
+    n_events: int
+
+    def __len__(self) -> int:
+        return self.i.shape[0]
+
+
+def comparable_pairs(times, events) -> ComparablePairs:
+    """Enumerate in-batch pairs where sample i's event precedes sample j's time."""
+    t = np.asarray(times, dtype=np.float64)
+    ev = np.asarray(events) == 1
+    mask = ev[:, None] & (t[None, :] > t[:, None])
+    i, j = np.nonzero(mask)
+    return ComparablePairs(i=i, j=j, n_events=int(ev.sum()))
+
+
+def brute_rank_loss(pmfs, batch, sigma=1.0, magnitude=False):
+    """rank_loss by enumerating every comparable pair.
+
+    ``magnitude=True`` adds the partner side with the anchor side's sign, so
+    the gradient becomes, up to sign, the per-entry sum of |pair
+    contributions|: the scale of the rounding error of any summation order.
+    """
+    p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
+    pairs = comparable_pairs(batch.t_norm, batch.events)
+    if pairs.n_events == 0 or len(pairs) == 0:
+        warnings.warn("rank loss: no comparable pairs in batch", RuntimeWarning)
+        return 0.0, np.zeros_like(p)
+    cdf = np.cumsum(p, axis=1)
+    ki = batch.bins[pairs.i] - 1
+    f_i = cdf[pairs.i, ki]
+    f_j = cdf[pairs.j, ki]
+    terms = np.exp(-sigma * (f_i - f_j))
+    value = float(terms.sum() / pairs.n_events)
+    w = (-sigma / pairs.n_events) * terms
+    acc = np.zeros_like(p)
+    np.add.at(acc, (pairs.i, ki), w)
+    np.add.at(acc, (pairs.j, ki), w if magnitude else -w)
+    grad = np.cumsum(acc[:, ::-1], axis=1)[:, ::-1]
+    return value, grad
+
+
+def brute_time_rank_loss(risks, batch, sigma=1.0, rho=1.0, magnitude=False):
+    """time_rank_loss by enumerating every comparable pair; ``magnitude`` as
+    in brute_rank_loss."""
+    r = np.asarray(risks, dtype=np.float64)
+    pairs = comparable_pairs(batch.t_norm, batch.events)
+    if pairs.n_events == 0 or len(pairs) == 0:
+        warnings.warn("time rank loss: no comparable pairs in batch", RuntimeWarning)
+        return 0.0, np.zeros_like(r)
+    gap = batch.t_norm[pairs.j] - batch.t_norm[pairs.i]
+    terms = np.exp(-sigma * ((r[pairs.i] - r[pairs.j]) - rho * gap))
+    value = float(terms.sum() / pairs.n_events)
+    w = (-sigma / pairs.n_events) * terms
+    grad = np.zeros_like(r)
+    np.add.at(grad, pairs.i, w)
+    np.add.at(grad, pairs.j, w if magnitude else -w)
+    return value, grad
+
+
+def pair_count_c_index(scores, times, events):
+    """O(n^2) concordance counted with broadcast comparisons, no Python loop."""
+    s = np.asarray(scores, dtype=np.float64)
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events, dtype=np.int64)
+    comparable = (e[:, None] == 1) & (t[:, None] < t[None, :])
+    den = int(comparable.sum())
+    if den == 0:
+        return None
+    higher = int((comparable & (s[:, None] > s[None, :])).sum())
+    tied = int((comparable & (s[:, None] == s[None, :])).sum())
+    return (higher + 0.5 * tied) / den

@@ -142,6 +142,12 @@ class TestTrainCommand:
         assert code == 2
         assert "warmup" in capsys.readouterr().err
 
+    def test_out_of_range_rho_exits_two(self, data_csv, tmp_path, capsys):
+        code = run(["train", "--data", str(data_csv), "--out",
+                    str(tmp_path / "o"), "--set", "rho=1000"])
+        assert code == 2
+        assert "rho" in capsys.readouterr().err
+
     def test_no_data_source_exits_two(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "o")]) == 2
 

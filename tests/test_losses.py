@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsurv.data import BinnedBatch, TimeGrid, bin_midpoints
+from binsurv.data import BinnedBatch, TimeGrid, assign_bin, bin_midpoints
 from binsurv.losses import (
     CalibrationBins, LossWeights, calibration_loss, combined_loss,
-    comparable_pairs, likelihood_loss, rank_loss, time_rank_loss,
+    likelihood_loss, rank_loss, time_rank_loss,
 )
 from binsurv.model import predict_risk
-from helpers import fd_input_grad, random_batch, random_pmfs, rel_err_arr
+from helpers import (
+    GRAD_FLOOR, brute_rank_loss, brute_time_rank_loss, comparable_pairs,
+    fd_input_grad, random_batch, random_pmfs, rel_err_arr,
+)
 
 
 def manual_grid(k: int) -> TimeGrid:
@@ -196,6 +199,91 @@ class TestTimeRank:
         assert rel_err_arr(grad, num) < 1e-6
 
 
+def oracle_batch(rng, n, k, events, ties):
+    """Batch with random normalized times; ``ties`` snaps them onto a coarse
+    lattice and clamps about a fifth to (k - 1) / k, the largest time."""
+    upper = (k - 1) / k
+    t = rng.uniform(0.0, upper, n)
+    if ties:
+        t = np.round(t / upper * 4.0) / 4.0 * upper
+        t[rng.random(n) < 0.2] = upper
+    return manual_batch(assign_bin(t, k), events, k, t_norm=t)
+
+
+def warned(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, [str(w.message) for w in caught]
+
+
+class TestPairwiseOracle:
+    """Sorted-sum evaluation against pair enumeration, for both terms.
+
+    Values are sums of positive terms and must agree to 1e-12 relative.  A
+    gradient entry is a difference of anchor-side and partner-side sums, so
+    its error is measured against the sum of |pair contributions| at that
+    entry (the rel_err_arr floor is raised to it).
+    """
+
+    def check(self, batch, pmfs):
+        risks = predict_risk(pmfs)
+        cases = [(rank_loss, brute_rank_loss, pmfs, (sigma,))
+                 for sigma in (0.3, 1.0)]
+        cases += [(time_rank_loss, brute_time_rank_loss, risks, (sigma, rho))
+                  for sigma in (0.3, 1.0) for rho in (0.0, 1.0, 50.0)]
+        for fast, brute, x, knobs in cases:
+            (value, grad), msgs = warned(fast, x, batch, *knobs)
+            (expect, expect_grad), expect_msgs = warned(brute, x, batch, *knobs)
+            (_, scale), _ = warned(brute, x, batch, *knobs, magnitude=True)
+            assert msgs == expect_msgs
+            assert rel_err_arr(value, expect) <= 1e-12
+            floor = np.maximum(np.abs(scale), GRAD_FLOOR)
+            assert rel_err_arr(grad, expect_grad, floor) <= 1e-12
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_random_batches(self, rng, ties):
+        for _ in range(40):
+            n, k = int(rng.integers(2, 65)), int(rng.integers(2, 11))
+            events = (rng.random(n) < 0.6).astype(np.int64)
+            self.check(oracle_batch(rng, n, k, events, ties),
+                       random_pmfs(rng, n, k))
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_all_events_and_single_event(self, rng, ties):
+        for _ in range(10):
+            n, k = int(rng.integers(2, 65)), int(rng.integers(2, 11))
+            single = np.zeros(n, dtype=np.int64)
+            single[rng.integers(n)] = 1
+            for events in (np.ones(n, dtype=np.int64), single):
+                self.check(oracle_batch(rng, n, k, events, ties),
+                           random_pmfs(rng, n, k))
+
+    def test_large_tied_batch(self, rng):
+        n, k = 2048, 10
+        events = (rng.random(n) < 0.6).astype(np.int64)
+        self.check(oracle_batch(rng, n, k, events, ties=True),
+                   random_pmfs(rng, n, k))
+
+    def test_batches_without_pairs_warn_and_return_zeros(self, rng):
+        k = 5
+        upper = (k - 1) / k
+        batches = [
+            manual_batch([1, 2, 3], [0, 0, 0], k),  # no events
+            manual_batch([2, 2, 2], [1, 1, 0], k, t_norm=[0.3] * 3),  # one time
+            # the only event is at the clamped top time, tied with a partner
+            manual_batch([1, 5, 5], [0, 1, 0], k, t_norm=[0.1, upper, upper]),
+        ]
+        for batch in batches:
+            pmfs = random_pmfs(rng, len(batch), k)
+            for fast, x in ((rank_loss, pmfs), (time_rank_loss, predict_risk(pmfs))):
+                (value, grad), msgs = warned(fast, x, batch)
+                assert len(msgs) == 1 and "no comparable pairs" in msgs[0]
+                assert value == 0.0 and np.all(grad == 0.0)
+                assert grad.shape == x.shape
+            self.check(batch, pmfs)
+
+
 class TestCalibration:
     def test_perfectly_calibrated_batch_scores_zero(self):
         # one-hot mass at each sample's own bin with times at the midpoints
@@ -335,6 +423,22 @@ class TestWeightsValidation:
                    {"rho": -0.5}):
             with pytest.raises(ValueError):
                 LossWeights(**kw)
+
+    def test_rho_bound_keeps_time_rank_finite(self):
+        # the largest allowed rho on risks spanning (0, 1) and times spanning
+        # [0, 0.9]: every pair term and gradient entry stays finite
+        LossWeights(rho=700.0)
+        with pytest.raises(ValueError, match="rho"):
+            LossWeights(rho=700.5)
+        n, k = 64, 10
+        t = np.linspace(0.0, 0.9, n)
+        batch = manual_batch(assign_bin(t, k), np.ones(n, dtype=np.int64), k,
+                             t_norm=t)
+        risks = np.linspace(1e-3, 1.0 - 1e-3, n)
+        for r in (risks, risks[::-1]):
+            value, grad = time_rank_loss(r, batch, sigma=1.0, rho=700.0)
+            assert np.isfinite(value) and value > 0.0
+            assert np.all(np.isfinite(grad))
 
     def test_enumerations_checked(self):
         with pytest.raises(ValueError):

@@ -18,8 +18,8 @@ from binsurv.model import (
     ModelConfig, apply_head, forward, init_params, predict_risk,
 )
 from helpers import (
-    brute_c_index, brute_tdauc, random_dataset, slow_brier,
-    slow_km_survival_before,
+    brute_c_index, brute_tdauc, pair_count_c_index, random_dataset,
+    slow_brier, slow_km_survival_before,
 )
 
 
@@ -104,6 +104,37 @@ class TestCIndex:
                     c_index(s, t, e)
             else:
                 assert c_index(s, t, e) == expect
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1024, 1025])
+    def test_matches_pair_count_around_powers_of_two(self, rng, n):
+        # the merge count works on power-of-two position blocks; exercise
+        # full, partial and single-element blocks, with heavy, light and no
+        # ties in times and scores
+        oracle = brute_c_index if n <= 257 else pair_count_c_index
+        for levels in (3, max(n // 4, 1), None):
+            t = rng.uniform(0.5, 5.0, n)
+            s = rng.standard_normal(n)
+            if levels is not None:
+                t = np.round(t * levels / 5.0)
+                s = np.round(s * levels / 3.0)
+            e = (rng.random(n) < 0.7).astype(int)
+            expect = oracle(s, t, e)
+            if expect is None:
+                with pytest.raises(UndefinedMetricError):
+                    c_index(s, t, e)
+            else:
+                assert c_index(s, t, e) == expect
+
+    def test_nan_scores_earn_no_credit(self, rng):
+        # NaN compares neither greater nor equal: its pairs stay in the
+        # denominator with zero credit
+        n = 40
+        t = np.round(rng.uniform(0.5, 5.0, n), 1)
+        e = (rng.random(n) < 0.7).astype(int)
+        e[0] = 1
+        s = np.round(rng.standard_normal(n), 1)
+        s[rng.random(n) < 0.3] = np.nan
+        assert c_index(s, t, e) == brute_c_index(s, t, e)
 
     def test_complement_under_negation(self, rng):
         n = 100
