@@ -186,6 +186,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _match_features(test: SurvivalDataset, meta: dict, input_dim: int) -> SurvivalDataset:
+    """Put the held-out feature columns in the checkpoint's order, by name.
+
+    Checkpoints without ``feature_names`` can only be checked by count.
+    """
+    names = meta.get("feature_names")
+    if names is None:
+        if test.n_features != input_dim:
+            raise ConfigError(
+                f"test data has {test.n_features} features but the checkpoint "
+                f"expects {input_dim}"
+            )
+        return test
+    missing = [n for n in names if n not in test.feature_names]
+    extra = [n for n in test.feature_names if n not in names]
+    if missing or extra:
+        parts = [f"{label} {', '.join(repr(n) for n in cols)}"
+                 for label, cols in (("missing", missing), ("extra", extra)) if cols]
+        raise ConfigError("test data columns do not match the checkpoint's "
+                          "features: " + "; ".join(parts))
+    if list(test.feature_names) == list(names):
+        return test
+    order = [test.feature_names.index(n) for n in names]
+    return SurvivalDataset(np.ascontiguousarray(test.features[:, order]),
+                           test.times, test.events, names)
+
+
 def cmd_evaluate(args) -> int:
     params, meta = load_checkpoint(args.checkpoint)
     grid = load_grid(args.grid)
@@ -194,21 +221,19 @@ def cmd_evaluate(args) -> int:
             f"grid has {grid.k_bins} bins but the checkpoint was trained "
             f"with {params.config.k_bins}"
         )
+    for key in ("scaler_mean", "scaler_std"):
+        if key not in meta:
+            # fitting a scaler here would use statistics of the held-out rows
+            raise ConfigError(f"checkpoint meta has no '{key}'")
+    scaler = FeatureScaler(
+        mean=np.asarray(meta["scaler_mean"], dtype=np.float64),
+        std=np.asarray(meta["scaler_std"], dtype=np.float64),
+    )
     time_col = args.time_col or meta.get("time_col", "time")
     event_col = args.event_col or meta.get("event_col", "event")
-    test_raw = load_csv(args.data, time_col, event_col, standardize=False)
-    if test_raw.n_features != params.config.input_dim:
-        raise ConfigError(
-            f"test data has {test_raw.n_features} features but the checkpoint "
-            f"expects {params.config.input_dim}"
-        )
-    if "scaler_mean" in meta:
-        scaler = FeatureScaler(
-            mean=np.asarray(meta["scaler_mean"], dtype=np.float64),
-            std=np.asarray(meta["scaler_std"], dtype=np.float64),
-        )
-    else:
-        scaler = FeatureScaler.fit(test_raw.features)
+    test_raw = _match_features(
+        load_csv(args.data, time_col, event_col, standardize=False),
+        meta, params.config.input_dim)
     test = apply_scaler(test_raw, scaler)
     report = evaluate_model(params, test, grid, cutoff=meta.get("cutoff"))
     out = Path(args.out or "eval")

@@ -259,27 +259,104 @@ def load_csv(
 ) -> SurvivalDataset:
     """Read a UTF-8, comma-separated, headered survival CSV.
 
-    Every non-time, non-event column is a numeric feature.  With
-    ``standardize`` the features are z-scored with statistics fitted on the
-    full file; pass ``scaler`` instead to reuse training statistics on
-    held-out data.  Validation failures raise :class:`CsvFormatError` naming
-    the offending data row (1-based, header excluded).
+    The header names every column once; names are stripped of surrounding
+    whitespace and may be quoted, and an empty or repeated name is an error.
+    Every non-time, non-event column is a numeric feature.  Cells are
+    decimal floats (``nan``/``inf`` spellings included), optionally quoted
+    and padded with whitespace; lines end in LF, CRLF or CR, and a blank
+    line is an error.  Times must be finite and > 0, events 0 or 1, and
+    features finite.
+
+    numpy's C parser reads the data lines in one call.  Only when it or a
+    vectorised check rejects the file does :func:`_raise_first_bad_row`
+    re-read it cell by cell to name the first offending data row (1-based,
+    header excluded) and column.  Python's ``float()`` reads two things
+    that this reader rejects: digit-group underscores (``1_000``) and
+    non-ASCII digits, reported with numpy's message, and a line break
+    inside a quoted cell.
+
+    With ``standardize`` the features are z-scored with statistics fitted on
+    the full file; pass ``scaler`` instead to reuse training statistics on
+    held-out data.  Every failure raises :class:`CsvFormatError`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise CsvFormatError(f"{path}: empty file")
         header = [h.strip() for h in header]
         for required in (time_column, event_column):
             if required not in header:
                 raise CsvFormatError(f"{path}: missing column '{required}'")
-        t_idx = header.index(time_column)
-        e_idx = header.index(event_column)
-        feat_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
-        feature_names = [header[i] for i in feat_idx]
+        for i, name in enumerate(header):
+            if not name:
+                raise CsvFormatError(f"{path}: column {i + 1} has an empty name")
+            if name in header[:i]:
+                raise CsvFormatError(f"{path}: duplicate column '{name}'")
+        text = fh.read()
+    if not text:
+        raise CsvFormatError(f"{path}: no data rows")
+    t_idx = header.index(time_column)
+    e_idx = header.index(event_column)
+    feat_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
+    feature_names = [header[i] for i in feat_idx]
 
-        rows, times, events = [], [], []
+    if "\r" in text:  # loadtxt takes LF-split lines and rejects a bare CR
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    problem = None
+    if "" in lines:
+        problem = "blank line"  # loadtxt would skip it silently
+    else:
+        try:
+            table = np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                               comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:
+            problem = str(exc)
+        else:
+            if table.shape != (len(lines), len(header)):
+                problem = (f"line break inside a quoted cell: {len(lines)} "
+                           f"lines gave {table.shape[0]} rows")
+            else:
+                times = np.ascontiguousarray(table[:, t_idx])
+                events = table[:, e_idx]
+                if not (np.all(np.isfinite(times) & (times > 0))
+                        and np.all((events == 0) | (events == 1))):
+                    problem = "time or event out of range"
+    if problem is not None:
+        _raise_first_bad_row(path, header, t_idx, e_idx)
+        raise CsvFormatError(f"{path}: {problem}")
+
+    features = np.ascontiguousarray(table[:, feat_idx])
+    # one vectorised pass instead of a per-cell check
+    nonfinite = np.argwhere(~np.isfinite(features))
+    if nonfinite.size:
+        row, col = nonfinite[0]
+        raise CsvFormatError(
+            f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
+            f"in column '{feature_names[col]}'"
+        )
+    if scaler is not None:
+        features = scaler.transform(features)
+    elif standardize:
+        scaler = FeatureScaler.fit(features)
+        features = scaler.transform(features)
+    return SurvivalDataset(features, times, events.astype(np.int64),
+                           feature_names, scaler=scaler)
+
+
+def _raise_first_bad_row(path, header, t_idx: int, e_idx: int) -> None:
+    """Re-read the data rows of ``path`` with ``float()`` per cell and raise
+    :class:`CsvFormatError` for the first one with the wrong field count, a
+    non-numeric cell, a bad time or a bad event, in that order of checks.
+
+    Runs only after :func:`load_csv` has rejected the file, to name the row
+    and column; it returns nothing when every row passes.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise CsvFormatError(
@@ -299,32 +376,10 @@ def load_csv(
                 raise CsvFormatError(
                     f"{path}: row {row_no}: time must be finite and > 0, got {row[t_idx]!r}"
                 )
-            e = values[e_idx]
-            if e not in (0.0, 1.0):
+            if values[e_idx] not in (0.0, 1.0):
                 raise CsvFormatError(
                     f"{path}: row {row_no}: event must be 0 or 1, got {row[e_idx]!r}"
                 )
-            rows.append([values[i] for i in feat_idx])
-            times.append(t)
-            events.append(int(e))
-
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
-    # one vectorised pass instead of a per-cell check in the read loop
-    nonfinite = np.argwhere(~np.isfinite(features))
-    if nonfinite.size:
-        row, col = nonfinite[0]
-        raise CsvFormatError(
-            f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
-            f"in column '{feature_names[col]}'"
-        )
-    if scaler is not None:
-        features = scaler.transform(features)
-    elif standardize:
-        scaler = FeatureScaler.fit(features)
-        features = scaler.transform(features)
-    return SurvivalDataset(features, times, events, feature_names, scaler=scaler)
 
 
 def write_csv(dataset: SurvivalDataset, path, time_column: str = "time",

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from binsurv.data import SurvivalDataset, bin_dataset, build_time_grid
+from binsurv.data import (
+    CsvFormatError, FeatureScaler, SurvivalDataset, bin_dataset, build_time_grid,
+)
 from binsurv.losses import LossWeights, combined_loss
 from binsurv.model import ModelParams, apply_head, forward, head_backward, backward
 
@@ -264,3 +268,79 @@ def pair_count_c_index(scores, times, events):
     higher = int((comparable & (s[:, None] > s[None, :])).sum())
     tied = int((comparable & (s[:, None] == s[None, :])).sum())
     return (higher + 0.5 * tied) / den
+
+
+def reference_load_csv(
+    path,
+    time_column: str = "time",
+    event_column: str = "event",
+    scaler: FeatureScaler | None = None,
+    standardize: bool = True,
+) -> SurvivalDataset:
+    """The per-cell ``float()`` CSV reader that ``load_csv`` replaced, kept
+    as the oracle for its accepted values and its error messages.
+
+    Every non-time, non-event column is a numeric feature.  Validation
+    failures raise :class:`CsvFormatError` naming the offending data row
+    (1-based, header excluded).
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        for required in (time_column, event_column):
+            if required not in header:
+                raise CsvFormatError(f"{path}: missing column '{required}'")
+        t_idx = header.index(time_column)
+        e_idx = header.index(event_column)
+        feat_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
+        feature_names = [header[i] for i in feat_idx]
+
+        rows, times, events = [], [], []
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            values = []
+            for i, cell in enumerate(row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: row {row_no}: non-numeric value {cell!r} "
+                        f"in column '{header[i]}'"
+                    ) from None
+            t = values[t_idx]
+            if not math.isfinite(t) or t <= 0:
+                raise CsvFormatError(
+                    f"{path}: row {row_no}: time must be finite and > 0, got {row[t_idx]!r}"
+                )
+            e = values[e_idx]
+            if e not in (0.0, 1.0):
+                raise CsvFormatError(
+                    f"{path}: row {row_no}: event must be 0 or 1, got {row[e_idx]!r}"
+                )
+            rows.append([values[i] for i in feat_idx])
+            times.append(t)
+            events.append(int(e))
+
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    features = np.asarray(rows, dtype=np.float64)
+    # one vectorised pass instead of a per-cell check in the read loop
+    nonfinite = np.argwhere(~np.isfinite(features))
+    if nonfinite.size:
+        row, col = nonfinite[0]
+        raise CsvFormatError(
+            f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
+            f"in column '{feature_names[col]}'"
+        )
+    if scaler is not None:
+        features = scaler.transform(features)
+    elif standardize:
+        scaler = FeatureScaler.fit(features)
+        features = scaler.transform(features)
+    return SurvivalDataset(features, times, events, feature_names, scaler=scaler)

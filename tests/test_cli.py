@@ -136,6 +136,14 @@ class TestTrainCommand:
         assert code == 2
         assert "time" in capsys.readouterr().err
 
+    def test_duplicate_header_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,event,x1,x1\n1.0,1,0.5,0.2\n2.0,1,0.1,0.3\n",
+                       encoding="utf-8")
+        code = run(["train", "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "duplicate column 'x1'" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_two(self, data_csv, tmp_path, capsys):
         code = run(["train", "--data", str(data_csv), "--out",
                     str(tmp_path / "o"), "--set", "warmup=5"])
@@ -225,6 +233,48 @@ class TestEvaluateCommand:
                     "--grid", str(run_dir / "grid.json"),
                     "--data", str(bad), "--out", str(tmp_path / "e")])
         assert code == 2
+
+    def evaluate(self, run_dir, data, out, checkpoint=None):
+        return run(["evaluate", "--checkpoint",
+                    str(checkpoint or run_dir / "checkpoint.json"),
+                    "--grid", str(run_dir / "grid.json"),
+                    "--data", str(data), "--out", str(out)])
+
+    def test_columns_matched_by_name(self, run_dir, tmp_path):
+        header, *rows = (run_dir / "test.csv").read_text().splitlines()
+        names = header.split(",")
+        order = [1, 0, *range(2, len(names))]  # swap x1 and x2
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("\n".join(
+            ",".join(line.split(",")[i] for i in order) for line in [header, *rows]
+        ) + "\n", encoding="utf-8")
+        assert swapped.read_text().startswith("x2,x1,")
+        assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "a") == 0
+        assert self.evaluate(run_dir, swapped, tmp_path / "b") == 0
+        for name in ("report.csv", "brier_curve.csv", "tdauc_curve.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
+    def test_missing_and_extra_columns_named(self, run_dir, tmp_path, capsys):
+        text = (run_dir / "test.csv").read_text()
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(text.replace("x1,", "y1,", 1).replace("x3,", "y3,", 1),
+                           encoding="utf-8")
+        assert self.evaluate(run_dir, renamed, tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert "missing 'x1', 'x3'" in err and "extra 'y1', 'y3'" in err
+
+    @pytest.mark.parametrize("key", ["scaler_mean", "scaler_std"])
+    def test_missing_scaler_is_not_refitted(self, run_dir, tmp_path, capsys, key):
+        payload = json.loads((run_dir / "checkpoint.json").read_text())
+        del payload["meta"][key]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+        code = self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "e",
+                             checkpoint=checkpoint)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 class TestPrepareCommand:

@@ -13,7 +13,7 @@ from binsurv.data import (
     build_time_grid, load_csv, load_grid, normalize_time, save_grid,
     split_dataset, write_csv,
 )
-from helpers import random_dataset
+from helpers import random_dataset, reference_load_csv
 
 
 def make_dataset(times, events, n_features=2, seed=0):
@@ -228,6 +228,183 @@ class TestCsvIO:
         scaler = FeatureScaler.fit(ds.features)
         loaded = load_csv(path, scaler=scaler)
         assert np.allclose(loaded.features, scaler.transform(ds.features))
+
+    def test_empty_file(self, tmp_path):
+        path = self.write(tmp_path, "")
+        with pytest.raises(CsvFormatError, match="empty file"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text", ["time,event,x1\n", "time,event,x1"])
+    def test_header_only(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(path)
+
+    def test_line_endings_quotes_and_padding_load_identically(self, tmp_path, rng):
+        ds = random_dataset(rng, 25)
+        plain = tmp_path / "plain.csv"
+        write_csv(ds, plain)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        variants = {
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "cr": "\r".join(lines) + "\r",
+            "quoted": "\n".join(",".join(f'"{c}"' for c in line.split(","))
+                                for line in lines) + "\n",
+            # no newline after the last line
+            "padded": "\n".join(",".join(f" \t{c}  " for c in line.split(","))
+                                for line in lines),
+        }
+        expected = load_csv(plain, standardize=False)
+        for name, text in variants.items():
+            path = self.write(tmp_path, text, name=f"{name}.csv")
+            got = load_csv(path, standardize=False)
+            assert got.features.tobytes() == expected.features.tobytes(), name
+            assert got.times.tobytes() == expected.times.tobytes(), name
+            assert got.events.tobytes() == expected.events.tobytes(), name
+            assert same_result(path)
+
+    def test_digit_group_underscore_rejected(self, tmp_path):
+        # float() reads 1_000 as 1000.0; numpy's parser does not
+        path = self.write(tmp_path, "time,event,x1\n1.0,1,1_000\n")
+        assert reference_load_csv(path, standardize=False).features[0, 0] == 1000.0
+        with pytest.raises(CsvFormatError, match="1_000"):
+            load_csv(path)
+
+    def test_line_break_inside_quoted_cell_rejected(self, tmp_path):
+        path = self.write(tmp_path, 'time,event,x1\n1.0,1,"0.5\n"\n2.0,0,0.1\n')
+        with pytest.raises(CsvFormatError, match="line break inside a quoted cell"):
+            load_csv(path)
+
+    def test_duplicate_header_name_rejected(self, tmp_path):
+        path = self.write(tmp_path, "time,event,x1,time\n1.0,1,0.2,3.0\n")
+        with pytest.raises(CsvFormatError, match="duplicate column 'time'"):
+            load_csv(path)
+
+    def test_empty_header_name_rejected(self, tmp_path):
+        path = self.write(tmp_path, "x1,,time,event\n0.2,0.3,1.0,1\n")
+        with pytest.raises(CsvFormatError, match="column 2 has an empty name"):
+            load_csv(path)
+
+
+def read_both(path, **kwargs):
+    """Outcome of load_csv and of the per-cell reference reader on one file."""
+    outcomes = []
+    for reader in (load_csv, reference_load_csv):
+        try:
+            outcomes.append(reader(path, **kwargs))
+        except CsvFormatError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def same_result(path, **kwargs) -> bool:
+    """Both readers accept with bit-identical arrays, or reject with the same
+    message."""
+    new, ref = read_both(path, **kwargs)
+    if isinstance(new, str) or isinstance(ref, str):
+        return new == ref
+    same = (new.feature_names == ref.feature_names
+            and new.features.tobytes() == ref.features.tobytes()
+            and new.times.tobytes() == ref.times.tobytes()
+            and new.events.tobytes() == ref.events.tobytes())
+    if ref.scaler is not None:
+        same = same and (new.scaler.mean.tobytes() == ref.scaler.mean.tobytes()
+                         and new.scaler.std.tobytes() == ref.scaler.std.tobytes())
+    return same
+
+
+def corrupt(rng, lines, kind, row):
+    """Apply one fault of ``kind`` to data row ``row`` (1-based) of ``lines``,
+    the header followed by the data lines."""
+    header = lines[0].split(",")
+    cells = lines[row].split(",")
+    n_features = len(header) - 2
+    if kind == "non_numeric":
+        col = int(rng.integers(len(cells)))
+        cells[col] = str(rng.choice(["abc", "", "1..2", "--1", "0x10", "nan(1)",
+                                     ' "1"', "1e", "1,5"]))
+    elif kind == "ragged":
+        if rng.random() < 0.5:
+            cells.pop(int(rng.integers(len(cells))))
+        else:
+            cells.append("0.5")
+    elif kind == "blank_line":
+        lines.insert(row, "")
+        return
+    elif kind == "bad_time":
+        cells[header.index("time")] = str(rng.choice(["0", "-1.5", "-0.0", "nan",
+                                                      "inf", "-inf"]))
+    elif kind == "event_2":
+        cells[header.index("event")] = "2"
+    elif kind == "nan_feature":
+        cells[int(rng.integers(n_features))] = str(rng.choice(["nan", "inf", "-inf"]))
+    else:
+        raise ValueError(kind)
+    lines[row] = ",".join(cells)
+
+
+FAULTS = ("non_numeric", "ragged", "blank_line", "bad_time", "event_2",
+          "nan_feature")
+
+
+class TestReaderMatchesReference:
+    """load_csv against the per-cell float() reader it replaced, on files
+    written by write_csv with one or two faults applied."""
+
+    def cohort_lines(self, tmp_path, rng):
+        """Header and data lines of a random cohort written by write_csv."""
+        ds = random_dataset(rng, int(rng.integers(2, 30)),
+                            n_features=int(rng.integers(1, 5)))
+        path = tmp_path / "clean.csv"
+        write_csv(ds, path)
+        return path.read_text(encoding="utf-8").splitlines()
+
+    def check(self, tmp_path, lines, trailing="\n"):
+        """Assert both readers agree on the file; return load_csv's outcome."""
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + trailing, encoding="utf-8")
+        assert same_result(path, standardize=False), path.read_text()
+        assert same_result(path), path.read_text()
+        return read_both(path, standardize=False)[0]
+
+    def test_clean_files(self, tmp_path):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            lines = self.cohort_lines(tmp_path, rng)
+            assert not isinstance(self.check(tmp_path, lines), str)
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_single_fault(self, tmp_path, kind):
+        rng = np.random.default_rng(FAULTS.index(kind))
+        for _ in range(20):
+            lines = self.cohort_lines(tmp_path, rng)
+            row = int(rng.integers(1, len(lines)))
+            corrupt(rng, lines, kind, row)
+            assert isinstance(self.check(tmp_path, lines), str)
+
+    def test_extra_blank_line_at_end(self, tmp_path):
+        rng = np.random.default_rng(40)
+        for _ in range(5):
+            lines = self.cohort_lines(tmp_path, rng)
+            outcome = self.check(tmp_path, lines, trailing="\n\n")
+            assert f"row {len(lines)}: expected" in outcome
+
+    def test_first_offending_row_wins(self, tmp_path):
+        rng = np.random.default_rng(50)
+        for _ in range(40):
+            lines = self.cohort_lines(tmp_path, rng)
+            first, second = sorted(rng.choice(np.arange(1, len(lines)), 2,
+                                              replace=False))
+            kind_a, kind_b = rng.choice(FAULTS, 2, replace=False)
+            # the later row first, so inserting a blank line keeps row numbers
+            corrupt(rng, lines, str(kind_b), int(second))
+            corrupt(rng, lines, str(kind_a), int(first))
+            outcome = self.check(tmp_path, lines)
+            assert isinstance(outcome, str)
+            if "nan_feature" not in (kind_a, kind_b):
+                # the row loop reports the earlier fault; non-finite features
+                # are checked after every row has passed it
+                assert f"row {first}:" in outcome
 
 
 class TestSplit:
