@@ -186,19 +186,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _match_features(test: SurvivalDataset, meta: dict, input_dim: int) -> SurvivalDataset:
-    """Put the held-out feature columns in the checkpoint's order, by name.
-
-    Checkpoints without ``feature_names`` can only be checked by count.
-    """
-    names = meta.get("feature_names")
-    if names is None:
-        if test.n_features != input_dim:
-            raise ConfigError(
-                f"test data has {test.n_features} features but the checkpoint "
-                f"expects {input_dim}"
-            )
-        return test
+def _match_features(test: SurvivalDataset, names) -> SurvivalDataset:
+    """Put the held-out feature columns in the checkpoint's order, by name."""
     missing = [n for n in names if n not in test.feature_names]
     extra = [n for n in test.feature_names if n not in names]
     if missing or extra:
@@ -221,9 +210,9 @@ def cmd_evaluate(args) -> int:
             f"grid has {grid.k_bins} bins but the checkpoint was trained "
             f"with {params.config.k_bins}"
         )
-    for key in ("scaler_mean", "scaler_std"):
+    for key in ("feature_names", "scaler_mean", "scaler_std"):
         if key not in meta:
-            # fitting a scaler here would use statistics of the held-out rows
+            # a scaler fitted here would use statistics of the held-out rows
             raise ConfigError(f"checkpoint meta has no '{key}'")
     scaler = FeatureScaler(
         mean=np.asarray(meta["scaler_mean"], dtype=np.float64),
@@ -233,7 +222,7 @@ def cmd_evaluate(args) -> int:
     event_col = args.event_col or meta.get("event_col", "event")
     test_raw = _match_features(
         load_csv(args.data, time_col, event_col, standardize=False),
-        meta, params.config.input_dim)
+        meta["feature_names"])
     test = apply_scaler(test_raw, scaler)
     report = evaluate_model(params, test, grid, cutoff=meta.get("cutoff"))
     out = Path(args.out or "eval")

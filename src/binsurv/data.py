@@ -10,6 +10,7 @@ the training split and reused verbatim on validation/test data.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -269,11 +270,11 @@ def load_csv(
 
     numpy's C parser reads the data lines in one call.  Only when it or a
     vectorised check rejects the file does :func:`_raise_first_bad_row`
-    re-read it cell by cell to name the first offending data row (1-based,
-    header excluded) and column.  Python's ``float()`` reads two things
-    that this reader rejects: digit-group underscores (``1_000``) and
-    non-ASCII digits, reported with numpy's message, and a line break
-    inside a quoted cell.
+    scan the data lines, already in memory, cell by cell to name the first
+    offending data row (1-based, header excluded) and column.  Python's
+    ``float()`` reads two things that this reader rejects: digit-group
+    underscores (``1_000``) and non-ASCII digits, reported with numpy's
+    message, and a line break inside a quoted cell.
 
     With ``standardize`` the features are z-scored with statistics fitted on
     the full file; pass ``scaler`` instead to reuse training statistics on
@@ -301,32 +302,33 @@ def load_csv(
     feature_names = [header[i] for i in feat_idx]
 
     if "\r" in text:  # loadtxt takes LF-split lines and rejects a bare CR
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()
-    problem = None
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    else:
+        lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the final line break
+    numpy_error = None
     if "" in lines:
-        problem = "blank line"  # loadtxt would skip it silently
+        rejected = True  # loadtxt would skip a blank line silently
     else:
         try:
             table = np.loadtxt(lines, dtype=np.float64, delimiter=",",
                                comments=None, quotechar='"', ndmin=2)
         except ValueError as exc:
-            problem = str(exc)
+            rejected, numpy_error = True, str(exc)
         else:
-            if table.shape != (len(lines), len(header)):
-                problem = (f"line break inside a quoted cell: {len(lines)} "
-                           f"lines gave {table.shape[0]} rows")
-            else:
+            rejected = table.shape != (len(lines), len(header))
+            if not rejected:
                 times = np.ascontiguousarray(table[:, t_idx])
                 events = table[:, e_idx]
-                if not (np.all(np.isfinite(times) & (times > 0))
-                        and np.all((events == 0) | (events == 1))):
-                    problem = "time or event out of range"
-    if problem is not None:
-        _raise_first_bad_row(path, header, t_idx, e_idx)
-        raise CsvFormatError(f"{path}: {problem}")
+                rejected = not (np.all(np.isfinite(times) & (times > 0))
+                                and np.all((events == 0) | (events == 1)))
+    if rejected:
+        _raise_first_bad_row(path, text, header, t_idx, e_idx)
+        # every row passed float(): numpy refused a spelling float() reads,
+        # or a quoted cell spans lines (blank or not)
+        raise CsvFormatError(
+            f"{path}: {numpy_error or 'line break inside a quoted cell'}")
 
     features = np.ascontiguousarray(table[:, feat_idx])
     # one vectorised pass instead of a per-cell check
@@ -346,40 +348,39 @@ def load_csv(
                            feature_names, scaler=scaler)
 
 
-def _raise_first_bad_row(path, header, t_idx: int, e_idx: int) -> None:
-    """Re-read the data rows of ``path`` with ``float()`` per cell and raise
-    :class:`CsvFormatError` for the first one with the wrong field count, a
-    non-numeric cell, a bad time or a bad event, in that order of checks.
+def _raise_first_bad_row(path, text: str, header, t_idx: int, e_idx: int) -> None:
+    """Scan ``text``, the data lines of ``path``, with ``float()`` per cell
+    and raise :class:`CsvFormatError` for the first row with the wrong field
+    count, a non-numeric cell, a bad time or a bad event, in that order of
+    checks.
 
     Runs only after :func:`load_csv` has rejected the file, to name the row
     and column; it returns nothing when every row passes.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        values = []
+        for i, cell in enumerate(row):
+            try:
+                values.append(float(cell))
+            except ValueError:
                 raise CsvFormatError(
-                    f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = []
-            for i, cell in enumerate(row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {row_no}: non-numeric value {cell!r} "
-                        f"in column '{header[i]}'"
-                    ) from None
-            t = values[t_idx]
-            if not math.isfinite(t) or t <= 0:
-                raise CsvFormatError(
-                    f"{path}: row {row_no}: time must be finite and > 0, got {row[t_idx]!r}"
-                )
-            if values[e_idx] not in (0.0, 1.0):
-                raise CsvFormatError(
-                    f"{path}: row {row_no}: event must be 0 or 1, got {row[e_idx]!r}"
-                )
+                    f"{path}: row {row_no}: non-numeric value {cell!r} "
+                    f"in column '{header[i]}'"
+                ) from None
+        t = values[t_idx]
+        if not math.isfinite(t) or t <= 0:
+            raise CsvFormatError(
+                f"{path}: row {row_no}: time must be finite and > 0, got {row[t_idx]!r}"
+            )
+        if values[e_idx] not in (0.0, 1.0):
+            raise CsvFormatError(
+                f"{path}: row {row_no}: event must be 0 or 1, got {row[e_idx]!r}"
+            )
 
 
 def write_csv(dataset: SurvivalDataset, path, time_column: str = "time",

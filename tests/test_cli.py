@@ -276,6 +276,16 @@ class TestEvaluateCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
+    def test_missing_feature_names_exits_two(self, run_dir, tmp_path, capsys):
+        payload = json.loads((run_dir / "checkpoint.json").read_text())
+        del payload["meta"]["feature_names"]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+        code = self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "e",
+                             checkpoint=checkpoint)
+        assert code == 2
+        assert "checkpoint meta has no 'feature_names'" in capsys.readouterr().err
+
 
 class TestPrepareCommand:
     def test_split_files_and_grid(self, data_csv, tmp_path):

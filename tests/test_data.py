@@ -1,6 +1,7 @@
 """Time grid arithmetic, binning, CSV IO, splits, and the feature scaler."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -274,6 +275,30 @@ class TestCsvIO:
         path = self.write(tmp_path, 'time,event,x1\n1.0,1,"0.5\n"\n2.0,0,0.1\n')
         with pytest.raises(CsvFormatError, match="line break inside a quoted cell"):
             load_csv(path)
+
+    def test_blank_line_inside_quoted_cell_rejected(self, tmp_path):
+        # float() reads the cell as 0.5, so only the line count catches it
+        path = self.write(tmp_path, 'time,event,x1\n1.0,1,"\n\n0.5"\n2.0,0,0.1\n')
+        assert reference_load_csv(path, standardize=False).features[0, 0] == 0.5
+        with pytest.raises(CsvFormatError,
+                           match=r"d\.csv: line break inside a quoted cell$"):
+            load_csv(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_bad_row_named_when_read_from_a_pipe(self, tmp_path):
+        # a pipe can be read once, so the error path must not reopen it
+        text = "time,event,x1\n1.0,1,0.2\n2.0,1,abc\n"
+        expected = "row 2: non-numeric value 'abc' in column 'x1'"
+        with pytest.raises(CsvFormatError, match=expected):
+            load_csv(self.write(tmp_path, text))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode("utf-8"))
+            os.close(write_end)
+            with pytest.raises(CsvFormatError, match=expected):
+                load_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_duplicate_header_name_rejected(self, tmp_path):
         path = self.write(tmp_path, "time,event,x1,time\n1.0,1,0.2,3.0\n")
