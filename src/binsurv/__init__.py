@@ -5,8 +5,8 @@ from .config import ConfigError, ExperimentConfig, build_config, parse_config_fi
 from .data import (
     BinnedBatch, CsvFormatError, DegenerateGridError, FeatureScaler,
     SurvivalDataset, TimeGrid, apply_scaler, assign_bin, bin_dataset,
-    bin_midpoint, bin_midpoints, build_time_grid, load_csv, load_grid,
-    normalize_time, save_grid, split_dataset, write_csv,
+    bin_midpoints, build_time_grid, load_csv, load_grid, normalize_time,
+    save_grid, split_dataset, write_csv,
 )
 from .losses import (
     CalibrationBins, LossWeights, calibration_loss, combined_loss,

@@ -87,27 +87,32 @@ class _Splits:
 
 
 def _load_splits(cfg: ExperimentConfig) -> _Splits:
-    """Resolve single-file or pre-split data into standardized train/val(/test)."""
+    """Resolve single-file or pre-split data into standardized train/val(/test).
+
+    The one scaler is fitted on the raw training split only, so validation
+    and test rows feed no statistic in either mode.
+    """
     if cfg.data:
-        raw = load_csv(cfg.data, cfg.time_col, cfg.event_col, standardize=False)
-        scaler = FeatureScaler.fit(raw.features)
-        tr_raw, va_raw, te_raw = split_dataset(raw, cfg.split, cfg.seed)
-        return _Splits(
-            train=apply_scaler(tr_raw, scaler),
-            val=apply_scaler(va_raw, scaler),
-            test=apply_scaler(te_raw, scaler) if len(te_raw) else None,
-            test_raw=te_raw if len(te_raw) else None,
-            scaler=scaler,
-        )
-    if cfg.train_csv and cfg.val_csv:
+        raw = load_csv(cfg.data, cfg.time_col, cfg.event_col)
+        train, val, test = split_dataset(raw, cfg.split, cfg.seed)
+        if not len(test):
+            test = None
+    elif cfg.train_csv and cfg.val_csv:
         train = load_csv(cfg.train_csv, cfg.time_col, cfg.event_col)
-        scaler = train.scaler
-        val = load_csv(cfg.val_csv, cfg.time_col, cfg.event_col, scaler=scaler)
+        val = load_csv(cfg.val_csv, cfg.time_col, cfg.event_col)
         test = None
         if cfg.test_csv:
-            test = load_csv(cfg.test_csv, cfg.time_col, cfg.event_col, scaler=scaler)
-        return _Splits(train=train, val=val, test=test, test_raw=None, scaler=scaler)
-    raise ConfigError("provide either data= or train_csv= and val_csv=")
+            test = load_csv(cfg.test_csv, cfg.time_col, cfg.event_col)
+    else:
+        raise ConfigError("provide either data= or train_csv= and val_csv=")
+    scaler = FeatureScaler.fit(train.features)
+    return _Splits(
+        train=apply_scaler(train, scaler),
+        val=apply_scaler(val, scaler),
+        test=apply_scaler(test, scaler) if test is not None else None,
+        test_raw=test if cfg.data else None,
+        scaler=scaler,
+    )
 
 
 def _oracle_sidecar(csv_path) -> Path:
@@ -152,7 +157,7 @@ def cmd_prepare(args) -> int:
         raise ConfigError("prepare needs data= (a single CSV to split)")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    raw = load_csv(cfg.data, cfg.time_col, cfg.event_col, standardize=False)
+    raw = load_csv(cfg.data, cfg.time_col, cfg.event_col)
     train, val, test = split_dataset(raw, cfg.split, cfg.seed)
     for name, part in (("train", train), ("val", val), ("test", test)):
         write_csv(part, out / f"{name}.csv", cfg.time_col, cfg.event_col)
@@ -221,7 +226,7 @@ def cmd_evaluate(args) -> int:
     time_col = args.time_col or meta.get("time_col", "time")
     event_col = args.event_col or meta.get("event_col", "event")
     test_raw = _match_features(
-        load_csv(args.data, time_col, event_col, standardize=False),
+        load_csv(args.data, time_col, event_col),
         meta["feature_names"])
     test = apply_scaler(test_raw, scaler)
     report = evaluate_model(params, test, grid, cutoff=meta.get("cutoff"))

@@ -93,7 +93,6 @@ class SurvivalDataset:
     times: np.ndarray
     events: np.ndarray
     feature_names: tuple[str, ...]
-    scaler: FeatureScaler | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -123,7 +122,7 @@ class SurvivalDataset:
         idx = np.asarray(indices)
         return SurvivalDataset(
             self.features[idx], self.times[idx], self.events[idx],
-            self.feature_names, scaler=self.scaler,
+            self.feature_names,
         )
 
 
@@ -131,7 +130,7 @@ def apply_scaler(dataset: SurvivalDataset, scaler: FeatureScaler) -> SurvivalDat
     """Return a copy of ``dataset`` with features standardized by ``scaler``."""
     return SurvivalDataset(
         scaler.transform(dataset.features), dataset.times.copy(),
-        dataset.events.copy(), dataset.feature_names, scaler=scaler,
+        dataset.events.copy(), dataset.feature_names,
     )
 
 
@@ -219,15 +218,8 @@ def assign_bin(t_norm, k_bins: int):
     return k
 
 
-def bin_midpoint(k: int, k_bins: int) -> float:
-    """Normalized-time midpoint (2k - 1) / (2 k_bins) of bin ``k``."""
-    if not 1 <= k <= k_bins:
-        raise ValueError(f"bin index {k} outside 1..{k_bins}")
-    return (2 * k - 1) / (2 * k_bins)
-
-
 def bin_midpoints(k_bins: int) -> np.ndarray:
-    """Midpoints of all bins as a vector."""
+    """Normalized-time midpoints (2k - 1) / (2 k_bins) of bins k = 1..k_bins."""
     return (2.0 * np.arange(1, k_bins + 1) - 1.0) / (2.0 * k_bins)
 
 
@@ -251,15 +243,11 @@ def bin_dataset(dataset: SurvivalDataset, grid: TimeGrid) -> BinnedBatch:
     )
 
 
-def load_csv(
-    path,
-    time_column: str = "time",
-    event_column: str = "event",
-    scaler: FeatureScaler | None = None,
-    standardize: bool = True,
-) -> SurvivalDataset:
-    """Read a UTF-8, comma-separated, headered survival CSV.
+def load_csv(path, time_column: str = "time",
+             event_column: str = "event") -> SurvivalDataset:
+    """Read a UTF-8, comma-separated, headered survival CSV as raw values.
 
+    A leading byte-order mark, as spreadsheet exports write, is skipped.
     The header names every column once; names are stripped of surrounding
     whitespace and may be quoted, and an empty or repeated name is an error.
     Every non-time, non-event column is a numeric feature.  Cells are
@@ -271,16 +259,16 @@ def load_csv(
     numpy's C parser reads the data lines in one call.  Only when it or a
     vectorised check rejects the file does :func:`_raise_first_bad_row`
     scan the data lines, already in memory, cell by cell to name the first
-    offending data row (1-based, header excluded) and column.  Python's
-    ``float()`` reads two things that this reader rejects: digit-group
-    underscores (``1_000``) and non-ASCII digits, reported with numpy's
-    message, and a line break inside a quoted cell.
+    offending data row (1-based, header excluded) and column.  Cells that
+    ``float()`` reads but numpy's parser does not, digit-group underscores
+    (``1_000``) and non-ASCII digits, are reported as non-numeric; a line
+    break inside a quoted cell is an error too.
 
-    With ``standardize`` the features are z-scored with statistics fitted on
-    the full file; pass ``scaler`` instead to reuse training statistics on
-    held-out data.  Every failure raises :class:`CsvFormatError`.
+    Features are returned unscaled: standardization is the caller's step
+    (the CLI fits one scaler on the training split).  Every failure raises
+    :class:`CsvFormatError`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise CsvFormatError(f"{path}: empty file")
@@ -339,13 +327,7 @@ def load_csv(
             f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
             f"in column '{feature_names[col]}'"
         )
-    if scaler is not None:
-        features = scaler.transform(features)
-    elif standardize:
-        scaler = FeatureScaler.fit(features)
-        features = scaler.transform(features)
-    return SurvivalDataset(features, times, events.astype(np.int64),
-                           feature_names, scaler=scaler)
+    return SurvivalDataset(features, times, events.astype(np.int64), feature_names)
 
 
 def _raise_first_bad_row(path, text: str, header, t_idx: int, e_idx: int) -> None:
@@ -366,6 +348,8 @@ def _raise_first_bad_row(path, text: str, header, t_idx: int, e_idx: int) -> Non
         values = []
         for i, cell in enumerate(row):
             try:
+                if "_" in cell or not cell.strip().isascii():
+                    raise ValueError  # float() reads these, numpy does not
                 values.append(float(cell))
             except ValueError:
                 raise CsvFormatError(

@@ -29,8 +29,6 @@ class KMCurve:
 
     times: np.ndarray      # ascending unique observed times
     survival: np.ndarray   # S(t) at and after each knot
-    n_at_risk: np.ndarray
-    n_target: np.ndarray   # target events at each knot
 
     def survival_at(self, t):
         """S(t), right-continuous."""
@@ -71,8 +69,7 @@ def kaplan_meier(times, events, target: str = "event") -> KMCurve:
     n_at_risk = t_sorted.size - start
     factors = 1.0 - d / n_at_risk
     survival = np.cumprod(factors)
-    return KMCurve(times=knots, survival=survival,
-                   n_at_risk=n_at_risk, n_target=d)
+    return KMCurve(times=knots, survival=survival)
 
 
 def c_index(scores, times, events) -> float:
@@ -391,7 +388,7 @@ def default_eval_times(grid: TimeGrid, t_star: float | None = None) -> np.ndarra
 
 
 def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid,
-                   eval_times=None, cutoff: float | None = None,
+                   cutoff: float | None = None,
                    group_metrics: bool = True) -> EvalReport:
     """Score a trained model on a dataset binned with the training grid.
 
@@ -406,9 +403,7 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
 
     cindex = c_index(risks, times, events)
     censor_km = kaplan_meier(times, events, target="censoring")
-    if eval_times is None:
-        eval_times = default_eval_times(grid)
-    eval_times = np.asarray(eval_times, dtype=np.float64)
+    eval_times = default_eval_times(grid)
     brier = np.asarray(
         [brier_score_t(pmfs, times, events, float(t), censor_km, grid) for t in eval_times]
     )

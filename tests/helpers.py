@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from binsurv.data import (
-    CsvFormatError, FeatureScaler, SurvivalDataset, bin_dataset, build_time_grid,
+    CsvFormatError, SurvivalDataset, bin_dataset, build_time_grid,
 )
 from binsurv.losses import LossWeights, combined_loss
 from binsurv.model import ModelParams, apply_head, forward, head_backward, backward
@@ -270,13 +270,8 @@ def pair_count_c_index(scores, times, events):
     return (higher + 0.5 * tied) / den
 
 
-def reference_load_csv(
-    path,
-    time_column: str = "time",
-    event_column: str = "event",
-    scaler: FeatureScaler | None = None,
-    standardize: bool = True,
-) -> SurvivalDataset:
+def reference_load_csv(path, time_column: str = "time",
+                       event_column: str = "event") -> SurvivalDataset:
     """The per-cell ``float()`` CSV reader that ``load_csv`` replaced, kept
     as the oracle for its accepted values and its error messages.
 
@@ -338,9 +333,4 @@ def reference_load_csv(
             f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
             f"in column '{feature_names[col]}'"
         )
-    if scaler is not None:
-        features = scaler.transform(features)
-    elif standardize:
-        scaler = FeatureScaler.fit(features)
-        features = scaler.transform(features)
-    return SurvivalDataset(features, times, events, feature_names, scaler=scaler)
+    return SurvivalDataset(features, times, events, feature_names)

@@ -16,7 +16,7 @@ import pytest
 from binsurv.config import ExperimentConfig
 from binsurv.data import (
     BinnedBatch, FeatureScaler, SurvivalDataset, apply_scaler, assign_bin,
-    bin_dataset, bin_midpoint, build_time_grid, normalize_time, split_dataset,
+    bin_dataset, bin_midpoints, build_time_grid, normalize_time, split_dataset,
 )
 from binsurv.losses import CalibrationBins, LossWeights, calibration_loss, \
     combined_loss, time_rank_loss
@@ -84,7 +84,7 @@ def test_a03_risk_scores_stay_inside_midpoint_bounds(rng):
     for bin_k in range(1, k + 1):
         one_hot = np.zeros((1, k))
         one_hot[0, bin_k - 1] = 1.0
-        assert predict_risk(one_hot)[0] == 1.0 - bin_midpoint(bin_k, k)
+        assert predict_risk(one_hot)[0] == 1.0 - bin_midpoints(k)[bin_k - 1]
     one_hot = np.eye(k)
     assert predict_risk(one_hot)[0] == hi
     assert predict_risk(one_hot)[-1] == lo
@@ -276,7 +276,7 @@ def test_a10_perfectly_calibrated_batch_zeroes_the_penalty():
                            np.array([1, 1]), ("x1",))
     grid = build_time_grid(base, 5)
     bins = np.array([1, 2, 3, 4, 4])
-    t_norm = np.array([bin_midpoint(int(b), 5) for b in bins])
+    t_norm = bin_midpoints(5)[bins - 1]
     batch = BinnedBatch(features=np.zeros((5, 1)), times=t_norm.copy(),
                         t_norm=t_norm, bins=bins,
                         events=np.ones(5, dtype=np.int64), grid=grid)

@@ -94,7 +94,7 @@ class TestConfigModule:
 
 class TestSynthCommand:
     def test_writes_csv_and_oracle_sidecar(self, data_csv):
-        ds = load_csv(data_csv, standardize=False)
+        ds = load_csv(data_csv)
         assert len(ds) == 400 and ds.n_features == 5
         sidecar = json.loads(
             (data_csv.parent / "synthetic.csv.oracle.json").read_text())
@@ -179,6 +179,25 @@ class TestTrainCommand:
                     "--set", f"val_csv={prep / 'val.csv'}"]) == 0
         assert (out / "checkpoint.json").exists()
         assert not (out / "test.csv").exists()  # no held-out rows to copy
+
+    def test_single_file_matches_prepare_then_presplit(self, data_csv, tmp_path):
+        # the scaler sees only training rows in both modes, so one file split
+        # in-process and the same split written by `prepare` train alike
+        fast = [*FAST, "--set", "epochs=3"]
+        single = tmp_path / "single"
+        assert run(["train", "--data", str(data_csv), "--out", str(single),
+                    "--seed", "7", *fast]) == 0
+        prep = tmp_path / "prep"
+        assert run(["prepare", "--data", str(data_csv), "--out", str(prep),
+                    "--seed", "7"]) == 0
+        presplit = tmp_path / "presplit"
+        assert run(["train", "--out", str(presplit), "--seed", "7", *fast,
+                    "--set", f"train_csv={prep / 'train.csv'}",
+                    "--set", f"val_csv={prep / 'val.csv'}",
+                    "--set", f"test_csv={prep / 'test.csv'}"]) == 0
+        for name in ("checkpoint.json", "history.csv", "grid.json"):
+            assert (single / name).read_bytes() == (presplit / name).read_bytes(), name
+        assert (single / "test.csv").read_bytes() == (prep / "test.csv").read_bytes()
 
 
 class TestEvaluateCommand:
@@ -294,7 +313,7 @@ class TestPrepareCommand:
                     "--seed", "4"]) == 0
         sizes = {}
         for name in ("train", "val", "test"):
-            sizes[name] = len(load_csv(out / f"{name}.csv", standardize=False))
+            sizes[name] = len(load_csv(out / f"{name}.csv"))
         assert sizes == {"train": 240, "val": 80, "test": 80}
         grid = load_grid(out / "grid.json")
         assert grid.k_bins == 10

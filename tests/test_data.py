@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from binsurv.data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
-    apply_scaler, assign_bin, bin_dataset, bin_midpoint, bin_midpoints,
+    apply_scaler, assign_bin, bin_dataset, bin_midpoints,
     build_time_grid, load_csv, load_grid, normalize_time, save_grid,
     split_dataset, write_csv,
 )
@@ -122,11 +122,9 @@ class TestAssignBin:
         assert (b - 1) / k <= t + 1e-9 and t < b / k + 1e-9
 
     def test_midpoint_formula(self):
-        assert bin_midpoint(1, 10) == 0.05
-        assert bin_midpoint(10, 10) == 0.95
+        assert bin_midpoints(10)[0] == 0.05
+        assert bin_midpoints(10)[9] == 0.95
         assert np.allclose(bin_midpoints(4), [0.125, 0.375, 0.625, 0.875])
-        with pytest.raises(ValueError):
-            bin_midpoint(0, 10)
 
 
 class TestBinDataset:
@@ -189,7 +187,7 @@ class TestCsvIO:
         ds = random_dataset(rng, 30)
         path = tmp_path / "out.csv"
         write_csv(ds, path)
-        back = load_csv(path, standardize=False)
+        back = load_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.times, ds.times)
         assert np.array_equal(back.events, ds.events)
@@ -227,7 +225,7 @@ class TestCsvIO:
         path = tmp_path / "d.csv"
         write_csv(ds, path)
         scaler = FeatureScaler.fit(ds.features)
-        loaded = load_csv(path, scaler=scaler)
+        loaded = apply_scaler(load_csv(path), scaler)
         assert np.allclose(loaded.features, scaler.transform(ds.features))
 
     def test_empty_file(self, tmp_path):
@@ -255,10 +253,10 @@ class TestCsvIO:
             "padded": "\n".join(",".join(f" \t{c}  " for c in line.split(","))
                                 for line in lines),
         }
-        expected = load_csv(plain, standardize=False)
+        expected = load_csv(plain)
         for name, text in variants.items():
             path = self.write(tmp_path, text, name=f"{name}.csv")
-            got = load_csv(path, standardize=False)
+            got = load_csv(path)
             assert got.features.tobytes() == expected.features.tobytes(), name
             assert got.times.tobytes() == expected.times.tobytes(), name
             assert got.events.tobytes() == expected.events.tobytes(), name
@@ -267,9 +265,32 @@ class TestCsvIO:
     def test_digit_group_underscore_rejected(self, tmp_path):
         # float() reads 1_000 as 1000.0; numpy's parser does not
         path = self.write(tmp_path, "time,event,x1\n1.0,1,1_000\n")
-        assert reference_load_csv(path, standardize=False).features[0, 0] == 1000.0
-        with pytest.raises(CsvFormatError, match="1_000"):
+        assert reference_load_csv(path).features[0, 0] == 1000.0
+        with pytest.raises(CsvFormatError,
+                           match=r"row 1: non-numeric value '1_000' in column 'x1'"):
             load_csv(path)
+
+    def test_non_ascii_digit_named_as_non_numeric(self, tmp_path):
+        # float() reads the Arabic-Indic digit one; numpy's parser does not
+        path = self.write(tmp_path, "time,event,x1\n1.0,1,0.2\n2.0,0,\u0661\n")
+        with pytest.raises(CsvFormatError,
+                           match=r"row 2: non-numeric value '\u0661' in column 'x1'"):
+            load_csv(path)
+
+    def test_unicode_space_padding_is_not_the_bad_row(self, tmp_path):
+        # numpy strips a no-break space, so row 1 loads; row 2 is the fault
+        path = self.write(tmp_path, "time,event,x1\n1.0,1,\u00a00.5\n2.0,0,abc\n")
+        with pytest.raises(CsvFormatError,
+                           match=r"row 2: non-numeric value 'abc' in column 'x1'"):
+            load_csv(path)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheet exports start the file with U+FEFF
+        path = self.write(tmp_path, "\ufefftime,event,x1\n1.0,1,0.2\n2.0,0,0.4\n")
+        ds = load_csv(path)
+        assert ds.feature_names == ("x1",)
+        assert np.array_equal(ds.times, [1.0, 2.0])
+        assert np.array_equal(ds.features[:, 0], [0.2, 0.4])
 
     def test_line_break_inside_quoted_cell_rejected(self, tmp_path):
         path = self.write(tmp_path, 'time,event,x1\n1.0,1,"0.5\n"\n2.0,0,0.1\n')
@@ -279,7 +300,7 @@ class TestCsvIO:
     def test_blank_line_inside_quoted_cell_rejected(self, tmp_path):
         # float() reads the cell as 0.5, so only the line count catches it
         path = self.write(tmp_path, 'time,event,x1\n1.0,1,"\n\n0.5"\n2.0,0,0.1\n')
-        assert reference_load_csv(path, standardize=False).features[0, 0] == 0.5
+        assert reference_load_csv(path).features[0, 0] == 0.5
         with pytest.raises(CsvFormatError,
                            match=r"d\.csv: line break inside a quoted cell$"):
             load_csv(path)
@@ -311,31 +332,27 @@ class TestCsvIO:
             load_csv(path)
 
 
-def read_both(path, **kwargs):
+def read_both(path):
     """Outcome of load_csv and of the per-cell reference reader on one file."""
     outcomes = []
     for reader in (load_csv, reference_load_csv):
         try:
-            outcomes.append(reader(path, **kwargs))
+            outcomes.append(reader(path))
         except CsvFormatError as exc:
             outcomes.append(str(exc))
     return outcomes
 
 
-def same_result(path, **kwargs) -> bool:
+def same_result(path) -> bool:
     """Both readers accept with bit-identical arrays, or reject with the same
     message."""
-    new, ref = read_both(path, **kwargs)
+    new, ref = read_both(path)
     if isinstance(new, str) or isinstance(ref, str):
         return new == ref
-    same = (new.feature_names == ref.feature_names
+    return (new.feature_names == ref.feature_names
             and new.features.tobytes() == ref.features.tobytes()
             and new.times.tobytes() == ref.times.tobytes()
             and new.events.tobytes() == ref.events.tobytes())
-    if ref.scaler is not None:
-        same = same and (new.scaler.mean.tobytes() == ref.scaler.mean.tobytes()
-                         and new.scaler.std.tobytes() == ref.scaler.std.tobytes())
-    return same
 
 
 def corrupt(rng, lines, kind, row):
@@ -388,9 +405,8 @@ class TestReaderMatchesReference:
         """Assert both readers agree on the file; return load_csv's outcome."""
         path = tmp_path / "d.csv"
         path.write_text("\n".join(lines) + trailing, encoding="utf-8")
-        assert same_result(path, standardize=False), path.read_text()
         assert same_result(path), path.read_text()
-        return read_both(path, standardize=False)[0]
+        return read_both(path)[0]
 
     def test_clean_files(self, tmp_path):
         rng = np.random.default_rng(20)
