@@ -18,9 +18,9 @@ from .metrics import (
     select_cutoff, tdauc,
 )
 from .model import (
-    ModelConfig, ModelParams, apply_head, backward, cat_head, forward,
-    head_backward, init_params, load_checkpoint, mtlr_head, predict_risk,
-    predict_survival, save_checkpoint,
+    ModelConfig, ModelParams, apply_head, backward, forward, head_backward,
+    init_params, load_checkpoint, predict_risk, predict_survival,
+    save_checkpoint,
 )
 from .synth import SynthConfig, bayes_c_index, generate
 from .training import TrainConfig, cosine_lr, fit, sgd_step, write_history_csv

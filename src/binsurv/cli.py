@@ -132,7 +132,7 @@ def _train_once(splits: _Splits, grid, cfg: ExperimentConfig,
     write_history_csv(history, out_dir / "history.csv")
 
     logits, _ = forward(best, splits.train.features, mode="eval")
-    train_risks = predict_risk(apply_head(model_cfg.head, logits))
+    train_risks = predict_risk(apply_head(logits))
     try:
         cutoff = select_cutoff(train_risks, splits.train.times, splits.train.events)
     except UndefinedMetricError as exc:
@@ -208,8 +208,12 @@ def _match_features(test: SurvivalDataset, names) -> SurvivalDataset:
 
 
 def cmd_evaluate(args) -> int:
-    params, meta = load_checkpoint(args.checkpoint)
-    grid = load_grid(args.grid)
+    try:
+        params, meta = load_checkpoint(args.checkpoint)
+        grid = load_grid(args.grid)
+    except ValueError as exc:
+        # the file exists but is not a model file this version reads
+        raise ConfigError(str(exc)) from None
     if grid.k_bins != params.config.k_bins:
         raise ConfigError(
             f"grid has {grid.k_bins} bins but the checkpoint was trained "

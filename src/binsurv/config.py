@@ -30,7 +30,6 @@ class ExperimentConfig:
     hidden_dim: int = 32
     n_blocks: int = 2
     dropout: float = 0.2
-    head: str = "cat"
     # loss
     alpha: float = 1.0
     beta: float = 0.05
@@ -44,8 +43,6 @@ class ExperimentConfig:
     epochs: int = 150
     batch_size: int = 256
     lr_init: float = 0.01
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     eval_every: int = 1
 
     def model_config(self, input_dim: int) -> ModelConfig:
@@ -53,7 +50,7 @@ class ExperimentConfig:
             return ModelConfig(
                 input_dim=input_dim, hidden_dim=self.hidden_dim,
                 n_blocks=self.n_blocks, dropout_rate=self.dropout,
-                head=self.head, k_bins=self.k_bins,
+                k_bins=self.k_bins,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -73,8 +70,7 @@ class ExperimentConfig:
         try:
             return TrainConfig(
                 epochs=self.epochs, batch_size=self.batch_size,
-                lr_init=self.lr_init, momentum=self.momentum,
-                weight_decay=self.weight_decay, seed=self.seed,
+                lr_init=self.lr_init, seed=self.seed,
                 eval_every=self.eval_every,
             )
         except ValueError as exc:
@@ -127,8 +123,6 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         try:
             if key == "split":
                 value = _parse_split(text)
-            elif isinstance(current, bool):
-                value = text.lower() in ("1", "true", "yes")
             elif isinstance(current, int):
                 value = int(text)
             elif isinstance(current, float):

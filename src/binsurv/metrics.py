@@ -396,7 +396,7 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
     (reported as nan), which keeps summaries defined on degenerate subsets.
     """
     logits, _ = forward(params, dataset.features, mode="eval")
-    pmfs = apply_head(params.config.head, logits)
+    pmfs = apply_head(logits)
     risks = predict_risk(pmfs)
     times = dataset.times
     events = dataset.events

@@ -20,8 +20,6 @@ from .data import bin_midpoints
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-HEADS = ("cat", "mtlr")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -29,7 +27,6 @@ class ModelConfig:
     hidden_dim: int = 32
     n_blocks: int = 2
     dropout_rate: float = 0.2
-    head: str = "cat"
     k_bins: int = 10
 
     def __post_init__(self):
@@ -37,16 +34,8 @@ class ModelConfig:
             raise ValueError("dimensions must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}")
         if self.k_bins < 2:
             raise ValueError("k_bins must be at least 2")
-
-    @property
-    def out_dim(self) -> int:
-        # the mtlr head derives bin k's mass from k..k-1 suffix sums, so it
-        # needs one output fewer than the number of bins
-        return self.k_bins if self.head == "cat" else self.k_bins - 1
 
 
 @dataclass(eq=False)
@@ -92,7 +81,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         tensors[f"block{b}.bn.shift"] = np.zeros(config.hidden_dim)
         tensors[f"block{b}.bn.mean"] = np.zeros(config.hidden_dim)
         tensors[f"block{b}.bn.var"] = np.ones(config.hidden_dim)
-    linear("output", config.hidden_dim, config.out_dim)
+    linear("output", config.hidden_dim, config.k_bins)
     return ModelParams(config=config, tensors=tensors, updates=0)
 
 
@@ -190,8 +179,8 @@ def backward(params: ModelParams, cache: ForwardCache,
     t = params.tensors
     g = np.asarray(grad_logits, dtype=np.float64)
     n = cache.x0.shape[0]
-    if g.shape != (n, cfg.out_dim):
-        raise ValueError(f"grad_logits must have shape ({n}, {cfg.out_dim})")
+    if g.shape != (n, cfg.k_bins):
+        raise ValueError(f"grad_logits must have shape ({n}, {cfg.k_bins})")
 
     grads: dict[str, np.ndarray] = {}
     grads["output.w"] = cache.h_final.T @ g
@@ -225,74 +214,22 @@ def backward(params: ModelParams, cache: ForwardCache,
     return grads
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def apply_head(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax over k bin logits."""
+    z = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite logits")
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cat_head(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax over k bin logits."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logits")
-    return _softmax(z)
-
-
-def mtlr_head(phi: np.ndarray) -> np.ndarray:
-    """Bin masses from k-1 outputs via suffix sums.
-
-    Bin k carries exp(phi_k + ... + phi_{K-1}) and the final bin carries
-    exp(0); normalizing is a stable softmax over those K suffix sums.
-    """
-    f = np.asarray(phi, dtype=np.float64)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-finite head inputs")
-    squeeze = f.ndim == 1
-    f = np.atleast_2d(f)
-    suffix = np.cumsum(f[:, ::-1], axis=1)[:, ::-1]
-    z = np.concatenate([suffix, np.zeros((f.shape[0], 1))], axis=1)
-    p = _softmax(z)
-    return p[0] if squeeze else p
-
-
-def _softmax_backward(pmf: np.ndarray, grad_pmf: np.ndarray) -> np.ndarray:
-    inner = (pmf * grad_pmf).sum(axis=-1, keepdims=True)
-    return pmf * (grad_pmf - inner)
-
-
-def cat_head_backward(pmf: np.ndarray, grad_pmf: np.ndarray) -> np.ndarray:
-    """Chain a pmf gradient through the cat head back to the logits."""
-    return _softmax_backward(np.asarray(pmf, dtype=np.float64),
-                             np.asarray(grad_pmf, dtype=np.float64))
-
-
-def mtlr_head_backward(pmf: np.ndarray, grad_pmf: np.ndarray) -> np.ndarray:
-    """Chain a pmf gradient through the mtlr head back to the k-1 outputs."""
-    p = np.atleast_2d(np.asarray(pmf, dtype=np.float64))
-    g = np.atleast_2d(np.asarray(grad_pmf, dtype=np.float64))
-    dz = _softmax_backward(p, g)
-    # suffix-sum z_k = phi_k + ... + phi_{K-1}: d/dphi_j accumulates dz_1..dz_j
-    dphi = np.cumsum(dz, axis=1)[:, :-1]
-    if np.asarray(grad_pmf).ndim == 1:
-        return dphi[0]
-    return dphi
-
-
-def apply_head(head: str, raw: np.ndarray) -> np.ndarray:
-    if head == "cat":
-        return cat_head(raw)
-    if head == "mtlr":
-        return mtlr_head(raw)
-    raise ValueError(f"unknown head {head!r}")
-
-
-def head_backward(head: str, pmf: np.ndarray, grad_pmf: np.ndarray) -> np.ndarray:
-    if head == "cat":
-        return cat_head_backward(pmf, grad_pmf)
-    if head == "mtlr":
-        return mtlr_head_backward(pmf, grad_pmf)
-    raise ValueError(f"unknown head {head!r}")
+def head_backward(pmf: np.ndarray, grad_pmf: np.ndarray) -> np.ndarray:
+    """Chain a pmf gradient through the softmax head back to the logits."""
+    p = np.asarray(pmf, dtype=np.float64)
+    g = np.asarray(grad_pmf, dtype=np.float64)
+    inner = (p * g).sum(axis=-1, keepdims=True)
+    return p * (g - inner)
 
 
 def predict_risk(pmf: np.ndarray):
@@ -318,6 +255,7 @@ def predict_survival(pmf: np.ndarray, k: int):
 
 CHECKPOINT_FORMAT = "binsurv-checkpoint"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEAD = "cat"  # the softmax head; format v1 names it in the config
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
@@ -334,7 +272,7 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
             "hidden_dim": params.config.hidden_dim,
             "n_blocks": params.config.n_blocks,
             "dropout_rate": params.config.dropout_rate,
-            "head": params.config.head,
+            "head": CHECKPOINT_HEAD,
             "k_bins": params.config.k_bins,
         },
         "updates": params.updates,
@@ -357,7 +295,14 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: not a binsurv checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    cfg = ModelConfig(**payload["config"])
+    config = dict(payload["config"])
+    # format v1 names a head; any other than the softmax head (for example
+    # the suffix-sum head 'mtlr') maps its outputs differently
+    head = config.pop("head", CHECKPOINT_HEAD)
+    if head != CHECKPOINT_HEAD:
+        raise ValueError(f"{path}: unsupported head {head!r} "
+                         f"(only {CHECKPOINT_HEAD!r} is supported)")
+    cfg = ModelConfig(**config)
     tensors = {
         name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         for name, entry in payload["tensors"].items()

@@ -24,8 +24,6 @@ class TrainConfig:
     epochs: int = 150
     batch_size: int = 256
     lr_init: float = 0.01
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     seed: int = 0
     eval_every: int = 1
 
@@ -36,10 +34,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2")
         if self.lr_init <= 0:
             raise ValueError("lr_init must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
 
@@ -58,7 +52,6 @@ class EpochRecord:
 @dataclass(eq=False)
 class TrainState:
     params: ModelParams
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
     epoch: int = 0
     best_c_index: float = -math.inf
     best_epoch: int = -1
@@ -75,26 +68,18 @@ def cosine_lr(epoch: int, total_epochs: int, lr_init: float) -> float:
     return lr_init * (1.0 + math.cos(math.pi * epoch / total_epochs)) / 2.0
 
 
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float,
-             momentum: float = 0.0, weight_decay: float = 0.0,
-             velocity: dict[str, np.ndarray] | None = None) -> ModelParams:
-    """In-place heavy-ball update: v <- momentum*v + g + wd*w; w <- w - lr*v.
+def sgd_step(params: ModelParams, grads: dict[str, np.ndarray],
+             lr: float) -> ModelParams:
+    """In-place plain SGD update: w <- w - lr*g.
 
     Running BatchNorm statistics are untouched.  Non-finite gradients abort
     with the offending tensor named.
     """
-    if velocity is None:
-        velocity = {}
     for name in params.trainable_names():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in tensor '{name}'")
-        if weight_decay != 0.0:
-            g = g + weight_decay * params.tensors[name]
-        v = velocity.get(name)
-        v = g if v is None or momentum == 0.0 else momentum * v + g
-        velocity[name] = v
-        params.tensors[name] -= lr * v
+        params.tensors[name] -= lr * g
     return params
 
 
@@ -111,7 +96,6 @@ def train_epoch(state: TrainState, train: BinnedBatch, weights: LossWeights,
     n = len(train)
     order = np.random.default_rng([config.seed, state.epoch]).permutation(n)
     lr = cosine_lr(state.epoch, config.epochs, config.lr_init)
-    head = state.params.config.head
     totals = np.zeros(4)
     n_batches = 0
     for batch_index, start in enumerate(range(0, n, config.batch_size)):
@@ -124,12 +108,11 @@ def train_epoch(state: TrainState, train: BinnedBatch, weights: LossWeights,
             state.params, sub.features, mode="train",
             seed=_dropout_seed(config.seed, state.epoch, batch_index),
         )
-        pmfs = apply_head(head, logits)
+        pmfs = apply_head(logits)
         value, grad_pmf, parts = combined_loss(pmfs, sub, weights)
-        grad_logits = head_backward(head, pmfs, grad_pmf)
+        grad_logits = head_backward(pmfs, grad_pmf)
         grads = backward(state.params, cache, grad_logits)
-        sgd_step(state.params, grads, lr, config.momentum, config.weight_decay,
-                 state.velocity)
+        sgd_step(state.params, grads, lr)
         totals += (value, parts["likelihood"], parts["pairwise"], parts["calibration"])
         n_batches += 1
     if n_batches == 0:
@@ -147,7 +130,7 @@ def train_epoch(state: TrainState, train: BinnedBatch, weights: LossWeights,
 def validation_c_index(params: ModelParams, val: BinnedBatch) -> float:
     """Eval-mode risk scores against raw validation times."""
     logits, _ = forward(params, val.features, mode="eval")
-    risks = predict_risk(apply_head(params.config.head, logits))
+    risks = predict_risk(apply_head(logits))
     return c_index(risks, val.times, val.events)
 
 

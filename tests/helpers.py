@@ -65,16 +65,16 @@ def rel_err_arr(a, b, floor: float = GRAD_FLOOR) -> float:
 def composite_value(params: ModelParams, x, batch, weights: LossWeights,
                     seed) -> float:
     logits, _ = forward(params, x, mode="train", seed=seed)
-    pmfs = apply_head(params.config.head, logits)
+    pmfs = apply_head(logits)
     value, _, _ = combined_loss(pmfs, batch, weights)
     return value
 
 
 def composite_grads(params: ModelParams, x, batch, weights: LossWeights, seed):
     logits, cache = forward(params, x, mode="train", seed=seed)
-    pmfs = apply_head(params.config.head, logits)
+    pmfs = apply_head(logits)
     value, grad_pmf, _ = combined_loss(pmfs, batch, weights)
-    grad_logits = head_backward(params.config.head, pmfs, grad_pmf)
+    grad_logits = head_backward(pmfs, grad_pmf)
     return value, backward(params, cache, grad_logits)
 
 

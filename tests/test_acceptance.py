@@ -24,8 +24,8 @@ from binsurv.metrics import (
     brier_score_t, c_index, ibs, kaplan_meier, m_tdauc, tdauc,
 )
 from binsurv.model import (
-    ModelConfig, apply_head, cat_head, forward, init_params, load_checkpoint,
-    mtlr_head, predict_risk, save_checkpoint,
+    ModelConfig, apply_head, forward, init_params, load_checkpoint,
+    predict_risk, save_checkpoint,
 )
 from binsurv.synth import SynthConfig, bayes_c_index, generate
 from binsurv.training import fit, write_history_csv
@@ -36,12 +36,13 @@ from helpers import (
 )
 
 
-@pytest.mark.parametrize("head", ["cat", "mtlr"])
+@pytest.mark.parametrize("head", ["cat"])
 def test_a01_full_loss_gradients_match_finite_differences(head, rng):
-    # the entire analytic chain (loss -> head -> residual net with batch norm
-    # and dropout) against central differences on every trainable entry
+    # the entire analytic chain (loss -> softmax head -> residual net with
+    # batch norm and dropout) against central differences on every trainable
+    # entry
     config = ModelConfig(input_dim=4, hidden_dim=8, n_blocks=2,
-                         dropout_rate=0.2, head=head, k_bins=5)
+                         dropout_rate=0.2, k_bins=5)
     ds, _, batch = random_batch(rng, 16, k_bins=5, n_features=4,
                                 censored_low=True)
     weights = LossWeights(alpha=1.0, beta=0.05, gamma=1.0)
@@ -57,21 +58,17 @@ def test_a01_full_loss_gradients_match_finite_differences(head, rng):
 
 def test_a02_heads_emit_valid_probability_distributions(rng):
     n, k = 10_000, 10
-    for name, raw in (("cat", 3.0 * rng.standard_normal((n, k))),
-                      ("mtlr", 3.0 * rng.standard_normal((n, k - 1)))):
-        pmfs = apply_head(name, raw)
-        assert np.all(np.isfinite(pmfs))
-        assert np.all(pmfs >= 0.0)
-        assert np.max(np.abs(pmfs.sum(axis=1) - 1.0)) <= 1e-9
+    pmfs = apply_head(3.0 * rng.standard_normal((n, k)))
+    assert np.all(np.isfinite(pmfs))
+    assert np.all(pmfs >= 0.0)
+    assert np.max(np.abs(pmfs.sum(axis=1) - 1.0)) <= 1e-9
 
-    # hand-worked mtlr cases: the pmf is a softmax over suffix sums of the
-    # raw outputs with an appended zero
-    out = mtlr_head(np.array([[np.log(3.0)]]))
+    # hand-worked softmax cases: bin masses are proportional to exp(logit)
+    out = apply_head(np.array([[np.log(3.0), 0.0]]))
     assert np.max(np.abs(out - [0.75, 0.25])) <= 1e-12
-    out = mtlr_head(np.zeros((1, 2)))
+    out = apply_head(np.zeros((1, 3)))
     assert np.max(np.abs(out - [1 / 3, 1 / 3, 1 / 3])) <= 1e-12
-    out = mtlr_head(np.log(2.0) * np.ones((1, 2)))
-    # suffix sums (2 ln 2, ln 2) with the appended zero give masses 4:2:1
+    out = apply_head(np.log([4.0, 2.0, 1.0])[None, :])
     assert np.max(np.abs(out - [4 / 7, 2 / 7, 1 / 7])) <= 1e-12
 
 
@@ -227,14 +224,14 @@ def test_a08_default_config_recovers_synthetic_signal_end_to_end():
     tr, _ = strip(tr_c)
     va, _ = strip(va_c)
     te, te_risks = strip(te_c)
-    scaler = FeatureScaler.fit(ds.features)
+    scaler = FeatureScaler.fit(tr.features)
     tr, va, te = (apply_scaler(s, scaler) for s in (tr, va, te))
     grid = build_time_grid(tr, cfg.k_bins)
     best, _ = fit(bin_dataset(tr, grid), bin_dataset(va, grid),
                   cfg.model_config(10), cfg.loss_weights(),
                   cfg.train_config())
     logits, _ = forward(best, te.features, mode="eval")
-    model_c = c_index(predict_risk(apply_head(cfg.head, logits)),
+    model_c = c_index(predict_risk(apply_head(logits)),
                       te.times, te.events)
     ceiling = bayes_c_index(te_risks, te.times, te.events)
     assert model_c >= ceiling - 0.05, (
@@ -249,7 +246,7 @@ def test_a09_time_adaptive_rank_term_never_hurts_concordance():
                                      risk_model="linear",
                                      target_censor_rate=0.4, seed=100 + seed))
         tr, va, te = split_dataset(ds, cfg.split, seed)
-        scaler = FeatureScaler.fit(ds.features)
+        scaler = FeatureScaler.fit(tr.features)
         tr, va, te = (apply_scaler(s, scaler) for s in (tr, va, te))
         grid = build_time_grid(tr, cfg.k_bins)
         trb, vab = bin_dataset(tr, grid), bin_dataset(va, grid)
@@ -261,7 +258,7 @@ def test_a09_time_adaptive_rank_term_never_hurts_concordance():
             best, _ = fit(trb, vab, cfg.model_config(10), w,
                           cfg.train_config())
             logits, _ = forward(best, te.features, mode="eval")
-            scores[label] = c_index(predict_risk(apply_head(cfg.head, logits)),
+            scores[label] = c_index(predict_risk(apply_head(logits)),
                                     te.times, te.events)
         return scores
 

@@ -49,15 +49,16 @@ def ablation(data_csv, tmp_path_factory):
 class TestConfigModule:
     def test_type_coercion_and_split_parsing(self):
         cfg = build_config({"epochs": "12", "lr_init": "0.5",
-                            "split": "0.5,0.25,0.25", "head": "mtlr",
-                            "seed": "7"})
+                            "split": "0.5,0.25,0.25",
+                            "likelihood_mode": "logprob", "seed": "7"})
         assert cfg.epochs == 12 and cfg.lr_init == 0.5 and cfg.seed == 7
         assert cfg.split == (0.5, 0.25, 0.25)
-        assert cfg.head == "mtlr"
+        assert cfg.likelihood_mode == "logprob"
 
     def test_unknown_key_is_named(self):
-        with pytest.raises(ConfigError, match="learning_rate"):
-            build_config({"learning_rate": "0.1"})
+        for key in ("learning_rate", "head", "momentum", "weight_decay"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                build_config({key: "0"})
 
     def test_bad_value_is_named(self):
         with pytest.raises(ConfigError, match="epochs"):
@@ -87,7 +88,7 @@ class TestConfigModule:
         keys = {line.split("=")[0] for line in lines}
         for expected in ("alpha", "beta", "gamma", "sigma", "rho",
                          "calib_bins", "likelihood_mode", "pairwise_kind",
-                         "epochs", "batch_size", "head", "k_bins"):
+                         "epochs", "batch_size", "k_bins"):
             assert expected in keys
         assert lines == cfg.resolved_lines()  # stable across calls
 
@@ -304,6 +305,46 @@ class TestEvaluateCommand:
                              checkpoint=checkpoint)
         assert code == 2
         assert "checkpoint meta has no 'feature_names'" in capsys.readouterr().err
+
+    def test_format_v1_checkpoint_still_evaluates(self, run_dir, tmp_path):
+        # format v1 lays out the config in this order and names the head
+        payload = json.loads((run_dir / "checkpoint.json").read_text())
+        cfg = payload["config"]
+        payload["config"] = {
+            "input_dim": cfg["input_dim"], "hidden_dim": cfg["hidden_dim"],
+            "n_blocks": cfg["n_blocks"], "dropout_rate": cfg["dropout_rate"],
+            "head": "cat", "k_bins": cfg["k_bins"],
+        }
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        assert v1.read_bytes() == (run_dir / "checkpoint.json").read_bytes()
+        assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "e",
+                             checkpoint=v1) == 0
+        assert (tmp_path / "e" / "report.csv").exists()
+
+    @pytest.mark.parametrize("which, edit, message", [
+        ("checkpoint", lambda p: {"format": "x"}, "not a binsurv checkpoint"),
+        ("checkpoint", lambda p: {**p, "version": 2},
+         "unsupported checkpoint version 2"),
+        ("checkpoint", lambda p: {**p, "config": {**p["config"], "head": "mtlr"}},
+         "unsupported head 'mtlr'"),
+        ("grid", lambda p: {"format": "x"}, "not a binsurv grid file"),
+    ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head", "foreign-grid"])
+    def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
+                                             which, edit, message):
+        source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")
+        bad = tmp_path / source.name
+        bad.write_text(json.dumps(edit(json.loads(source.read_text()))),
+                       encoding="utf-8")
+        paths = {"checkpoint": run_dir / "checkpoint.json",
+                 "grid": run_dir / "grid.json", which: bad}
+        code = run(["evaluate", "--checkpoint", str(paths["checkpoint"]),
+                    "--grid", str(paths["grid"]),
+                    "--data", str(run_dir / "test.csv"),
+                    "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 class TestPrepareCommand:

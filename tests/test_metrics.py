@@ -393,7 +393,7 @@ class TestEvaluateModel:
         params, ds, grid = self.make_model_and_data(rng)
         report = evaluate_model(params, ds, grid, group_metrics=False)
         logits, _ = forward(params, ds.features, mode="eval")
-        pmfs = apply_head(params.config.head, logits)
+        pmfs = apply_head(logits)
         risks = predict_risk(pmfs)
         assert report.ibs == ibs(pmfs, ds.times, ds.events, report.eval_times, grid)
         assert report.m_tdauc == m_tdauc(risks, ds.times, ds.events,

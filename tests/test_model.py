@@ -1,4 +1,6 @@
-"""Network forward/backward, output heads, risk mapping, checkpoints."""
+"""Network forward/backward, output head, risk mapping, checkpoints."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsurv.model import (
-    ModelConfig, apply_head, backward, cat_head, cat_head_backward, forward,
-    head_backward, init_params, load_checkpoint, mtlr_head, mtlr_head_backward,
-    predict_risk, predict_survival, save_checkpoint,
+    ModelConfig, apply_head, backward, forward, head_backward, init_params,
+    load_checkpoint, predict_risk, predict_survival, save_checkpoint,
 )
 from helpers import fd_input_grad, rel_err_arr
 
 
-def small_config(head="cat", k_bins=5, dropout=0.0):
+def small_config(k_bins=5, dropout=0.0):
     return ModelConfig(input_dim=4, hidden_dim=8, n_blocks=2,
-                       dropout_rate=dropout, head=head, k_bins=k_bins)
+                       dropout_rate=dropout, k_bins=k_bins)
 
 
 class TestInit:
@@ -23,7 +24,7 @@ class TestInit:
         cfg = small_config()
         p = init_params(cfg, seed=0)
         assert p.tensors["input.w"].shape == (4, 8)
-        assert p.tensors["output.w"].shape == (8, cfg.out_dim)
+        assert p.tensors["output.w"].shape == (8, cfg.k_bins)
         for b in range(2):
             assert np.all(p.tensors[f"block{b}.bn.scale"] == 1.0)
             assert np.all(p.tensors[f"block{b}.bn.shift"] == 0.0)
@@ -55,69 +56,35 @@ class TestInit:
 
 class TestHeads:
     def test_cat_rows_are_distributions(self, rng):
-        pmf = cat_head(rng.standard_normal((50, 7)) * 5)
+        pmf = apply_head(rng.standard_normal((50, 7)) * 5)
         assert np.all(pmf >= 0)
         assert np.allclose(pmf.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_mtlr_rows_are_distributions(self, rng):
-        pmf = mtlr_head(rng.standard_normal((50, 6)) * 5)
-        assert pmf.shape == (50, 7)
-        assert np.all(pmf >= 0)
-        assert np.allclose(pmf.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_mtlr_two_bins_zero_logit_is_uniform(self):
-        pmf = mtlr_head(np.array([[0.0]]))
-        assert np.allclose(pmf, [[0.5, 0.5]], atol=1e-12)
-
-    def test_mtlr_three_bins_zero_logits_uniform(self):
-        pmf = mtlr_head(np.zeros((1, 2)))
-        assert np.allclose(pmf, 1.0 / 3.0, atol=1e-12)
-
-    def test_mtlr_known_ratio(self):
-        # suffix sums [log 3], appended zero: softmax gives (3/4, 1/4)
-        pmf = mtlr_head(np.array([[np.log(3.0)]]))
-        assert np.allclose(pmf, [[0.75, 0.25]], atol=1e-12)
 
     def test_cat_invariant_to_logit_shift(self, rng):
         z = rng.standard_normal((10, 5))
-        assert np.allclose(cat_head(z), cat_head(z + 100.0), atol=1e-12)
+        assert np.allclose(apply_head(z), apply_head(z + 100.0), atol=1e-12)
 
     def test_heads_reject_nonfinite(self):
         with pytest.raises(ValueError):
-            cat_head(np.array([[np.nan, 0.0]]))
+            apply_head(np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError):
-            mtlr_head(np.array([[np.inf]]))
+            apply_head(np.array([[np.inf, 0.0]]))
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12))
     @settings(max_examples=80, deadline=None)
     def test_property_valid_pmf_both_heads(self, seed, k):
         z = np.random.default_rng(seed).standard_normal((8, k)) * 10
-        for pmf in (cat_head(z), mtlr_head(z)):
-            assert np.all(pmf >= 0)
-            assert np.allclose(pmf.sum(axis=1), 1.0, atol=1e-9)
+        pmf = apply_head(z)
+        assert np.all(pmf >= 0)
+        assert np.allclose(pmf.sum(axis=1), 1.0, atol=1e-9)
 
     def test_cat_jacobian_matches_finite_differences(self, rng):
         z = rng.standard_normal((3, 6))
         c = rng.standard_normal((3, 6))
-        pmf = cat_head(z)
-        analytic = cat_head_backward(pmf, c)
-        numeric = fd_input_grad(lambda zz: float((cat_head(zz) * c).sum()), z)
+        pmf = apply_head(z)
+        analytic = head_backward(pmf, c)
+        numeric = fd_input_grad(lambda zz: float((apply_head(zz) * c).sum()), z)
         assert rel_err_arr(analytic, numeric, floor=1e-4) < 1e-6
-
-    def test_mtlr_jacobian_matches_finite_differences(self, rng):
-        phi = rng.standard_normal((3, 5))
-        c = rng.standard_normal((3, 6))
-        pmf = mtlr_head(phi)
-        analytic = mtlr_head_backward(pmf, c)
-        numeric = fd_input_grad(lambda p: float((mtlr_head(p) * c).sum()), phi)
-        assert rel_err_arr(analytic, numeric, floor=1e-4) < 1e-6
-
-    def test_dispatch(self, rng):
-        z = rng.standard_normal((4, 5))
-        assert np.array_equal(apply_head("cat", z), cat_head(z))
-        assert np.array_equal(apply_head("mtlr", z), mtlr_head(z))
-        with pytest.raises(ValueError):
-            apply_head("linear", z)
 
 
 class TestRisk:
@@ -130,7 +97,7 @@ class TestRisk:
 
     def test_bounds_on_random_pmfs(self, rng):
         k = 6
-        pmf = cat_head(rng.standard_normal((500, k)) * 8)
+        pmf = apply_head(rng.standard_normal((500, k)) * 8)
         r = predict_risk(pmf)
         assert np.all(r >= 1.0 / (2 * k) - 1e-12)
         assert np.all(r <= 1.0 - 1.0 / (2 * k) + 1e-12)
@@ -212,7 +179,7 @@ class TestBackward:
         cfg = small_config(dropout=0.0)
         p = init_params(cfg, seed=5)
         x = rng.standard_normal((12, 4))
-        c = rng.standard_normal((12, cfg.out_dim))
+        c = rng.standard_normal((12, cfg.k_bins))
         _, analytic = self.loss_and_grads(p, x, c)
         h = 1e-5
         worst = 0.0
@@ -235,7 +202,7 @@ class TestBackward:
     def test_duplicated_rows_still_check_out(self, rng):
         # repeated inputs stress the batch-statistics backward path
         cfg = ModelConfig(input_dim=3, hidden_dim=4, n_blocks=1,
-                          dropout_rate=0.0, head="cat", k_bins=4)
+                          dropout_rate=0.0, k_bins=4)
         p = init_params(cfg, seed=2)
         base = rng.standard_normal((4, 3))
         x = np.vstack([base, base])
@@ -261,7 +228,7 @@ class TestBackward:
         cfg = small_config(dropout=0.4)
         p = init_params(cfg, seed=1)
         x = rng.standard_normal((16, 4))
-        c = rng.standard_normal((16, cfg.out_dim))
+        c = rng.standard_normal((16, cfg.k_bins))
         _, analytic = self.loss_and_grads(p, x, c, seed=(0, 0))
         h = 1e-5
         name = "output.w"
@@ -282,7 +249,7 @@ class TestBackward:
 
 class TestCheckpoint:
     def test_round_trip_identity(self, tmp_path, rng):
-        cfg = small_config(head="mtlr")
+        cfg = small_config()
         p = init_params(cfg, seed=4)
         forward(p, rng.standard_normal((8, 4)), mode="train")
         path = tmp_path / "model.json"
@@ -310,9 +277,16 @@ class TestCheckpoint:
 
 
 class TestConfigValidation:
-    def test_rejects_unknown_head(self):
-        with pytest.raises(ValueError):
-            ModelConfig(input_dim=3, head="cox")
+    def test_rejects_unknown_head(self, tmp_path):
+        # format v1 files name their head; only the softmax head 'cat' loads
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(small_config(), seed=0))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["config"]["head"] == "cat"
+        payload["config"]["head"] = "mtlr"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported head 'mtlr'"):
+            load_checkpoint(path)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -321,7 +295,3 @@ class TestConfigValidation:
             ModelConfig(input_dim=3, k_bins=1)
         with pytest.raises(ValueError):
             ModelConfig(input_dim=3, dropout_rate=1.0)
-
-    def test_out_dim_by_head(self):
-        assert ModelConfig(input_dim=3, k_bins=9, head="cat").out_dim == 9
-        assert ModelConfig(input_dim=3, k_bins=9, head="mtlr").out_dim == 8

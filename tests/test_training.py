@@ -65,21 +65,6 @@ class TestSgdStep:
         sgd_step(p, g, lr=0.1)
         assert p.tensors["input.w"][0, 0] == pytest.approx(0.9)
 
-    def test_momentum_two_step_unroll(self):
-        # constant gradient g for two steps: total displacement lr*g*(1 + 1.9)
-        p = self.one_tensor_params(0.0)
-        g = {n: np.full_like(t, 2.0) for n, t in p.tensors.items()}
-        vel = {}
-        sgd_step(p, g, lr=0.1, momentum=0.9, velocity=vel)
-        sgd_step(p, g, lr=0.1, momentum=0.9, velocity=vel)
-        assert p.tensors["input.w"][0, 0] == pytest.approx(-0.1 * 2.0 * 2.9)
-
-    def test_weight_decay_shrinks_weights(self):
-        p = self.one_tensor_params(2.0)
-        g = {n: np.zeros_like(t) for n, t in p.tensors.items()}
-        sgd_step(p, g, lr=0.1, weight_decay=0.5)
-        assert p.tensors["input.w"][0, 0] == pytest.approx(2.0 * (1 - 0.05))
-
     def test_nonfinite_gradient_aborts_with_tensor_name(self):
         p = self.one_tensor_params(1.0)
         g = {n: np.zeros_like(t) for n, t in p.tensors.items()}
@@ -186,8 +171,7 @@ class TestFit:
 
     def test_deterministic_repeat(self, rng):
         train, val, cfg = make_fit_inputs(rng)
-        tc = TrainConfig(epochs=4, batch_size=32, lr_init=0.05, momentum=0.9,
-                         seed=11)
+        tc = TrainConfig(epochs=4, batch_size=32, lr_init=0.05, seed=11)
         p1, r1 = fit(train, val, cfg, LossWeights(), tc)
         p2, r2 = fit(train, val, cfg, LossWeights(), tc)
         for name in p1.tensors:
@@ -252,7 +236,5 @@ class TestTrainConfigValidation:
             TrainConfig(epochs=1, batch_size=4, lr_init=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1, batch_size=4, lr_init=0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, batch_size=4, lr_init=0.1, momentum=1.5)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=4, lr_init=0.1, eval_every=0)
