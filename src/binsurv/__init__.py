@@ -9,8 +9,8 @@ from .data import (
     save_grid, split_dataset, write_csv,
 )
 from .losses import (
-    CalibrationBins, LossWeights, calibration_loss, combined_loss,
-    likelihood_loss, rank_loss, time_rank_loss,
+    LossWeights, calibration_loss, combined_loss, likelihood_loss, rank_loss,
+    time_rank_loss,
 )
 from .metrics import (
     EvalReport, KMCurve, UndefinedMetricError, brier_score_t, c_index,

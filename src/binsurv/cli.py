@@ -10,7 +10,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -275,17 +275,13 @@ def _row_weights(cfg: ExperimentConfig, row) -> LossWeights:
         beta, kind = cfg.beta, "rank"
     else:
         beta, kind = 0.0, cfg.pairwise_kind
-    try:
-        return LossWeights(
-            alpha=cfg.alpha if "mle" in row else 0.0,
-            beta=beta,
-            gamma=cfg.gamma if "calibration" in row else 0.0,
-            sigma=cfg.sigma, rho=cfg.rho, g_bins=cfg.calib_bins,
-            likelihood_mode=cfg.likelihood_mode,
-            pairwise_kind=kind,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(
+        cfg.loss_weights(),
+        alpha=cfg.alpha if "mle" in row else 0.0,
+        beta=beta,
+        gamma=cfg.gamma if "calibration" in row else 0.0,
+        pairwise_kind=kind,
+    )
 
 
 def cmd_ablate(args) -> int:
@@ -306,7 +302,7 @@ def cmd_ablate(args) -> int:
         weights = _row_weights(cfg, row)
         row_dir = out / f"row_{index}_{'_'.join(row)}"
         params, _ = _train_once(splits, grid, cfg, weights, row_dir)
-        report = evaluate_model(params, splits.test, grid, group_metrics=False)
+        report = evaluate_model(params, splits.test, grid)
         flags = [str(int(c in row)) for c in _ABLATION_COMPONENTS]
         lines.append(",".join(flags + [repr(report.c_index), repr(report.ibs),
                                        repr(report.m_tdauc)]))

@@ -75,10 +75,6 @@ class TimeGrid:
     def span(self) -> float:
         return self.t_max_2 - self.t_min_prime
 
-    def to_raw(self, t_norm):
-        """Invert the affine part of the normalization (no cropping)."""
-        return self.t_min_prime + np.asarray(t_norm, dtype=np.float64) * self.span
-
     def interior_boundaries(self) -> np.ndarray:
         """Raw-time positions of the k - 1 interior bin edges."""
         edges = np.arange(1, self.k_bins) / self.k_bins
@@ -429,12 +425,15 @@ def load_grid(path) -> TimeGrid:
         payload = json.load(fh)
     if payload.get("format") != "binsurv-grid":
         raise ValueError(f"{path}: not a binsurv grid file")
-    return TimeGrid(
-        k_bins=int(payload["k_bins"]),
-        t_min=float(payload["t_min"]),
-        t_max=float(payload["t_max"]),
-        delta_t=float(payload["delta_t"]),
-        t_min_prime=float(payload["t_min_prime"]),
-        t_max_1=float(payload["t_max_1"]),
-        t_max_2=float(payload["t_max_2"]),
-    )
+    try:
+        return TimeGrid(
+            k_bins=int(payload["k_bins"]),
+            t_min=float(payload["t_min"]),
+            t_max=float(payload["t_max"]),
+            delta_t=float(payload["delta_t"]),
+            t_min_prime=float(payload["t_min_prime"]),
+            t_max_1=float(payload["t_max_1"]),
+            t_max_2=float(payload["t_max_2"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None

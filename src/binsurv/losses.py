@@ -70,31 +70,6 @@ class LossWeights:
             raise ValueError(f"pairwise_kind must be one of {PAIRWISE_KINDS}")
 
 
-@dataclass(frozen=True)
-class CalibrationBins:
-    """Partition of normalized time [0, 1) into half-open intervals."""
-
-    edges: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.float64)
-        if e.ndim != 1 or e.size < 2 or e[0] != 0.0 or e[-1] != 1.0:
-            raise ValueError("edges must run from 0.0 to 1.0")
-        if np.any(np.diff(e) <= 0):
-            raise ValueError("edges must be strictly increasing")
-        object.__setattr__(self, "edges", e)
-
-    @classmethod
-    def equal_width(cls, g: int) -> "CalibrationBins":
-        if g < 1:
-            raise ValueError("need at least one interval")
-        return cls(np.linspace(0.0, 1.0, g + 1))
-
-    @property
-    def n_bins(self) -> int:
-        return self.edges.size - 1
-
-
 def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch, mode: str = "prob"):
     """Mean per-sample likelihood term; higher is better.
 
@@ -237,10 +212,10 @@ def time_rank_loss(risks: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
     return value, grad
 
 
-def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch,
-                     bins: CalibrationBins | None = None):
+def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch, g_bins: int = 10):
     """Squared gap between predicted and observed event ratios per interval.
 
+    Normalized time [0, 1] is split into ``g_bins`` equal-width intervals.
     For interval g = [a, b): predicted ratio is the batch pmf mass whose bin
     midpoints fall in g divided by the mass at midpoints >= a; observed ratio
     is the number of events with normalized time in g divided by the samples
@@ -248,30 +223,29 @@ def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch,
     whose predicted or observed denominator is zero are skipped; the value is
     the mean over the intervals kept.  Returns (value, grad_pmf).
     """
-    if bins is None:
-        bins = CalibrationBins.equal_width(10)
+    if g_bins < 1:
+        raise ValueError("g_bins must be at least 1")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     n, k = p.shape
     if len(batch) != n:
         raise ValueError("pmfs and batch disagree on length")
-    g = bins.n_bins
-    edges = bins.edges
+    edges = np.linspace(0.0, 1.0, g_bins + 1)
     mids = bin_midpoints(k)
     mid_iv = np.searchsorted(edges, mids, side="right") - 1
     t_iv = np.searchsorted(edges, batch.t_norm, side="right") - 1
 
     col_mass = p.sum(axis=0)
-    mass_per_iv = np.bincount(mid_iv, weights=col_mass, minlength=g)
+    mass_per_iv = np.bincount(mid_iv, weights=col_mass, minlength=g_bins)
     pred_den = np.cumsum(mass_per_iv[::-1])[::-1]
-    ev_count = np.bincount(t_iv[batch.events == 1], minlength=g).astype(np.float64)
-    obs_den = np.cumsum(np.bincount(t_iv, minlength=g)[::-1])[::-1].astype(np.float64)
+    ev_count = np.bincount(t_iv[batch.events == 1], minlength=g_bins).astype(np.float64)
+    obs_den = np.cumsum(np.bincount(t_iv, minlength=g_bins)[::-1])[::-1].astype(np.float64)
 
     valid = (pred_den > 0.0) & (obs_den > 0.0)
     if not np.any(valid):
         return 0.0, np.zeros_like(p)
-    pred = np.zeros(g)
+    pred = np.zeros(g_bins)
     pred[valid] = mass_per_iv[valid] / pred_den[valid]
-    obs = np.zeros(g)
+    obs = np.zeros(g_bins)
     obs[valid] = ev_count[valid] / obs_den[valid]
     diff = np.where(valid, pred - obs, 0.0)
     n_valid = int(valid.sum())
@@ -324,7 +298,7 @@ def combined_loss(pmfs: np.ndarray, batch: BinnedBatch, weights: LossWeights):
         parts["pairwise"] = pv
 
     if weights.gamma > 0.0:
-        cv, cg = calibration_loss(p, batch, CalibrationBins.equal_width(weights.g_bins))
+        cv, cg = calibration_loss(p, batch, weights.g_bins)
         value += weights.gamma * cv
         grad += weights.gamma * cg
         parts["calibration"] = cv

@@ -190,8 +190,7 @@ def _grid_mean(ys, xs) -> float:
     return area / float(xs[-1] - xs[0])
 
 
-def ibs(pmfs, times, events, t_grid, grid: TimeGrid,
-        censor_km: KMCurve | None = None) -> float:
+def ibs(pmfs, times, events, t_grid, grid: TimeGrid) -> float:
     """Brier score averaged over an evaluation grid (trapezoidal rule).
 
     The integral over [t_grid[0], t_grid[-1]] is divided by the grid span, so
@@ -203,8 +202,7 @@ def ibs(pmfs, times, events, t_grid, grid: TimeGrid,
         raise ValueError("ibs needs a non-empty evaluation grid")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("evaluation grid must be strictly increasing")
-    if censor_km is None:
-        censor_km = kaplan_meier(times, events, target="censoring")
+    censor_km = kaplan_meier(times, events, target="censoring")
     bs = [brier_score_t(pmfs, times, events, float(ts), censor_km, grid) for ts in t_grid]
     return _grid_mean(bs, t_grid)
 
@@ -375,25 +373,23 @@ class EvalReport:
     tdauc_curve: np.ndarray
 
 
-def default_eval_times(grid: TimeGrid, t_star: float | None = None) -> np.ndarray:
-    """Interior bin edges (raw time) up to t_star, then t_star itself.
-
-    ``t_star`` defaults to the largest training event time.
-    """
-    if t_star is None:
-        t_star = grid.t_max
+def default_eval_times(grid: TimeGrid) -> np.ndarray:
+    """Interior bin edges (raw time) below the largest training event time,
+    then that time itself."""
+    t_star = grid.t_max
     pts = [float(b) for b in grid.interior_boundaries() if 0.0 < b < t_star]
     pts.append(float(t_star))
     return np.asarray(sorted(set(pts)), dtype=np.float64)
 
 
 def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid,
-                   cutoff: float | None = None,
-                   group_metrics: bool = True) -> EvalReport:
+                   cutoff: float | None = None) -> EvalReport:
     """Score a trained model on a dataset binned with the training grid.
 
-    With group_metrics=False the cutoff split and hazard ratio are skipped
-    (reported as nan), which keeps summaries defined on degenerate subsets.
+    Nothing is fitted on the scored rows.  The hazard ratio splits them at
+    ``cutoff``, the risk cutoff selected on the training rows; it is nan
+    when no cutoff is given, and nan with a warning when every scored row
+    falls on one side of the cutoff.
     """
     logits, _ = forward(params, dataset.features, mode="eval")
     pmfs = apply_head(logits)
@@ -410,16 +406,17 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
     ibs_value = _grid_mean(brier, eval_times)
     td_times, td_vals = _tdauc_curve(risks, times, events, eval_times)
 
-    if not group_metrics:
-        cutoff, cutoff_source, hr = float("nan"), "none", float("nan")
-    elif cutoff is None:
-        cutoff = float(select_cutoff(risks, times, events))
-        cutoff_source = "evaluation scores"
-        hr = hazard_ratio(risks, times, events, cutoff)
+    if cutoff is None:
+        cutoff, cutoff_source, hr = math.nan, "none", math.nan
     else:
-        cutoff = float(cutoff)
-        cutoff_source = "checkpoint"
-        hr = hazard_ratio(risks, times, events, cutoff)
+        cutoff, cutoff_source = float(cutoff), "checkpoint"
+        try:
+            hr = hazard_ratio(risks, times, events, cutoff)
+        except UndefinedMetricError:
+            empty = "low-risk" if np.all(risks > cutoff) else "high-risk"
+            warnings.warn(f"hazard ratio undefined: the {empty} group at the "
+                          f"training cutoff {cutoff!r} is empty", RuntimeWarning)
+            hr = math.nan
 
     return EvalReport(
         c_index=cindex, ibs=ibs_value, m_tdauc=float(np.mean(td_vals)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class ModelParams:
 
     def trainable_names(self) -> list[str]:
         return [n for n in self.tensors if self.is_trainable(n)]
-
-    def n_parameters(self) -> int:
-        return int(sum(self.tensors[n].size for n in self.trainable_names()))
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -288,24 +285,34 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (params, meta)."""
+    """Inverse of :func:`save_checkpoint`; returns (params, meta).
+
+    A body that format v1 does not write raises ValueError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a binsurv checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    config = dict(payload["config"])
-    # format v1 names a head; any other than the softmax head (for example
-    # the suffix-sum head 'mtlr') maps its outputs differently
-    head = config.pop("head", CHECKPOINT_HEAD)
-    if head != CHECKPOINT_HEAD:
-        raise ValueError(f"{path}: unsupported head {head!r} "
-                         f"(only {CHECKPOINT_HEAD!r} is supported)")
-    cfg = ModelConfig(**config)
-    tensors = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["tensors"].items()
-    }
-    params = ModelParams(config=cfg, tensors=tensors, updates=int(payload["updates"]))
+    try:
+        config = dict(payload["config"])
+        # format v1 names a head; any other than the softmax head (for
+        # example the suffix-sum head 'mtlr') maps its outputs differently
+        head = config.pop("head", CHECKPOINT_HEAD)
+        if head != CHECKPOINT_HEAD:
+            raise ValueError(f"{path}: unsupported head {head!r} "
+                             f"(only {CHECKPOINT_HEAD!r} is supported)")
+        names = [f.name for f in fields(ModelConfig)]
+        unknown = [key for key in config if key not in names]
+        if unknown:
+            raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
+        cfg = ModelConfig(**{name: config[name] for name in names})
+        tensors = {
+            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in payload["tensors"].items()
+        }
+        params = ModelParams(config=cfg, tensors=tensors, updates=int(payload["updates"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     return params, payload.get("meta", {})

@@ -18,7 +18,7 @@ from binsurv.data import (
     BinnedBatch, FeatureScaler, SurvivalDataset, apply_scaler, assign_bin,
     bin_dataset, bin_midpoints, build_time_grid, normalize_time, split_dataset,
 )
-from binsurv.losses import CalibrationBins, LossWeights, calibration_loss, \
+from binsurv.losses import LossWeights, calibration_loss, \
     combined_loss, time_rank_loss
 from binsurv.metrics import (
     brier_score_t, c_index, ibs, kaplan_meier, m_tdauc, tdauc,
@@ -279,14 +279,13 @@ def test_a10_perfectly_calibrated_batch_zeroes_the_penalty():
                         events=np.ones(5, dtype=np.int64), grid=grid)
     pmfs = np.zeros((5, 5))
     pmfs[np.arange(5), bins - 1] = 1.0  # predictions equal the outcomes
-    cal_bins = CalibrationBins.equal_width(5)
-    value, _ = calibration_loss(pmfs, batch, cal_bins)
+    value, _ = calibration_loss(pmfs, batch, 5)
     assert value == 0.0
 
     shifted = pmfs.copy()
     shifted[0, 0] -= 0.2
     shifted[0, 1] += 0.2
-    value, _ = calibration_loss(shifted, batch, cal_bins)
+    value, _ = calibration_loss(shifted, batch, 5)
     assert value > 0.0
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from binsurv.cli import main
 from binsurv.config import ConfigError, build_config, parse_config_file
-from binsurv.data import load_csv, load_grid
+from binsurv.data import FeatureScaler, load_csv, load_grid, write_csv
+from binsurv.model import apply_head, forward, load_checkpoint, predict_risk
 
 
 def run(args):
@@ -328,8 +329,15 @@ class TestEvaluateCommand:
          "unsupported checkpoint version 2"),
         ("checkpoint", lambda p: {**p, "config": {**p["config"], "head": "mtlr"}},
          "unsupported head 'mtlr'"),
+        ("checkpoint", lambda p: {**p, "config": {**p["config"], "width": 8}},
+         "unknown config key 'width'"),
+        ("checkpoint", lambda p: {k: v for k, v in p.items() if k != "tensors"},
+         "missing key 'tensors'"),
         ("grid", lambda p: {"format": "x"}, "not a binsurv grid file"),
-    ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head", "foreign-grid"])
+        ("grid", lambda p: {k: v for k, v in p.items() if k != "t_min"},
+         "missing key 't_min'"),
+    ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
+            "extra-config-key", "no-tensors", "foreign-grid", "grid-no-t_min"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")
@@ -343,8 +351,46 @@ class TestEvaluateCommand:
                     "--data", str(run_dir / "test.csv"),
                     "--out", str(tmp_path / "e")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err
         assert not (tmp_path / "e").exists()
+
+    def report_row(self, out):
+        header, row = (out / "report.csv").read_text().splitlines()
+        return dict(zip(header.split(","), row.split(",")))
+
+    def test_checkpoint_without_cutoff_reports_no_hazard_ratio(self, run_dir, tmp_path):
+        payload = json.loads((run_dir / "checkpoint.json").read_text())
+        payload["meta"]["cutoff"] = None
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+        assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "a") == 0
+        assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "b",
+                             checkpoint=checkpoint) == 0
+        stored, none = self.report_row(tmp_path / "a"), self.report_row(tmp_path / "b")
+        assert (none["hazard_ratio"], none["cutoff"], none["cutoff_source"]) == \
+            ("nan", "nan", "none")
+        for key in ("c_index", "ibs", "m_tdauc"):
+            assert none[key] == stored[key]
+
+    def test_rows_below_the_cutoff_still_score(self, run_dir, tmp_path):
+        params, meta = load_checkpoint(run_dir / "checkpoint.json")
+        scaler = FeatureScaler(np.asarray(meta["scaler_mean"]),
+                               np.asarray(meta["scaler_std"]))
+        test = load_csv(run_dir / "test.csv")
+        logits, _ = forward(params, scaler.transform(test.features), mode="eval")
+        low = np.flatnonzero(predict_risk(apply_head(logits)) <= meta["cutoff"])
+        assert low.size >= 15
+        write_csv(test.subset(low[:15]), tmp_path / "low.csv")
+        with pytest.warns(RuntimeWarning, match="high-risk group at the training cutoff"):
+            code = self.evaluate(run_dir, tmp_path / "low.csv", tmp_path / "e")
+        assert code == 0
+        report = self.report_row(tmp_path / "e")
+        assert 0.0 <= float(report["c_index"]) <= 1.0
+        assert 0.0 <= float(report["ibs"]) <= 1.0
+        assert report["hazard_ratio"] == "nan"
+        assert float(report["cutoff"]) == meta["cutoff"]
+        assert report["cutoff_source"] == "checkpoint"
 
 
 class TestPrepareCommand:

@@ -92,11 +92,6 @@ class TestNormalize:
         lo, hi = min(a, b), max(a, b)
         assert normalize_time(lo, grid) <= normalize_time(hi, grid)
 
-    def test_to_raw_inverts_inside_range(self):
-        grid = build_time_grid(make_dataset([1.0, 7.0], [1, 1]), 8)
-        for t in (1.0, 3.5, 7.0):
-            assert grid.to_raw(normalize_time(t, grid)) == pytest.approx(t)
-
 
 class TestAssignBin:
     def test_exact_boundaries(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from binsurv.data import BinnedBatch, TimeGrid, assign_bin, bin_midpoints
 from binsurv.losses import (
-    CalibrationBins, LossWeights, calibration_loss, combined_loss,
+    LossWeights, calibration_loss, combined_loss,
     likelihood_loss, rank_loss, time_rank_loss,
 )
 from binsurv.model import predict_risk
@@ -293,7 +293,7 @@ class TestCalibration:
         pmfs = np.zeros((6, k))
         pmfs[np.arange(6), bins - 1] = 1.0
         batch = manual_batch(bins, np.ones(6, dtype=int), k=k)
-        value, _ = calibration_loss(pmfs, batch, CalibrationBins.equal_width(k))
+        value, _ = calibration_loss(pmfs, batch, k)
         assert value == 0.0
 
     def test_perturbation_makes_it_positive(self):
@@ -303,7 +303,7 @@ class TestCalibration:
         pmfs[np.arange(6), bins - 1] = 1.0
         pmfs[0] = np.array([0.6, 0.4, 0.0, 0.0, 0.0])
         batch = manual_batch(bins, np.ones(6, dtype=int), k=k)
-        value, _ = calibration_loss(pmfs, batch, CalibrationBins.equal_width(k))
+        value, _ = calibration_loss(pmfs, batch, k)
         assert value > 0.0
 
     def test_skips_empty_intervals(self):
@@ -312,7 +312,7 @@ class TestCalibration:
         k = 4
         pmfs = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         batch = manual_batch([1, 1], [1, 1], k=k, t_norm=[0.05, 0.05])
-        value, _ = calibration_loss(pmfs, batch, CalibrationBins.equal_width(2))
+        value, _ = calibration_loss(pmfs, batch, 2)
         # single valid interval, predicted 1.0 vs observed 1.0
         assert value == 0.0
 
@@ -321,7 +321,7 @@ class TestCalibration:
         k = 2
         pmfs = np.array([[0.5, 0.5], [0.5, 0.5]])
         batch = manual_batch([1, 1], [1, 1], k=k)  # t_norm = 0.25 both
-        value, _ = calibration_loss(pmfs, batch, CalibrationBins.equal_width(2))
+        value, _ = calibration_loss(pmfs, batch, 2)
         # interval 1: pred 0.5/1.0, obs 2/2 -> (0.5-1)^2; interval 2:
         # pred 0.5/0.5, obs 0/0 -> skipped; mean over 1 valid interval
         assert value == pytest.approx(0.25)
@@ -329,16 +329,15 @@ class TestCalibration:
     def test_value_bounded_by_one(self, rng):
         _, _, batch = random_batch(rng, 30, k_bins=6)
         pmfs = random_pmfs(rng, 30, 6)
-        value, _ = calibration_loss(pmfs, batch, CalibrationBins.equal_width(10))
+        value, _ = calibration_loss(pmfs, batch, 10)
         assert 0.0 <= value <= 1.0
 
     def test_fd(self, rng):
         _, _, batch = random_batch(rng, 18, k_bins=5)
         pmfs = random_pmfs(rng, 18, 5)
-        bins = CalibrationBins.equal_width(7)
-        _, grad = calibration_loss(pmfs, batch, bins)
+        _, grad = calibration_loss(pmfs, batch, 7)
         num = fd_input_grad(
-            lambda p: calibration_loss(p, batch, bins)[0], pmfs)
+            lambda p: calibration_loss(p, batch, 7)[0], pmfs)
         assert rel_err_arr(grad, num) < 1e-6
 
     def test_gradient_constant_across_rows(self, rng):
@@ -348,10 +347,9 @@ class TestCalibration:
         assert np.allclose(grad, grad[0][None, :], atol=1e-15)
 
     def test_edges_must_increase(self):
-        with pytest.raises(ValueError):
-            CalibrationBins(edges=np.array([0.0, 0.5, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            CalibrationBins.equal_width(0)
+        batch = manual_batch([1, 2], [1, 1], k=2)
+        with pytest.raises(ValueError, match="g_bins"):
+            calibration_loss(np.full((2, 2), 0.5), batch, 0)
 
 
 class TestCombined:
@@ -363,7 +361,7 @@ class TestCombined:
         value, _, parts = combined_loss(pmfs, batch, w)
         lv, _ = likelihood_loss(pmfs, batch, "prob")
         pv, _ = time_rank_loss(predict_risk(pmfs), batch, 0.9, 1.2)
-        cv, _ = calibration_loss(pmfs, batch, CalibrationBins.equal_width(6))
+        cv, _ = calibration_loss(pmfs, batch, 6)
         assert value == pytest.approx(-0.7 * lv + 0.03 * pv + 1.1 * cv)
         assert parts["likelihood"] == pytest.approx(lv)
         assert parts["pairwise"] == pytest.approx(pv)

@@ -380,18 +380,18 @@ class TestEvaluateModel:
 
     def test_report_fields_and_sources(self, rng):
         params, ds, grid = self.make_model_and_data(rng)
-        report = evaluate_model(params, ds, grid)
-        assert report.cutoff_source == "evaluation scores"
+        report = evaluate_model(params, ds, grid, cutoff=0.5)
+        assert report.cutoff_source == "checkpoint"
+        assert report.cutoff == 0.5
         assert 0.0 <= report.c_index <= 1.0
         assert report.eval_times.size == report.brier_curve.size
         assert report.tdauc_times.size == report.tdauc_curve.size
-        given_cut = evaluate_model(params, ds, grid, cutoff=report.cutoff)
-        assert given_cut.cutoff_source == "checkpoint"
-        assert given_cut.cutoff == report.cutoff
+        risks = predict_risk(apply_head(forward(params, ds.features, mode="eval")[0]))
+        assert report.hazard_ratio == hazard_ratio(risks, ds.times, ds.events, 0.5)
 
     def test_summaries_equal_the_metric_functions(self, rng):
         params, ds, grid = self.make_model_and_data(rng)
-        report = evaluate_model(params, ds, grid, group_metrics=False)
+        report = evaluate_model(params, ds, grid)
         logits, _ = forward(params, ds.features, mode="eval")
         pmfs = apply_head(logits)
         risks = predict_risk(pmfs)
@@ -403,11 +403,26 @@ class TestEvaluateModel:
                      and np.any(ds.times > t)]
         assert np.array_equal(report.tdauc_times, evaluable)
 
-    def test_group_metrics_can_be_skipped(self, rng):
+    def test_no_cutoff_reports_no_hazard_ratio(self, rng):
+        # no cutoff is searched for on the scored rows
         params, ds, grid = self.make_model_and_data(rng)
-        report = evaluate_model(params, ds, grid, group_metrics=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_model(params, ds, grid)
         assert math.isnan(report.hazard_ratio) and math.isnan(report.cutoff)
         assert report.cutoff_source == "none"
+
+    @pytest.mark.parametrize("cutoff, empty", [(1.0, "high-risk"), (0.0, "low-risk")])
+    def test_one_sided_cutoff_keeps_the_summaries(self, rng, cutoff, empty):
+        params, ds, grid = self.make_model_and_data(rng)
+        split = evaluate_model(params, ds, grid, cutoff=0.5)
+        with pytest.warns(RuntimeWarning, match=f"{empty} group at the training "
+                                                f"cutoff {cutoff!r} is empty"):
+            report = evaluate_model(params, ds, grid, cutoff=cutoff)
+        assert math.isnan(report.hazard_ratio)
+        assert report.cutoff == cutoff and report.cutoff_source == "checkpoint"
+        assert (report.c_index, report.ibs, report.m_tdauc) == \
+            (split.c_index, split.ibs, split.m_tdauc)
 
     def test_default_eval_times_stay_inside_observation(self, rng):
         _, ds, grid = self.make_model_and_data(rng)
