@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_config, parse_config_file
+from .config import (
+    ConfigError, ExperimentConfig, build_config, config_errors, parse_config_file,
+)
 from .data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
     apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid, save_grid,
@@ -94,7 +96,8 @@ def _load_splits(cfg: ExperimentConfig) -> _Splits:
     """
     if cfg.data:
         raw = load_csv(cfg.data, cfg.time_col, cfg.event_col)
-        train, val, test = split_dataset(raw, cfg.split, cfg.seed)
+        with config_errors():
+            train, val, test = split_dataset(raw, cfg.split, cfg.seed)
         if not len(test):
             test = None
     elif cfg.train_csv and cfg.val_csv:
@@ -158,10 +161,11 @@ def cmd_prepare(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     raw = load_csv(cfg.data, cfg.time_col, cfg.event_col)
-    train, val, test = split_dataset(raw, cfg.split, cfg.seed)
+    with config_errors():
+        train, val, test = split_dataset(raw, cfg.split, cfg.seed)
+        grid = build_time_grid(train, cfg.k_bins)
     for name, part in (("train", train), ("val", val), ("test", test)):
         write_csv(part, out / f"{name}.csv", cfg.time_col, cfg.event_col)
-    grid = build_time_grid(train, cfg.k_bins)
     save_grid(grid, out / "grid.json")
     print(f"prepare: {len(raw)} rows -> train {len(train)} / val {len(val)} / "
           f"test {len(test)}; grid with {grid.k_bins} bins written to {out}")
@@ -176,14 +180,14 @@ def cmd_train(args) -> int:
     if splits.test_raw is not None:
         # held-out rows stay raw; evaluation re-standardizes with the stored scaler
         write_csv(splits.test_raw, out / "test.csv", cfg.time_col, cfg.event_col)
-    grid = build_time_grid(splits.train, cfg.k_bins)
+    with config_errors():
+        grid = build_time_grid(splits.train, cfg.k_bins)
     save_grid(grid, out / "grid.json")
     _, history = _train_once(splits, grid, cfg, cfg.loss_weights(), out)
     (out / "config_resolved.txt").write_text(
         "\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
-    scored = [r for r in history if r.val_c_index is not None]
-    best = max(scored, key=lambda r: r.val_c_index) if scored else None
-    if best is not None:
+    if history:
+        best = max(history, key=lambda r: r.val_c_index)
         print(f"train: {len(history)} epochs; best val C-index "
               f"{best.val_c_index:.4f} at epoch {best.epoch}; artifacts in {out}")
     else:
@@ -208,12 +212,11 @@ def _match_features(test: SurvivalDataset, names) -> SurvivalDataset:
 
 
 def cmd_evaluate(args) -> int:
-    try:
+    # a ValueError means the file exists but is not a model file this
+    # version reads
+    with config_errors():
         params, meta = load_checkpoint(args.checkpoint)
         grid = load_grid(args.grid)
-    except ValueError as exc:
-        # the file exists but is not a model file this version reads
-        raise ConfigError(str(exc)) from None
     if grid.k_bins != params.config.k_bins:
         raise ConfigError(
             f"grid has {grid.k_bins} bins but the checkpoint was trained "
@@ -292,7 +295,8 @@ def cmd_ablate(args) -> int:
     splits = _load_splits(cfg)
     if splits.test is None:
         raise ConfigError("ablate needs a test split (single-CSV mode or test_csv=)")
-    grid = build_time_grid(splits.train, cfg.k_bins)
+    with config_errors():
+        grid = build_time_grid(splits.train, cfg.k_bins)
     save_grid(grid, out / "grid.json")
     (out / "config_resolved.txt").write_text(
         "\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
@@ -318,15 +322,13 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
+    with config_errors():
         synth_cfg = SynthConfig(
             n_samples=args.n, n_features=args.features,
             risk_model=args.risk_model, baseline=args.baseline,
             weibull_shape=args.weibull_shape,
             target_censor_rate=args.censor_rate, seed=args.seed,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     dataset, risks = generate(synth_cfg)
     out_csv = Path(args.out)
     if out_csv.parent != Path(""):

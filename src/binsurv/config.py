@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from .losses import LossWeights
@@ -11,6 +12,15 @@ from .training import TrainConfig
 
 class ConfigError(ValueError):
     """A configuration file or override failed validation."""
+
+
+@contextmanager
+def config_errors():
+    """Re-raise a ValueError from validating a setting as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -37,44 +47,34 @@ class ExperimentConfig:
     sigma: float = 1.0
     rho: float = 1.0
     calib_bins: int = 10
-    likelihood_mode: str = "prob"
     pairwise_kind: str = "time_rank"
     # optimization
     epochs: int = 150
     batch_size: int = 256
     lr_init: float = 0.01
-    eval_every: int = 1
 
     def model_config(self, input_dim: int) -> ModelConfig:
-        try:
+        with config_errors():
             return ModelConfig(
                 input_dim=input_dim, hidden_dim=self.hidden_dim,
                 n_blocks=self.n_blocks, dropout_rate=self.dropout,
                 k_bins=self.k_bins,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def loss_weights(self) -> LossWeights:
-        try:
+        with config_errors():
             return LossWeights(
                 alpha=self.alpha, beta=self.beta, gamma=self.gamma,
                 sigma=self.sigma, rho=self.rho, g_bins=self.calib_bins,
-                likelihood_mode=self.likelihood_mode,
                 pairwise_kind=self.pairwise_kind,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def train_config(self) -> TrainConfig:
-        try:
+        with config_errors():
             return TrainConfig(
                 epochs=self.epochs, batch_size=self.batch_size,
                 lr_init=self.lr_init, seed=self.seed,
-                eval_every=self.eval_every,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def resolved_lines(self) -> list[str]:
         """Deterministic key=value dump of every setting, field order."""

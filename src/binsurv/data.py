@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 VAR_FLOOR = 1e-8
+# events fill bins 1..k-2 and the last bin is reserved for censored tails
+MIN_K_BINS = 3
 
 # Floating-point guard for bin assignment: values sitting exactly on an
 # interval boundary (e.g. the cropped maximum (k-1)/k) must land in the upper
@@ -164,8 +166,8 @@ def build_time_grid(dataset: SurvivalDataset, k_bins: int) -> TimeGrid:
     first event, events occupy bins 1..k-2 and the top of the grid keeps one
     finite interval plus the reserved "beyond observation" bin.
     """
-    if k_bins < 3:
-        raise ValueError("k_bins must be at least 3")
+    if k_bins < MIN_K_BINS:
+        raise ValueError(f"k_bins must be at least {MIN_K_BINS}")
     event_times = dataset.times[dataset.events == 1]
     if np.unique(event_times).size < 2:
         raise DegenerateGridError(
@@ -385,10 +387,10 @@ def split_dataset(dataset: SurvivalDataset, ratios, seed: int):
     fractional parts (ties broken toward the earlier split).
     """
     ratios = [float(r) for r in ratios]
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be three positive numbers")
+    if len(ratios) != 3 or not all(0.0 < r < np.inf for r in ratios):
+        raise ValueError("split ratios must be three finite positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
+        raise ValueError("split ratios must sum to 1")
     n = len(dataset)
     exact = np.asarray(ratios) * n
     sizes = np.floor(exact).astype(int)

@@ -1,11 +1,11 @@
 """Training objectives over per-sample bin masses, with exact gradients.
 
-Three ingredients are combined: a likelihood reward (mass on the observed
-bin for events, survival past it for censored samples), a pairwise ranking
-term, and a distribution-calibration penalty.  The pairwise term comes in two
-flavors: ranking on the CDF at the earlier sample's event bin, or ranking on
-expected-time risk scores with a margin proportional to the normalized time
-gap between the two samples.
+Three ingredients are combined: a log-likelihood reward (log mass on the
+observed bin for events, log survival past it for censored samples), a
+pairwise ranking term, and a distribution-calibration penalty.  The pairwise
+term comes in two flavors: ranking on the CDF at the earlier sample's event
+bin, or ranking on expected-time risk scores with a margin proportional to
+the normalized time gap between the two samples.
 
 Sign convention: every pairwise exponent is negated, exp(-sigma * ...), so
 each term shrinks as the shorter-lived sample's risk (or CDF) rises above its
@@ -35,7 +35,6 @@ from .model import predict_risk
 
 LIKELIHOOD_FLOOR = 1e-12
 
-LIKELIHOOD_MODES = ("prob", "logprob")
 PAIRWISE_KINDS = ("time_rank", "rank")
 # with sigma <= 1 and risks and normalized times in [0, 1], every time-rank
 # pair term stays below exp(701), short of the float64 limit exp(709.8)
@@ -52,33 +51,29 @@ class LossWeights:
     sigma: float = 1.0
     rho: float = 1.0
     g_bins: int = 10
-    likelihood_mode: str = "prob"
     pairwise_kind: str = "time_rank"
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("alpha", "beta", "gamma"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must lie in (0, 1]")
         if not 0.0 <= self.rho <= RHO_MAX:
             raise ValueError(f"rho must lie in [0, {RHO_MAX:g}]")
         if self.g_bins < 1:
             raise ValueError("g_bins must be at least 1")
-        if self.likelihood_mode not in LIKELIHOOD_MODES:
-            raise ValueError(f"likelihood_mode must be one of {LIKELIHOOD_MODES}")
         if self.pairwise_kind not in PAIRWISE_KINDS:
             raise ValueError(f"pairwise_kind must be one of {PAIRWISE_KINDS}")
 
 
-def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch, mode: str = "prob"):
-    """Mean per-sample likelihood term; higher is better.
+def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch):
+    """Mean per-sample log-likelihood; higher is better.
 
-    Events contribute the mass of their bin, censored samples the mass beyond
-    their bin (1 - cdf).  ``prob`` averages the raw quantities, ``logprob``
-    averages their logs with a 1e-12 floor.  Returns (value, grad_pmf).
+    Events contribute the log mass of their bin, censored samples the log
+    mass beyond their bin, log(1 - cdf).  Each mass is floored at 1e-12, so
+    the value is bounded below by log(1e-12).  Returns (value, grad_pmf).
     """
-    if mode not in LIKELIHOOD_MODES:
-        raise ValueError(f"likelihood_mode must be one of {LIKELIHOOD_MODES}")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     n, k = p.shape
     if len(batch) != n:
@@ -88,17 +83,12 @@ def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch, mode: str = "prob"):
     cdf = np.cumsum(p, axis=1)
     is_event = batch.events == 1
     terms = np.where(is_event, p[rows, kidx], 1.0 - cdf[rows, kidx])
+    floored = np.maximum(terms, LIKELIHOOD_FLOOR)
+    value = float(np.log(floored).mean())
+    # exact subgradient of log(max(q, floor)): zero below the floor
+    coeff = np.where(terms > LIKELIHOOD_FLOOR, 1.0 / (n * floored), 0.0)
 
     grad = np.zeros_like(p)
-    if mode == "prob":
-        value = float(terms.mean())
-        coeff = np.full(n, 1.0 / n)
-    else:
-        floored = np.maximum(terms, LIKELIHOOD_FLOOR)
-        value = float(np.log(floored).mean())
-        # exact subgradient of log(max(q, floor)): zero below the floor
-        coeff = np.where(terms > LIKELIHOOD_FLOOR, 1.0 / (n * floored), 0.0)
-
     grad[rows[is_event], kidx[is_event]] = coeff[is_event]
     cens_cols = (np.arange(k)[None, :] <= kidx[:, None]) & ~is_event[:, None]
     grad -= coeff[:, None] * cens_cols
@@ -280,7 +270,7 @@ def combined_loss(pmfs: np.ndarray, batch: BinnedBatch, weights: LossWeights):
     parts = {"likelihood": 0.0, "pairwise": 0.0, "calibration": 0.0}
 
     if weights.alpha > 0.0:
-        lv, lg = likelihood_loss(p, batch, weights.likelihood_mode)
+        lv, lg = likelihood_loss(p, batch)
         value -= weights.alpha * lv
         grad -= weights.alpha * lg
         parts["likelihood"] = lv

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import bin_midpoints
+from .data import MIN_K_BINS, bin_midpoints
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -34,8 +34,8 @@ class ModelConfig:
             raise ValueError("dimensions must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.k_bins < 2:
-            raise ValueError("k_bins must be at least 2")
+        if self.k_bins < MIN_K_BINS:
+            raise ValueError(f"k_bins must be at least {MIN_K_BINS}")
 
 
 @dataclass(eq=False)

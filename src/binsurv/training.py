@@ -25,17 +25,14 @@ class TrainConfig:
     batch_size: int = 256
     lr_init: float = 0.01
     seed: int = 0
-    eval_every: int = 1
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.lr_init <= 0:
-            raise ValueError("lr_init must be positive")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
+        if not 0.0 < self.lr_init < np.inf:
+            raise ValueError("lr_init must be finite and positive")
 
 
 @dataclass
@@ -146,10 +143,10 @@ def fit(train: BinnedBatch, val: BinnedBatch, model_config: ModelConfig,
         weights: LossWeights, config: TrainConfig):
     """Train and return (best_params, history).
 
-    The snapshot with the highest validation C-index wins; validation is
-    scored every ``eval_every`` epochs and always on the final epoch.  Both
-    splits must be binned with the same grid object, which guards against
-    accidentally refitting the normalization on validation data.
+    Validation is scored after every epoch, and the snapshot with the highest
+    validation C-index wins.  Both splits must be binned with the same grid
+    object, which guards against accidentally refitting the normalization on
+    validation data.
     """
     if train.grid is not val.grid:
         raise ValueError("train and val batches must share the training time grid")
@@ -159,10 +156,9 @@ def fit(train: BinnedBatch, val: BinnedBatch, model_config: ModelConfig,
         return params.copy(), []
     for _ in range(config.epochs):
         train_epoch(state, train, weights, config)
-        if state.epoch % config.eval_every == 0 or state.epoch == config.epochs:
-            score = validation_c_index(state.params, val)
-            state.records[-1].val_c_index = score
-            _maybe_snapshot(state, score)
+        score = validation_c_index(state.params, val)
+        state.records[-1].val_c_index = score
+        _maybe_snapshot(state, score)
     return state.best_params, state.records
 
 

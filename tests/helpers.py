@@ -13,6 +13,7 @@ from binsurv.data import (
     CsvFormatError, SurvivalDataset, bin_dataset, build_time_grid,
 )
 from binsurv.losses import LossWeights, combined_loss
+from binsurv.metrics import kaplan_meier
 from binsurv.model import ModelParams, apply_head, forward, head_backward, backward
 
 GRAD_FLOOR = 1e-4  # relative-error denominator floor for near-zero gradients
@@ -127,6 +128,19 @@ def slow_km_survival_before(times, events, t_query, flip=False):
                    if tt == knot and ((ee == 0) if flip else (ee == 1)))
         surv *= 1.0 - hits / at_risk
     return surv
+
+
+def km_baseline_pmf(train, grid):
+    """The training split's Kaplan-Meier curve as one pmf on the time grid.
+
+    Survival past bin k is the KM survival at the bin's upper edge, so bin k
+    holds the KM drop across its edges and the last bin holds what survives
+    past the last interior edge.  Tiled over the rows of a split, it is the
+    covariate-free baseline that a model's IBS is gated against.
+    """
+    km = kaplan_meier(train.times, train.events)
+    surv = np.concatenate([[1.0], km.survival_at(grid.interior_boundaries())])
+    return np.append(-np.diff(surv), surv[-1])
 
 
 def slow_brier(pmfs, times, events, t_star, grid):

@@ -21,7 +21,8 @@ from binsurv.data import (
 from binsurv.losses import LossWeights, calibration_loss, \
     combined_loss, time_rank_loss
 from binsurv.metrics import (
-    brier_score_t, c_index, ibs, kaplan_meier, m_tdauc, tdauc,
+    brier_score_t, c_index, default_eval_times, evaluate_model, ibs,
+    kaplan_meier, m_tdauc, tdauc,
 )
 from binsurv.model import (
     ModelConfig, apply_head, forward, init_params, load_checkpoint,
@@ -31,8 +32,8 @@ from binsurv.synth import SynthConfig, bayes_c_index, generate
 from binsurv.training import fit, write_history_csv
 from helpers import (
     GRAD_FLOOR, brute_c_index, brute_tdauc, composite_grads, composite_value,
-    fd_param_grads, max_rel_err, random_batch, random_dataset, random_pmfs,
-    slow_brier,
+    fd_param_grads, km_baseline_pmf, max_rel_err, random_batch,
+    random_dataset, random_pmfs, slow_brier,
 )
 
 
@@ -316,3 +317,25 @@ def test_a11_training_reruns_are_byte_identical(tmp_path, rng):
     params, meta = load_checkpoint(tmp_path / "ckpt_first.json")
     save_checkpoint(tmp_path / "ckpt_reload.json", params, meta=meta)
     assert (tmp_path / "ckpt_reload.json").read_bytes() == c1
+
+
+def test_a12_default_config_beats_kaplan_meier_on_ibs():
+    # the ROADMAP baseline cohort for data seed 102, where the old raw
+    # probability likelihood lost to KM (0.243 against 0.194): the default
+    # objective must calibrate better than a covariate-free KM curve fitted
+    # on the same training split
+    cfg = ExperimentConfig()
+    ds, _ = generate(SynthConfig(n_samples=2000, n_features=10,
+                                 risk_model="linear",
+                                 target_censor_rate=0.4, seed=102))
+    tr, va, te = split_dataset(ds, cfg.split, cfg.seed)
+    scaler = FeatureScaler.fit(tr.features)
+    tr, va, te = (apply_scaler(s, scaler) for s in (tr, va, te))
+    grid = build_time_grid(tr, cfg.k_bins)
+    best, _ = fit(bin_dataset(tr, grid), bin_dataset(va, grid),
+                  cfg.model_config(10), cfg.loss_weights(),
+                  cfg.train_config())
+    model_ibs = evaluate_model(best, te, grid).ibs
+    km_pmfs = np.tile(km_baseline_pmf(tr, grid), (len(te), 1))
+    km_ibs = ibs(km_pmfs, te.times, te.events, default_eval_times(grid), grid)
+    assert model_ibs < km_ibs, f"model IBS {model_ibs:.4f} vs KM {km_ibs:.4f}"

@@ -1,13 +1,18 @@
 """Config parsing and the five CLI subcommands, run in-process."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from binsurv.cli import main
-from binsurv.config import ConfigError, build_config, parse_config_file
+from binsurv.config import (
+    ConfigError, ExperimentConfig, build_config, parse_config_file,
+)
 from binsurv.data import FeatureScaler, load_csv, load_grid, write_csv
 from binsurv.model import apply_head, forward, load_checkpoint, predict_risk
 
@@ -51,13 +56,14 @@ class TestConfigModule:
     def test_type_coercion_and_split_parsing(self):
         cfg = build_config({"epochs": "12", "lr_init": "0.5",
                             "split": "0.5,0.25,0.25",
-                            "likelihood_mode": "logprob", "seed": "7"})
+                            "pairwise_kind": "rank", "seed": "7"})
         assert cfg.epochs == 12 and cfg.lr_init == 0.5 and cfg.seed == 7
         assert cfg.split == (0.5, 0.25, 0.25)
-        assert cfg.likelihood_mode == "logprob"
+        assert cfg.pairwise_kind == "rank"
 
     def test_unknown_key_is_named(self):
-        for key in ("learning_rate", "head", "momentum", "weight_decay"):
+        for key in ("learning_rate", "head", "momentum", "weight_decay",
+                    "likelihood_mode", "eval_every"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 build_config({key: "0"})
 
@@ -88,10 +94,20 @@ class TestConfigModule:
         lines = cfg.resolved_lines()
         keys = {line.split("=")[0] for line in lines}
         for expected in ("alpha", "beta", "gamma", "sigma", "rho",
-                         "calib_bins", "likelihood_mode", "pairwise_kind",
+                         "calib_bins", "pairwise_kind",
                          "epochs", "batch_size", "k_bins"):
             assert expected in keys
         assert lines == cfg.resolved_lines()  # stable across calls
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Config\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        keys = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert keys == {f.name for f in fields(ExperimentConfig)}
 
 
 class TestSynthCommand:
@@ -157,6 +173,29 @@ class TestTrainCommand:
                     str(tmp_path / "o"), "--set", "rho=1000"])
         assert code == 2
         assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "alpha=nan", "beta=nan", "gamma=nan", "alpha=inf", "gamma=inf",
+        "lr_init=nan", "lr_init=inf",
+    ])
+    def test_non_finite_weight_or_rate_exits_two(self, data_csv, tmp_path,
+                                                 capsys, setting):
+        code = run(["train", "--data", str(data_csv), "--out",
+                    str(tmp_path / "o"), *FAST, "--set", setting])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "ablate"])
+    @pytest.mark.parametrize("setting", [
+        "k_bins=2", "split=0.5,0.5,0.5", "split=0.6,0.4,0.0",
+        "split=nan,0.5,0.5",
+    ])
+    def test_bad_grid_or_split_exits_two(self, data_csv, tmp_path, capsys,
+                                         command, setting):
+        code = run([command, "--data", str(data_csv), "--out",
+                    str(tmp_path / "o"), *FAST, "--set", setting])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
 
     def test_no_data_source_exits_two(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "o")]) == 2

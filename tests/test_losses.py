@@ -57,59 +57,44 @@ class TestComparablePairs:
 
 
 class TestLikelihood:
-    def test_worked_example_prob(self):
-        pmfs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
-        batch = manual_batch([1, 2], [1, 0], k=3)
-        value, grad = likelihood_loss(pmfs, batch, "prob")
-        assert value == pytest.approx(0.35)  # (0.6 + 0.1) / 2
-        expect = np.array([[0.5, 0.0, 0.0], [-0.5, -0.5, 0.0]])
-        assert np.allclose(grad, expect, atol=1e-15)
-
     def test_worked_example_logprob(self):
         pmfs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
         batch = manual_batch([1, 2], [1, 0], k=3)
-        value, _ = likelihood_loss(pmfs, batch, "logprob")
+        value, grad = likelihood_loss(pmfs, batch)
         assert value == pytest.approx((np.log(0.6) + np.log(0.1)) / 2)
+        # event: 1 / (n * 0.6) on its bin; censored: -1 / (n * 0.1) on the
+        # bins up to and including its own
+        expect = np.array([[1.0 / 1.2, 0.0, 0.0], [-5.0, -5.0, 0.0]])
+        assert np.allclose(grad, expect, rtol=1e-14, atol=0.0)
 
     def test_one_hot_event_is_perfect(self):
         pmfs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         batch = manual_batch([1, 2], [1, 1], k=3)
-        value, _ = likelihood_loss(pmfs, batch, "prob")
-        assert value == 1.0
+        value, _ = likelihood_loss(pmfs, batch)
+        assert value == 0.0
 
     def test_prob_value_bounded(self, rng):
+        # every probability is floored, so the mean log lies in [log 1e-12, 0]
         _, _, batch = random_batch(rng, 40, k_bins=5)
         pmfs = random_pmfs(rng, 40, 5)
-        value, _ = likelihood_loss(pmfs, batch, "prob")
-        assert 0.0 <= value <= 1.0
+        value, _ = likelihood_loss(pmfs, batch)
+        assert np.log(1e-12) <= value <= 0.0
 
     def test_floor_zeroes_the_subgradient(self):
         # censored in the last bin leaves no mass beyond: term hits the floor
         pmfs = np.array([[0.4, 0.6], [0.5, 0.5]])
         batch = manual_batch([2, 1], [0, 1], k=2)
-        value, grad = likelihood_loss(pmfs, batch, "logprob")
+        value, grad = likelihood_loss(pmfs, batch)
         assert value == pytest.approx((np.log(1e-12) + np.log(0.5)) / 2)
         assert np.all(grad[0] == 0.0)
         assert grad[1, 0] != 0.0
 
-    def test_fd_prob(self, rng):
-        _, _, batch = random_batch(rng, 12, k_bins=5)
-        pmfs = random_pmfs(rng, 12, 5)
-        _, grad = likelihood_loss(pmfs, batch, "prob")
-        num = fd_input_grad(lambda p: likelihood_loss(p, batch, "prob")[0], pmfs)
-        assert rel_err_arr(grad, num) < 1e-7
-
     def test_fd_logprob_away_from_floor(self, rng):
         _, _, batch = random_batch(rng, 12, k_bins=5, censored_low=True)
         pmfs = random_pmfs(rng, 12, 5)
-        _, grad = likelihood_loss(pmfs, batch, "logprob")
-        num = fd_input_grad(lambda p: likelihood_loss(p, batch, "logprob")[0], pmfs)
+        _, grad = likelihood_loss(pmfs, batch)
+        num = fd_input_grad(lambda p: likelihood_loss(p, batch)[0], pmfs)
         assert rel_err_arr(grad, num) < 1e-6
-
-    def test_rejects_unknown_mode(self, rng):
-        _, _, batch = random_batch(rng, 5)
-        with pytest.raises(ValueError):
-            likelihood_loss(random_pmfs(rng, 5, 5), batch, "nats")
 
 
 class TestRank:
@@ -359,7 +344,7 @@ class TestCombined:
         w = LossWeights(alpha=0.7, beta=0.03, gamma=1.1, sigma=0.9, rho=1.2,
                         g_bins=6)
         value, _, parts = combined_loss(pmfs, batch, w)
-        lv, _ = likelihood_loss(pmfs, batch, "prob")
+        lv, _ = likelihood_loss(pmfs, batch)
         pv, _ = time_rank_loss(predict_risk(pmfs), batch, 0.9, 1.2)
         cv, _ = calibration_loss(pmfs, batch, 6)
         assert value == pytest.approx(-0.7 * lv + 0.03 * pv + 1.1 * cv)
@@ -368,13 +353,11 @@ class TestCombined:
         assert parts["calibration"] == pytest.approx(cv)
 
     @pytest.mark.parametrize("kind", ["time_rank", "rank"])
-    @pytest.mark.parametrize("mode", ["prob", "logprob"],
-                             ids=["prob-concordant", "logprob-concordant"])
-    def test_fd_full_composite(self, rng, kind, mode):
+    def test_fd_full_composite(self, rng, kind):
         _, _, batch = random_batch(rng, 12, k_bins=5, censored_low=True)
         pmfs = random_pmfs(rng, 12, 5)
         w = LossWeights(alpha=1.0, beta=0.05, gamma=1.0, sigma=0.9, rho=1.1,
-                        g_bins=5, likelihood_mode=mode, pairwise_kind=kind)
+                        g_bins=5, pairwise_kind=kind)
         _, grad, _ = combined_loss(pmfs, batch, w)
         num = fd_input_grad(lambda p: combined_loss(p, batch, w)[0], pmfs)
         assert rel_err_arr(grad, num) < 1e-5
@@ -388,7 +371,7 @@ class TestCombined:
             value, _, parts = combined_loss(
                 pmfs, batch, LossWeights(alpha=1.0, beta=0.0, gamma=0.0))
         assert parts["pairwise"] == 0.0 and parts["calibration"] == 0.0
-        lv, _ = likelihood_loss(pmfs, batch, "prob")
+        lv, _ = likelihood_loss(pmfs, batch)
         assert value == pytest.approx(-lv)
 
     def test_all_zero_weights_rejected(self, rng):
@@ -439,8 +422,6 @@ class TestWeightsValidation:
             assert np.all(np.isfinite(grad))
 
     def test_enumerations_checked(self):
-        with pytest.raises(ValueError):
-            LossWeights(likelihood_mode="probability")
         with pytest.raises(ValueError):
             LossWeights(pairwise_kind="margin")
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ from binsurv.data import bin_dataset, build_time_grid
 from binsurv.losses import LossWeights
 from binsurv.model import ModelConfig, init_params
 from binsurv.training import (
-    TrainConfig, TrainState, _maybe_snapshot, cosine_lr, fit, sgd_step,
-    train_epoch, validation_c_index, write_history_csv,
+    EpochRecord, TrainConfig, TrainState, _maybe_snapshot, cosine_lr, fit,
+    sgd_step, train_epoch, validation_c_index, write_history_csv,
 )
 from helpers import random_dataset
 
@@ -161,13 +161,12 @@ class TestFit:
         assert np.array_equal(params.tensors["input.w"],
                               fresh.tensors["input.w"])
 
-    def test_eval_every_controls_validation_cadence(self, rng):
+    def test_every_epoch_is_validated(self, rng):
         train, val, cfg = make_fit_inputs(rng)
         _, records = fit(train, val, cfg, LossWeights(),
-                         TrainConfig(epochs=5, batch_size=32, lr_init=0.05,
-                                     eval_every=2))
-        scored = [r.epoch for r in records if r.val_c_index is not None]
-        assert scored == [2, 4, 5]  # multiples of two plus the final epoch
+                         TrainConfig(epochs=5, batch_size=32, lr_init=0.05))
+        assert [r.epoch for r in records] == [1, 2, 3, 4, 5]
+        assert all(r.val_c_index is not None for r in records)
 
     def test_deterministic_repeat(self, rng):
         train, val, cfg = make_fit_inputs(rng)
@@ -205,7 +204,7 @@ class TestFit:
 class TestHistoryCsv:
     def test_reruns_are_byte_identical(self, tmp_path, rng):
         train, val, cfg = make_fit_inputs(rng)
-        tc = TrainConfig(epochs=3, batch_size=32, lr_init=0.05, eval_every=2)
+        tc = TrainConfig(epochs=3, batch_size=32, lr_init=0.05)
         _, r1 = fit(train, val, cfg, LossWeights(), tc)
         _, r2 = fit(train, val, cfg, LossWeights(), tc)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -213,11 +212,10 @@ class TestHistoryCsv:
         write_history_csv(r2, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unscored_epochs_leave_the_cell_empty(self, tmp_path, rng):
-        train, val, cfg = make_fit_inputs(rng)
-        _, records = fit(train, val, cfg, LossWeights(),
-                         TrainConfig(epochs=3, batch_size=32, lr_init=0.05,
-                                     eval_every=2))
+    def test_unscored_epochs_leave_the_cell_empty(self, tmp_path):
+        # train_epoch records an epoch before fit scores it on validation
+        records = [EpochRecord(1, 0.1, 1.0, -2.0, 0.5, 0.1),
+                   EpochRecord(2, 0.05, 0.9, -1.9, 0.4, 0.1, val_c_index=0.6)]
         path = tmp_path / "h.csv"
         write_history_csv(records, path)
         lines = path.read_text().splitlines()
@@ -236,5 +234,6 @@ class TestTrainConfigValidation:
             TrainConfig(epochs=1, batch_size=4, lr_init=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1, batch_size=4, lr_init=0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, batch_size=4, lr_init=0.1, eval_every=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lr_init"):
+                TrainConfig(epochs=1, batch_size=4, lr_init=bad)
