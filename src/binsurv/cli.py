@@ -128,10 +128,9 @@ def _train_once(splits: _Splits, grid, cfg: ExperimentConfig,
                 weights: LossWeights, out_dir: Path):
     """Shared train-and-persist path used by both `train` and `ablate`."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_b = bin_dataset(splits.train, grid)
-    val_b = bin_dataset(splits.val, grid)
     model_cfg = cfg.model_config(splits.train.n_features)
-    best, history = fit(train_b, val_b, model_cfg, weights, cfg.train_config())
+    best, history = fit(bin_dataset(splits.train, grid), splits.val, model_cfg,
+                        weights, cfg.train_config())
     write_history_csv(history, out_dir / "history.csv")
 
     logits, _ = forward(best, splits.train.features, mode="eval")

@@ -65,7 +65,7 @@ class ExperimentConfig:
         with config_errors():
             return LossWeights(
                 alpha=self.alpha, beta=self.beta, gamma=self.gamma,
-                sigma=self.sigma, rho=self.rho, g_bins=self.calib_bins,
+                sigma=self.sigma, rho=self.rho, calib_bins=self.calib_bins,
                 pairwise_kind=self.pairwise_kind,
             )
 
@@ -132,4 +132,6 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"bad value for '{key}': {text!r}") from None
         setattr(cfg, key, value)
+    if cfg.seed < 0:  # numpy's generators reject it with a message naming no key
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     return cfg

@@ -4,7 +4,7 @@ Right-censored data comes in as (features, observed time, event indicator)
 triples.  Observed study time is mapped onto a grid of ``k_bins`` intervals of
 equal width 1/k in normalized time; the last interval is reserved for "beyond
 the observation window".  The grid is always built from the *event* times of
-the training split and reused verbatim on validation/test data.
+the training split and reused verbatim on test data.
 """
 
 from __future__ import annotations
@@ -134,28 +134,21 @@ def apply_scaler(dataset: SurvivalDataset, scaler: FeatureScaler) -> SurvivalDat
 
 @dataclass(eq=False)
 class BinnedBatch:
-    """A dataset view after time normalization and bin assignment."""
+    """The training rows as the losses read them: features, normalized time,
+    1-based bin and event flag.  Raw times stay with the dataset."""
 
     features: np.ndarray
-    times: np.ndarray
     t_norm: np.ndarray
     bins: np.ndarray
     events: np.ndarray
-    grid: TimeGrid
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def k_bins(self) -> int:
-        return self.grid.k_bins
-
     def take(self, indices) -> "BinnedBatch":
         idx = np.asarray(indices)
-        return BinnedBatch(
-            self.features[idx], self.times[idx], self.t_norm[idx],
-            self.bins[idx], self.events[idx], self.grid,
-        )
+        return BinnedBatch(self.features[idx], self.t_norm[idx],
+                           self.bins[idx], self.events[idx])
 
 
 def build_time_grid(dataset: SurvivalDataset, k_bins: int) -> TimeGrid:
@@ -231,14 +224,8 @@ def bin_dataset(dataset: SurvivalDataset, grid: TimeGrid) -> BinnedBatch:
     bins = assign_bin(t_norm, grid.k_bins)
     is_event = dataset.events == 1
     bins = np.where(is_event & (bins == grid.k_bins), grid.k_bins - 1, bins)
-    return BinnedBatch(
-        features=dataset.features,
-        times=dataset.times,
-        t_norm=t_norm,
-        bins=bins,
-        events=dataset.events,
-        grid=grid,
-    )
+    return BinnedBatch(features=dataset.features, t_norm=t_norm, bins=bins,
+                       events=dataset.events)
 
 
 def load_csv(path, time_column: str = "time",

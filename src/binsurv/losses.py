@@ -50,7 +50,7 @@ class LossWeights:
     gamma: float = 1.0
     sigma: float = 1.0
     rho: float = 1.0
-    g_bins: int = 10
+    calib_bins: int = 10
     pairwise_kind: str = "time_rank"
 
     def __post_init__(self):
@@ -61,8 +61,8 @@ class LossWeights:
             raise ValueError("sigma must lie in (0, 1]")
         if not 0.0 <= self.rho <= RHO_MAX:
             raise ValueError(f"rho must lie in [0, {RHO_MAX:g}]")
-        if self.g_bins < 1:
-            raise ValueError("g_bins must be at least 1")
+        if self.calib_bins < 1:
+            raise ValueError("calib_bins must be at least 1")
         if self.pairwise_kind not in PAIRWISE_KINDS:
             raise ValueError(f"pairwise_kind must be one of {PAIRWISE_KINDS}")
 
@@ -202,10 +202,10 @@ def time_rank_loss(risks: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
     return value, grad
 
 
-def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch, g_bins: int = 10):
+def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch, calib_bins: int = 10):
     """Squared gap between predicted and observed event ratios per interval.
 
-    Normalized time [0, 1] is split into ``g_bins`` equal-width intervals.
+    Normalized time [0, 1] is split into ``calib_bins`` equal-width intervals.
     For interval g = [a, b): predicted ratio is the batch pmf mass whose bin
     midpoints fall in g divided by the mass at midpoints >= a; observed ratio
     is the number of events with normalized time in g divided by the samples
@@ -213,29 +213,31 @@ def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch, g_bins: int = 10):
     whose predicted or observed denominator is zero are skipped; the value is
     the mean over the intervals kept.  Returns (value, grad_pmf).
     """
-    if g_bins < 1:
-        raise ValueError("g_bins must be at least 1")
+    if calib_bins < 1:
+        raise ValueError("calib_bins must be at least 1")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     n, k = p.shape
     if len(batch) != n:
         raise ValueError("pmfs and batch disagree on length")
-    edges = np.linspace(0.0, 1.0, g_bins + 1)
+    edges = np.linspace(0.0, 1.0, calib_bins + 1)
     mids = bin_midpoints(k)
     mid_iv = np.searchsorted(edges, mids, side="right") - 1
     t_iv = np.searchsorted(edges, batch.t_norm, side="right") - 1
 
     col_mass = p.sum(axis=0)
-    mass_per_iv = np.bincount(mid_iv, weights=col_mass, minlength=g_bins)
+    mass_per_iv = np.bincount(mid_iv, weights=col_mass, minlength=calib_bins)
     pred_den = np.cumsum(mass_per_iv[::-1])[::-1]
-    ev_count = np.bincount(t_iv[batch.events == 1], minlength=g_bins).astype(np.float64)
-    obs_den = np.cumsum(np.bincount(t_iv, minlength=g_bins)[::-1])[::-1].astype(np.float64)
+    ev_count = np.bincount(t_iv[batch.events == 1],
+                           minlength=calib_bins).astype(np.float64)
+    obs_den = np.cumsum(
+        np.bincount(t_iv, minlength=calib_bins)[::-1])[::-1].astype(np.float64)
 
     valid = (pred_den > 0.0) & (obs_den > 0.0)
     if not np.any(valid):
         return 0.0, np.zeros_like(p)
-    pred = np.zeros(g_bins)
+    pred = np.zeros(calib_bins)
     pred[valid] = mass_per_iv[valid] / pred_den[valid]
-    obs = np.zeros(g_bins)
+    obs = np.zeros(calib_bins)
     obs[valid] = ev_count[valid] / obs_den[valid]
     diff = np.where(valid, pred - obs, 0.0)
     n_valid = int(valid.sum())
@@ -288,7 +290,7 @@ def combined_loss(pmfs: np.ndarray, batch: BinnedBatch, weights: LossWeights):
         parts["pairwise"] = pv
 
     if weights.gamma > 0.0:
-        cv, cg = calibration_loss(p, batch, weights.g_bins)
+        cv, cg = calibration_loss(p, batch, weights.calib_bins)
         value += weights.gamma * cv
         grad += weights.gamma * cg
         parts["calibration"] = cv

@@ -190,6 +190,18 @@ def _grid_mean(ys, xs) -> float:
     return area / float(xs[-1] - xs[0])
 
 
+def _brier_curve(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
+    """Brier score at each point of a strictly increasing evaluation grid."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    if t_grid.size == 0:
+        raise ValueError("ibs needs a non-empty evaluation grid")
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("evaluation grid must be strictly increasing")
+    censor_km = kaplan_meier(times, events, target="censoring")
+    return np.asarray([brier_score_t(pmfs, times, events, float(t), censor_km, grid)
+                       for t in t_grid])
+
+
 def ibs(pmfs, times, events, t_grid, grid: TimeGrid) -> float:
     """Brier score averaged over an evaluation grid (trapezoidal rule).
 
@@ -197,14 +209,7 @@ def ibs(pmfs, times, events, t_grid, grid: TimeGrid) -> float:
     a constant Brier curve averages to itself.  A single-point grid returns
     the pointwise score.
     """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size == 0:
-        raise ValueError("ibs needs a non-empty evaluation grid")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("evaluation grid must be strictly increasing")
-    censor_km = kaplan_meier(times, events, target="censoring")
-    bs = [brier_score_t(pmfs, times, events, float(ts), censor_km, grid) for ts in t_grid]
-    return _grid_mean(bs, t_grid)
+    return _grid_mean(_brier_curve(pmfs, times, events, t_grid, grid), t_grid)
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -398,11 +403,8 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
     events = dataset.events
 
     cindex = c_index(risks, times, events)
-    censor_km = kaplan_meier(times, events, target="censoring")
     eval_times = default_eval_times(grid)
-    brier = np.asarray(
-        [brier_score_t(pmfs, times, events, float(t), censor_km, grid) for t in eval_times]
-    )
+    brier = _brier_curve(pmfs, times, events, eval_times, grid)
     ibs_value = _grid_mean(brier, eval_times)
     td_times, td_vals = _tdauc_curve(risks, times, events, eval_times)
 

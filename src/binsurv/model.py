@@ -33,7 +33,8 @@ class ModelConfig:
         if self.input_dim < 1 or self.hidden_dim < 1 or self.n_blocks < 0:
             raise ValueError("dimensions must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+            # the config key; checkpoint.json keeps the field name
+            raise ValueError("dropout must lie in [0, 1)")
         if self.k_bins < MIN_K_BINS:
             raise ValueError(f"k_bins must be at least {MIN_K_BINS}")
 
@@ -90,8 +91,6 @@ class _BlockCache:
     gate: np.ndarray       # relu mask on scale*xhat + shift
     mask: np.ndarray | None
     keep: float
-    batch_mean: np.ndarray
-    batch_var: np.ndarray
 
 
 @dataclass(eq=False)
@@ -156,8 +155,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             d = a
         if train:
             cache.blocks.append(_BlockCache(
-                x=h, xhat=xhat, inv_std=inv_std, gate=gate, mask=mask,
-                keep=keep, batch_mean=mean, batch_var=var,
+                x=h, xhat=xhat, inv_std=inv_std, gate=gate, mask=mask, keep=keep,
             ))
         h = h + d
 

@@ -37,6 +37,8 @@ class SynthConfig:
             raise ValueError("weibull_shape must be positive")
         if not 0.0 <= self.target_censor_rate < 1.0:
             raise ValueError("target_censor_rate must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _latent_risk(x: np.ndarray, rng: np.random.Generator, kind: str) -> np.ndarray:

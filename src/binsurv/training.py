@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BinnedBatch
+from .data import BinnedBatch, SurvivalDataset
 from .losses import LossWeights, combined_loss
 from .metrics import c_index
 from .model import (
@@ -124,8 +124,8 @@ def train_epoch(state: TrainState, train: BinnedBatch, weights: LossWeights,
     return state
 
 
-def validation_c_index(params: ModelParams, val: BinnedBatch) -> float:
-    """Eval-mode risk scores against raw validation times."""
+def validation_c_index(params: ModelParams, val: SurvivalDataset) -> float:
+    """C-index of eval-mode risk scores against the raw validation times."""
     logits, _ = forward(params, val.features, mode="eval")
     risks = predict_risk(apply_head(logits))
     return c_index(risks, val.times, val.events)
@@ -139,17 +139,13 @@ def _maybe_snapshot(state: TrainState, score: float) -> None:
         state.best_params = state.params.copy()
 
 
-def fit(train: BinnedBatch, val: BinnedBatch, model_config: ModelConfig,
+def fit(train: BinnedBatch, val: SurvivalDataset, model_config: ModelConfig,
         weights: LossWeights, config: TrainConfig):
-    """Train and return (best_params, history).
+    """Train on the binned training rows and return (best_params, history).
 
-    Validation is scored after every epoch, and the snapshot with the highest
-    validation C-index wins.  Both splits must be binned with the same grid
-    object, which guards against accidentally refitting the normalization on
-    validation data.
+    The raw validation rows are scored after every epoch, and the snapshot
+    with the highest validation C-index wins.
     """
-    if train.grid is not val.grid:
-        raise ValueError("train and val batches must share the training time grid")
     params = init_params(model_config, config.seed)
     state = TrainState(params=params)
     if config.epochs == 0:

@@ -176,15 +176,10 @@ def test_a06_ten_bin_grid_reference_points():
 
 
 def test_a07_pairwise_gradients_push_risks_apart_under_both_signs(rng):
-    base = SurvivalDataset(np.zeros((2, 1)), np.array([1.0, 2.0]),
-                           np.array([1, 1]), ("x1",))
-    grid = build_time_grid(base, 5)
     # sample 0 fails early (event), sample 1 is observed later
     batch = BinnedBatch(features=np.zeros((2, 1)),
-                        times=np.array([1.0, 2.0]),
                         t_norm=np.array([0.3, 0.7]),
-                        bins=np.array([2, 4]), events=np.array([1, 0]),
-                        grid=grid)
+                        bins=np.array([2, 4]), events=np.array([1, 0]))
     beta = 0.05
     _, grad_risk = time_rank_loss(np.array([0.55, 0.45]), batch,
                                   sigma=1.0, rho=1.0)
@@ -228,7 +223,7 @@ def test_a08_default_config_recovers_synthetic_signal_end_to_end():
     scaler = FeatureScaler.fit(tr.features)
     tr, va, te = (apply_scaler(s, scaler) for s in (tr, va, te))
     grid = build_time_grid(tr, cfg.k_bins)
-    best, _ = fit(bin_dataset(tr, grid), bin_dataset(va, grid),
+    best, _ = fit(bin_dataset(tr, grid), va,
                   cfg.model_config(10), cfg.loss_weights(),
                   cfg.train_config())
     logits, _ = forward(best, te.features, mode="eval")
@@ -249,14 +244,13 @@ def test_a09_time_adaptive_rank_term_never_hurts_concordance():
         tr, va, te = split_dataset(ds, cfg.split, seed)
         scaler = FeatureScaler.fit(tr.features)
         tr, va, te = (apply_scaler(s, scaler) for s in (tr, va, te))
-        grid = build_time_grid(tr, cfg.k_bins)
-        trb, vab = bin_dataset(tr, grid), bin_dataset(va, grid)
+        trb = bin_dataset(tr, build_time_grid(tr, cfg.k_bins))
         scores = {}
         for label, w in (
             ("mle", LossWeights(alpha=1.0, beta=0.0, gamma=0.0)),
             ("mle+pairwise", LossWeights(alpha=1.0, beta=0.05, gamma=0.0)),
         ):
-            best, _ = fit(trb, vab, cfg.model_config(10), w,
+            best, _ = fit(trb, va, cfg.model_config(10), w,
                           cfg.train_config())
             logits, _ = forward(best, te.features, mode="eval")
             scores[label] = c_index(predict_risk(apply_head(logits)),
@@ -270,14 +264,10 @@ def test_a09_time_adaptive_rank_term_never_hurts_concordance():
 
 
 def test_a10_perfectly_calibrated_batch_zeroes_the_penalty():
-    base = SurvivalDataset(np.zeros((2, 1)), np.array([1.0, 2.0]),
-                           np.array([1, 1]), ("x1",))
-    grid = build_time_grid(base, 5)
     bins = np.array([1, 2, 3, 4, 4])
-    t_norm = bin_midpoints(5)[bins - 1]
-    batch = BinnedBatch(features=np.zeros((5, 1)), times=t_norm.copy(),
-                        t_norm=t_norm, bins=bins,
-                        events=np.ones(5, dtype=np.int64), grid=grid)
+    batch = BinnedBatch(features=np.zeros((5, 1)),
+                        t_norm=bin_midpoints(5)[bins - 1], bins=bins,
+                        events=np.ones(5, dtype=np.int64))
     pmfs = np.zeros((5, 5))
     pmfs[np.arange(5), bins - 1] = 1.0  # predictions equal the outcomes
     value, _ = calibration_loss(pmfs, batch, 5)
@@ -295,13 +285,12 @@ def test_a11_training_reruns_are_byte_identical(tmp_path, rng):
     tr, va, _ = split_dataset(ds, (0.6, 0.2, 0.2), seed=7)
     scaler = FeatureScaler.fit(tr.features)
     tr, va = apply_scaler(tr, scaler), apply_scaler(va, scaler)
-    grid = build_time_grid(tr, 6)
-    trb, vab = bin_dataset(tr, grid), bin_dataset(va, grid)
+    trb = bin_dataset(tr, build_time_grid(tr, 6))
     cfg = ExperimentConfig(k_bins=6, hidden_dim=8, n_blocks=1, epochs=8,
                            batch_size=64, seed=7)
 
     def run(tag):
-        best, records = fit(trb, vab, cfg.model_config(5),
+        best, records = fit(trb, va, cfg.model_config(5),
                             cfg.loss_weights(), cfg.train_config())
         hist = tmp_path / f"history_{tag}.csv"
         ckpt = tmp_path / f"ckpt_{tag}.json"
@@ -332,7 +321,7 @@ def test_a12_default_config_beats_kaplan_meier_on_ibs():
     scaler = FeatureScaler.fit(tr.features)
     tr, va, te = (apply_scaler(s, scaler) for s in (tr, va, te))
     grid = build_time_grid(tr, cfg.k_bins)
-    best, _ = fit(bin_dataset(tr, grid), bin_dataset(va, grid),
+    best, _ = fit(bin_dataset(tr, grid), va,
                   cfg.model_config(10), cfg.loss_weights(),
                   cfg.train_config())
     model_ibs = evaluate_model(best, te, grid).ibs

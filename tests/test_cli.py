@@ -197,6 +197,31 @@ class TestTrainCommand:
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("calib_bins=0", "calib_bins must be at least 1"),
+        ("dropout=1.5", "dropout must lie in [0, 1)"),
+    ], ids=["calib_bins", "dropout"])
+    def test_range_error_names_the_config_key(self, data_csv, tmp_path, capsys,
+                                              setting, message):
+        code = run(["train", "--data", str(data_csv), "--out",
+                    str(tmp_path / "o"), *FAST, "--set", setting])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "train", "train-presplit", "ablate", "prepare", "synth",
+    ])
+    def test_negative_seed_exits_two(self, data_csv, tmp_path, capsys, command):
+        out = str(tmp_path / "o")
+        args = {
+            "train-presplit": ["train", "--out", out,
+                               "--set", f"train_csv={data_csv}",
+                               "--set", f"val_csv={data_csv}"],
+            "synth": ["synth", "--out", str(tmp_path / "s.csv")],
+        }.get(command, [command, "--data", str(data_csv), "--out", out])
+        assert run([*args, "--seed", "-1"]) == 2
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+
     def test_no_data_source_exits_two(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "o")]) == 2
 

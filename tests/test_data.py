@@ -142,13 +142,14 @@ class TestBinDataset:
         held_out = make_dataset([100.0], [1])
         assert bin_dataset(held_out, grid).bins[0] == 4
 
-    def test_take_preserves_grid_object(self, rng):
+    def test_take_selects_rows(self, rng):
         ds = random_dataset(rng, 50)
-        grid = build_time_grid(ds, 5)
-        batch = bin_dataset(ds, grid)
+        batch = bin_dataset(ds, build_time_grid(ds, 5))
         sub = batch.take([3, 1, 4])
-        assert sub.grid is grid
-        assert len(sub) == 3 and sub.bins[0] == batch.bins[3]
+        assert len(sub) == 3
+        for name in ("features", "t_norm", "bins", "events"):
+            assert np.array_equal(getattr(sub, name),
+                                  getattr(batch, name)[[3, 1, 4]]), name
 
 
 class TestScaler:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsurv.data import BinnedBatch, TimeGrid, assign_bin, bin_midpoints
+from binsurv.data import BinnedBatch, assign_bin, bin_midpoints
 from binsurv.losses import (
     LossWeights, calibration_loss, combined_loss,
     likelihood_loss, rank_loss, time_rank_loss,
@@ -19,24 +19,16 @@ from helpers import (
 )
 
 
-def manual_grid(k: int) -> TimeGrid:
-    d = 1.0 / (k - 2.2)
-    tp = 1.0 - 0.1 * d
-    return TimeGrid(k_bins=k, t_min=1.0, t_max=2.0, delta_t=d, t_min_prime=tp,
-                    t_max_1=tp + (k - 1) * d, t_max_2=tp + k * d)
-
-
 def manual_batch(bins, events, k, t_norm=None):
-    """Batch with hand-picked bins; times default to the bin midpoints."""
+    """Batch with hand-picked bins; normalized times default to the bin
+    midpoints."""
     bins = np.asarray(bins, dtype=np.int64)
     events = np.asarray(events, dtype=np.int64)
     if t_norm is None:
         t_norm = (2.0 * bins - 1.0) / (2.0 * k)
     t_norm = np.asarray(t_norm, dtype=np.float64)
-    grid = manual_grid(k)
-    times = grid.t_min_prime + t_norm * grid.span
-    return BinnedBatch(features=np.zeros((bins.size, 1)), times=times,
-                       t_norm=t_norm, bins=bins, events=events, grid=grid)
+    return BinnedBatch(features=np.zeros((bins.size, 1)), t_norm=t_norm,
+                       bins=bins, events=events)
 
 
 class TestComparablePairs:
@@ -333,7 +325,7 @@ class TestCalibration:
 
     def test_edges_must_increase(self):
         batch = manual_batch([1, 2], [1, 1], k=2)
-        with pytest.raises(ValueError, match="g_bins"):
+        with pytest.raises(ValueError, match="calib_bins"):
             calibration_loss(np.full((2, 2), 0.5), batch, 0)
 
 
@@ -342,7 +334,7 @@ class TestCombined:
         _, _, batch = random_batch(rng, 20, k_bins=5)
         pmfs = random_pmfs(rng, 20, 5)
         w = LossWeights(alpha=0.7, beta=0.03, gamma=1.1, sigma=0.9, rho=1.2,
-                        g_bins=6)
+                        calib_bins=6)
         value, _, parts = combined_loss(pmfs, batch, w)
         lv, _ = likelihood_loss(pmfs, batch)
         pv, _ = time_rank_loss(predict_risk(pmfs), batch, 0.9, 1.2)
@@ -357,7 +349,7 @@ class TestCombined:
         _, _, batch = random_batch(rng, 12, k_bins=5, censored_low=True)
         pmfs = random_pmfs(rng, 12, 5)
         w = LossWeights(alpha=1.0, beta=0.05, gamma=1.0, sigma=0.9, rho=1.1,
-                        g_bins=5, pairwise_kind=kind)
+                        calib_bins=5, pairwise_kind=kind)
         _, grad, _ = combined_loss(pmfs, batch, w)
         num = fd_input_grad(lambda p: combined_loss(p, batch, w)[0], pmfs)
         assert rel_err_arr(grad, num) < 1e-5
@@ -425,4 +417,4 @@ class TestWeightsValidation:
         with pytest.raises(ValueError):
             LossWeights(pairwise_kind="margin")
         with pytest.raises(ValueError):
-            LossWeights(g_bins=0)
+            LossWeights(calib_bins=0)

@@ -18,11 +18,9 @@ from helpers import random_dataset
 
 def make_fit_inputs(rng, n=120, k_bins=5, n_features=3):
     ds = random_dataset(rng, n, n_features=n_features, censor_frac=0.3)
-    grid = build_time_grid(ds, k_bins)
-    batch = bin_dataset(ds, grid)
-    idx = np.arange(n)
-    train = batch.take(idx[: int(0.75 * n)])
-    val = batch.take(idx[int(0.75 * n):])
+    cut = int(0.75 * n)
+    train = bin_dataset(ds, build_time_grid(ds, k_bins)).take(np.arange(cut))
+    val = ds.subset(np.arange(cut, n))
     cfg = ModelConfig(input_dim=n_features, hidden_dim=8, n_blocks=1,
                       dropout_rate=0.1, k_bins=k_bins)
     return train, val, cfg
@@ -142,16 +140,6 @@ class TestTrainEpoch:
 
 
 class TestFit:
-    def test_requires_shared_grid_object(self, rng):
-        ds = random_dataset(rng, 40)
-        g1 = build_time_grid(ds, 5)
-        g2 = build_time_grid(ds, 5)
-        cfg = ModelConfig(input_dim=3, hidden_dim=4, n_blocks=0, k_bins=5,
-                          dropout_rate=0.0)
-        with pytest.raises(ValueError, match="grid"):
-            fit(bin_dataset(ds, g1), bin_dataset(ds, g2), cfg, LossWeights(),
-                TrainConfig(epochs=1, batch_size=16, lr_init=0.01))
-
     def test_zero_epochs_returns_untrained_copy(self, rng):
         train, val, cfg = make_fit_inputs(rng)
         params, records = fit(train, val, cfg, LossWeights(),
