@@ -145,8 +145,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (z - mean) * inv_std
         y = t[f"block{b}.bn.scale"] * xhat + t[f"block{b}.bn.shift"]
-        gate = y > 0
-        a = np.where(gate, y, 0.0)
+        a = np.maximum(y, 0.0)
         mask = None
         if train and cfg.dropout_rate > 0.0:
             mask = rng.random(a.shape) >= cfg.dropout_rate
@@ -155,7 +154,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             d = a
         if train:
             cache.blocks.append(_BlockCache(
-                x=h, xhat=xhat, inv_std=inv_std, gate=gate, mask=mask, keep=keep,
+                x=h, xhat=xhat, inv_std=inv_std, gate=y > 0, mask=mask, keep=keep,
             ))
         h = h + d
 

@@ -284,6 +284,66 @@ def pair_count_c_index(scores, times, events):
     return (higher + 0.5 * tied) / den
 
 
+def reference_log_rank_tables(times_a, events_a, times_b, events_b):
+    """The searchsorted log-rank tables that ``metrics._log_rank_tables``
+    replaced, kept as the oracle for its five values, bit for bit.
+
+    Knots are the distinct event times of both groups; at each knot, n1 and
+    n2 count each group's rows at or after it and d1, d2 its events there.
+    """
+    ta = np.asarray(times_a, dtype=np.float64)
+    tb = np.asarray(times_b, dtype=np.float64)
+    ea = np.asarray(events_a, dtype=np.int64)
+    eb = np.asarray(events_b, dtype=np.int64)
+    if ta.size == 0 or tb.size == 0:
+        raise ValueError("both groups must be non-empty")
+    ev_a = np.sort(ta[ea == 1])
+    ev_b = np.sort(tb[eb == 1])
+    knots = np.unique(np.concatenate([ev_a, ev_b]))
+    if knots.size == 0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    ta_sorted = np.sort(ta)
+    tb_sorted = np.sort(tb)
+    n1 = ta.size - np.searchsorted(ta_sorted, knots, side="left")
+    n2 = tb.size - np.searchsorted(tb_sorted, knots, side="left")
+    d1 = (np.searchsorted(ev_a, knots, side="right")
+          - np.searchsorted(ev_a, knots, side="left")).astype(np.float64)
+    d2 = (np.searchsorted(ev_b, knots, side="right")
+          - np.searchsorted(ev_b, knots, side="left")).astype(np.float64)
+    nt = (n1 + n2).astype(np.float64)
+    d = d1 + d2
+    e1 = float((d * n1 / nt).sum())
+    multi = nt > 1
+    v = float((d[multi] * (n1[multi] / nt[multi]) * (n2[multi] / nt[multi])
+               * (nt[multi] - d[multi]) / (nt[multi] - 1.0)).sum())
+    return float(d1.sum()), e1, float(d2.sum()), float(d.sum() - e1), v
+
+
+def reference_select_cutoff(scores, times, events, min_group_frac=0.1):
+    """Brute-force cutoff scan over ``reference_log_rank_tables``: every
+    midpoint between distinct scores, its groups by direct comparison, the
+    first of the largest statistics.  None when no candidate is admissible.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events, dtype=np.int64)
+    uniq = np.unique(s)
+    n = s.size
+    min_count = max(1, math.ceil(min_group_frac * n))
+    best_cut, best_stat = None, -np.inf
+    for cut in (uniq[:-1] + uniq[1:]) / 2.0:
+        high = s > cut
+        n_high = int(high.sum())
+        if n_high < min_count or n - n_high < min_count:
+            continue
+        o1, e1, _o2, _e2, v = reference_log_rank_tables(
+            t[high], e[high], t[~high], e[~high])
+        stat = 0.0 if v == 0.0 else float((o1 - e1) ** 2 / v)
+        if stat > best_stat:
+            best_cut, best_stat = float(cut), stat
+    return best_cut
+
+
 def reference_load_csv(path, time_column: str = "time",
                        event_column: str = "event") -> SurvivalDataset:
     """The per-cell ``float()`` CSV reader that ``load_csv`` replaced, kept

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from binsurv.data import bin_dataset, build_time_grid
 from binsurv.metrics import (
-    UndefinedMetricError, brier_score_t, c_index, default_eval_times,
+    UndefinedMetricError, _log_rank_tables, brier_score_t, c_index, default_eval_times,
     evaluate_model, hazard_ratio, ibs, kaplan_meier, log_rank, m_tdauc,
     select_cutoff, tdauc,
 )
@@ -19,7 +19,8 @@ from binsurv.model import (
 )
 from helpers import (
     brute_c_index, brute_tdauc, pair_count_c_index, random_dataset,
-    slow_brier, slow_km_survival_before,
+    reference_log_rank_tables, reference_select_cutoff, slow_brier,
+    slow_km_survival_before,
 )
 
 
@@ -303,6 +304,49 @@ class TestLogRank:
         with pytest.raises(ValueError):
             log_rank([], [], [1.0], [1])
 
+    @staticmethod
+    def tie_heavy_groups(rng, case):
+        """Two shuffled groups whose times are rounded to 0-3 decimals, so
+        tie blocks fall within and across groups; every fifth case has a
+        group without events, every seventh a size-1 group, every eleventh
+        no events at all."""
+        sizes = rng.integers(1, 40, size=2)
+        if case % 7 == 0:
+            sizes[case % 2] = 1
+        times = [np.round(rng.exponential(2.0, n) + 0.05, case % 4) for n in sizes]
+        events = [(rng.random(n) < rng.uniform(0.2, 0.9)).astype(np.int64)
+                  for n in sizes]
+        if case % 5 == 0:
+            events[1][:] = 0
+        if case % 11 == 0:
+            events[0][:] = 0
+            events[1][:] = 0
+        return times[0], events[0], times[1], events[1]
+
+    def test_tables_equal_the_reference(self):
+        # shuffled groups, then the same groups sorted by time, as the
+        # cutoff search passes them
+        rng = np.random.default_rng(13)
+        for case in range(400):
+            ta, ea, tb, eb = self.tie_heavy_groups(rng, case)
+            expect = reference_log_rank_tables(ta, ea, tb, eb)
+            assert _log_rank_tables(ta, ea, tb, eb) == expect, case
+            oa, ob = np.argsort(ta), np.argsort(tb)
+            assert _log_rank_tables(ta[oa], ea[oa], tb[ob], eb[ob]) == expect, case
+
+    @pytest.mark.parametrize("args, names", [
+        (([1.0, 2.0], [1], [3.0], [1]), "times_a and events_a"),
+        (([1.0], [1], [3.0, 4.0], [1, 0, 1]), "times_b and events_b"),
+        (([[1.0, 2.0]], [[1, 1]], [3.0], [1]), "times_a and events_a"),
+    ])
+    def test_rejects_mismatched_arguments(self, args, names):
+        with pytest.raises(ValueError, match=names):
+            log_rank(*args)
+
+    def test_rejects_nan_times(self):
+        with pytest.raises(ValueError, match="NaN"):
+            log_rank([1.0, math.nan], [1, 1], [2.0], [1])
+
 
 class TestCutoff:
     def test_picks_the_separating_gap(self):
@@ -331,8 +375,69 @@ class TestCutoff:
             select_cutoff([1.0, 1.0], [1.0, 2.0], [1, 1])
 
     def test_unsatisfiable_group_floor(self):
+        # three rows at a floor of half: both groups would need two rows
         with pytest.raises(UndefinedMetricError):
-            select_cutoff([1.0, 2.0], [1.0, 2.0], [1, 1], min_group_frac=0.9)
+            select_cutoff([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1, 1, 1],
+                          min_group_frac=0.5)
+
+    @pytest.mark.parametrize("frac", [math.nan, math.inf, -0.1, 0.6, 0.9])
+    def test_group_floor_must_lie_in_zero_to_half(self, frac):
+        with pytest.raises(ValueError, match="min_group_frac"):
+            select_cutoff([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1, 1, 1],
+                          min_group_frac=frac)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="scores, times and events"):
+            select_cutoff([1.0, 2.0, 3.0], [1.0, 2.0], [1, 1, 1])
+
+    def test_matches_the_brute_force_scan(self):
+        # tie-heavy cohorts: scores on a coarse lattice, times rounded to
+        # 0-2 decimals, group floors from none to half; a NaN score is above
+        # no cutoff, so its row stays in the low group
+        rng = np.random.default_rng(21)
+        for case in range(60):
+            n = int(rng.integers(6, 80))
+            scores = np.round(rng.normal(size=n), 1)
+            if case % 10 == 0:
+                scores[:2] = np.nan
+            times = np.round(rng.exponential(2.0, n) + 0.05, case % 3)
+            events = (rng.random(n) < 0.6).astype(np.int64)
+            frac = (0.0, 0.1, 0.25, 0.5)[case % 4]
+            expect = reference_select_cutoff(scores, times, events, frac)
+            if expect is None:
+                with pytest.raises(UndefinedMetricError):
+                    select_cutoff(scores, times, events, frac)
+            else:
+                assert select_cutoff(scores, times, events, frac) == expect, case
+
+    def test_bitwise_equal_statistics_keep_the_smaller_cutoff(self):
+        # the groups at 1.5 and 3.5 are mirror images, so both candidates
+        # score the same statistic to the last bit
+        scores = np.array([1.0, 2.0, 3.0, 4.0])
+        times = np.array([10.0, 1.0, 1.0, 10.0])
+        events = np.ones(4, dtype=np.int64)
+
+        def stat(cut):
+            high = scores > cut
+            o1, e1, _o2, _e2, v = reference_log_rank_tables(
+                times[high], events[high], times[~high], events[~high])
+            return (o1 - e1) ** 2 / v
+
+        assert stat(1.5) == stat(3.5) > stat(2.5)
+        assert select_cutoff(scores, times, events) == 1.5
+        assert reference_select_cutoff(scores, times, events) == 1.5
+
+    def test_best_cutoff_at_the_group_floor(self):
+        # the two highest scores die first and the rest in no score order;
+        # a floor of two rows admits exactly that high group, three do not
+        scores = np.arange(10.0)
+        times = np.array([5.0, 9.0, 3.0, 8.0, 4.0, 10.0, 6.0, 7.0, 0.2, 0.1])
+        events = np.ones(10, dtype=np.int64)
+        assert select_cutoff(scores, times, events, 0.2) == 7.5
+        assert reference_select_cutoff(scores, times, events, 0.2) == 7.5
+        assert select_cutoff(scores, times, events, 0.3) == 6.5
+        # negated scores: now the low group sits exactly at the floor
+        assert select_cutoff(-scores, times, events, 0.2) == -7.5
 
 
 class TestHazardRatio:
@@ -368,6 +473,19 @@ class TestHazardRatio:
     def test_cutoff_must_split(self):
         with pytest.raises(UndefinedMetricError):
             hazard_ratio([1.0, 2.0], [1.0, 2.0], [1, 1], 5.0)
+
+    def test_shuffled_rows_give_the_same_value(self, rng):
+        n = 300
+        times = np.round(rng.exponential(2.0, n) + 0.05, 1)
+        events = (rng.random(n) < 0.6).astype(np.int64)
+        scores = np.round(rng.normal(size=n), 1)
+        perm = rng.permutation(n)
+        assert (hazard_ratio(scores[perm], times[perm], events[perm], 0.05)
+                == hazard_ratio(scores, times, events, 0.05))
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="scores, times and events"):
+            hazard_ratio([1.0, 2.0], [1.0, 2.0], [1, 1, 0], 1.5)
 
 
 class TestEvaluateModel:
