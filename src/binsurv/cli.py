@@ -25,8 +25,8 @@ from .data import (
 )
 from .losses import LossWeights
 from .metrics import (
-    UndefinedMetricError, evaluate_model, select_cutoff, write_curve_csv,
-    write_report_csv,
+    UndefinedMetricError, evaluate_model, has_comparable_pair, select_cutoff,
+    write_curve_csv, write_report_csv,
 )
 from .model import apply_head, forward, load_checkpoint, predict_risk, save_checkpoint
 from .svgplot import line_plot_svg
@@ -88,11 +88,24 @@ class _Splits:
     scaler: FeatureScaler
 
 
+def _require_comparable_pair(cfg: ExperimentConfig, key: str,
+                             dataset: SurvivalDataset) -> None:
+    """Reject a split the C-index cannot score, naming the file ``key`` of
+    the config, or in single-file mode the split's part of data=."""
+    if has_comparable_pair(dataset.times, dataset.events):
+        return
+    label = (f"the {key.removesuffix('_csv')} split of data={cfg.data}"
+             if cfg.data else f"{key}={getattr(cfg, key)}")
+    raise ConfigError(f"{label} has no comparable pair (an event followed "
+                      "by a later time), so its C-index is undefined")
+
+
 def _load_splits(cfg: ExperimentConfig) -> _Splits:
     """Resolve single-file or pre-split data into standardized train/val(/test).
 
     The one scaler is fitted on the raw training split only, so validation
-    and test rows feed no statistic in either mode.
+    and test rows feed no statistic in either mode.  A validation split with
+    no comparable pair cannot select a model and is rejected here.
     """
     if cfg.data:
         raw = load_csv(cfg.data, cfg.time_col, cfg.event_col)
@@ -108,6 +121,7 @@ def _load_splits(cfg: ExperimentConfig) -> _Splits:
             test = load_csv(cfg.test_csv, cfg.time_col, cfg.event_col)
     else:
         raise ConfigError("provide either data= or train_csv= and val_csv=")
+    _require_comparable_pair(cfg, "val_csv", val)
     scaler = FeatureScaler.fit(train.features)
     return _Splits(
         train=apply_scaler(train, scaler),
@@ -235,7 +249,10 @@ def cmd_evaluate(args) -> int:
         load_csv(args.data, time_col, event_col),
         meta["feature_names"])
     test = apply_scaler(test_raw, scaler)
-    report = evaluate_model(params, test, grid, cutoff=meta.get("cutoff"))
+    try:
+        report = evaluate_model(params, test, grid, cutoff=meta.get("cutoff"))
+    except UndefinedMetricError as exc:
+        raise ConfigError(f"{args.data}: {exc}") from None
     out = Path(args.out or "eval")
     out.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out / "report.csv")
@@ -294,6 +311,7 @@ def cmd_ablate(args) -> int:
     splits = _load_splits(cfg)
     if splits.test is None:
         raise ConfigError("ablate needs a test split (single-CSV mode or test_csv=)")
+    _require_comparable_pair(cfg, "test_csv", splits.test)
     with config_errors():
         grid = build_time_grid(splits.train, cfg.k_bins)
     save_grid(grid, out / "grid.json")

@@ -88,7 +88,7 @@ def c_index(scores, times, events) -> float:
     # time order; same-time samples by score, so none is later and lower
     order = np.lexsort((s, t))
     s, t, is_event = s[order], t[order], e[order] == 1
-    den = int((t.size - np.searchsorted(t, t[is_event], side="right")).sum())
+    den = _comparable_pair_count(t, is_event)
     if den == 0:
         raise UndefinedMetricError("no comparable pairs for the concordance index")
     # a NaN score is neither higher than nor tied with any other, so its
@@ -106,6 +106,19 @@ def c_index(scores, times, events) -> float:
     tied = int((np.searchsorted(sorted_key, last_of_score, side="right")
                 - np.searchsorted(sorted_key, ev_key, side="right")).sum())
     return float((lower + 0.5 * tied) / den)
+
+
+def _comparable_pair_count(t, is_event) -> int:
+    """Pairs (event i, t_i < t_j) among samples sorted by time ``t``."""
+    return int((t.size - np.searchsorted(t, t[is_event], side="right")).sum())
+
+
+def has_comparable_pair(times, events) -> bool:
+    """Whether some event precedes a later time, so :func:`c_index` is defined."""
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events, dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    return _comparable_pair_count(t[order], e[order] == 1) > 0
 
 
 def _later_lower_count(s, is_event) -> int:
@@ -247,7 +260,8 @@ def tdauc(scores, times, events, t: float) -> float:
 
 
 def _tdauc_curve(scores, times, events, t_grid):
-    """(times, values) of TDAUC at the grid points that have cases and controls."""
+    """(times, values, mean) of TDAUC over the grid points that have cases
+    and controls; the mean is the mean TDAUC."""
     tm = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
     ts, values = [], []
@@ -257,13 +271,13 @@ def _tdauc_curve(scores, times, events, t_grid):
             values.append(tdauc(scores, times, events, float(t)))
     if not values:
         raise UndefinedMetricError("no evaluable time points for mean TDAUC")
-    return np.asarray(ts), np.asarray(values)
+    values = np.asarray(values)
+    return np.asarray(ts), values, float(np.mean(values))
 
 
 def m_tdauc(scores, times, events, t_grid) -> float:
     """Mean TDAUC over the evaluable grid points (empty case/control sets skipped)."""
-    _, values = _tdauc_curve(scores, times, events, t_grid)
-    return float(np.mean(values))
+    return _tdauc_curve(scores, times, events, t_grid)[2]
 
 
 def _check_paired(names: str, *arrays: np.ndarray) -> None:
@@ -468,7 +482,7 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
     eval_times = default_eval_times(grid)
     brier = _brier_curve(pmfs, times, events, eval_times, grid)
     ibs_value = _grid_mean(brier, eval_times)
-    td_times, td_vals = _tdauc_curve(risks, times, events, eval_times)
+    td_times, td_vals, mean_tdauc = _tdauc_curve(risks, times, events, eval_times)
 
     if cutoff is None:
         cutoff, cutoff_source, hr = math.nan, "none", math.nan
@@ -483,7 +497,7 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
             hr = math.nan
 
     return EvalReport(
-        c_index=cindex, ibs=ibs_value, m_tdauc=float(np.mean(td_vals)),
+        c_index=cindex, ibs=ibs_value, m_tdauc=mean_tdauc,
         hazard_ratio=hr, cutoff=cutoff, cutoff_source=cutoff_source,
         eval_times=eval_times, brier_curve=brier,
         tdauc_times=td_times, tdauc_curve=td_vals,

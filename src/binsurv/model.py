@@ -88,9 +88,8 @@ class _BlockCache:
     x: np.ndarray          # block input
     xhat: np.ndarray       # normalized pre-activation
     inv_std: np.ndarray    # 1/sqrt(batch var + eps)
-    gate: np.ndarray       # relu mask on scale*xhat + shift
-    mask: np.ndarray | None
-    keep: float
+    mask: np.ndarray       # relu gate (scale*xhat + shift > 0) and dropout keep
+    keep: float            # 1 - dropout rate; 1.0 means no dropout
 
 
 @dataclass(eq=False)
@@ -107,6 +106,12 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     Train mode uses batch statistics (batch size >= 2 required), draws
     dropout masks from ``seed`` and updates the running statistics in place.
     Eval mode is a pure function of (params, x).
+
+    Every elementwise step writes into an array this call allocated, and
+    ``x`` is never written.  An eval pass over n rows holds at most two
+    n x hidden_dim arrays at once (plus the n x k_bins logits at the end).
+    Train mode keeps each block's input, normalized pre-activation and one
+    combined ReLU-and-dropout mask for :func:`backward`.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
@@ -117,48 +122,61 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     train = mode == "train"
     if train and x.shape[0] < 2:
         raise ValueError("train-mode forward needs batch size >= 2 for batch statistics")
-    rng = None
+    dropout_keep = None
     if train and cfg.dropout_rate > 0.0:
         if seed is None:
             raise ValueError("train-mode forward with dropout needs a seed")
-        rng = np.random.default_rng(seed)
+        # one draw for all blocks: the same stream as one draw per block
+        dropout_keep = np.random.default_rng(seed).random(
+            (cfg.n_blocks, x.shape[0], cfg.hidden_dim)) >= cfg.dropout_rate
 
     t = params.tensors
-    h = x @ t["input.w"] + t["input.b"]
+    h = x @ t["input.w"]
+    h += t["input.b"]
     cache = ForwardCache(x0=x) if train else None
     keep = 1.0 - cfg.dropout_rate
 
     for b in range(cfg.n_blocks):
-        z = h @ t[f"block{b}.linear.w"] + t[f"block{b}.linear.b"]
+        z = h @ t[f"block{b}.linear.w"]
+        z += t[f"block{b}.linear.b"]
         if train:
             mean = z.mean(axis=0)
-            var = z.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mean) * inv_std
+            z -= mean
+            # the square of the centered rows, so the mean is taken once;
+            # the buffer is reused for the block output below
+            y = np.square(z)
+            var = y.mean(axis=0)
             t[f"block{b}.bn.mean"] *= 1.0 - BN_MOMENTUM
             t[f"block{b}.bn.mean"] += BN_MOMENTUM * mean
             t[f"block{b}.bn.var"] *= 1.0 - BN_MOMENTUM
             t[f"block{b}.bn.var"] += BN_MOMENTUM * var
         else:
-            mean = t[f"block{b}.bn.mean"]
+            z -= t[f"block{b}.bn.mean"]
             var = t[f"block{b}.bn.var"]
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mean) * inv_std
-        y = t[f"block{b}.bn.scale"] * xhat + t[f"block{b}.bn.shift"]
-        a = np.maximum(y, 0.0)
-        mask = None
-        if train and cfg.dropout_rate > 0.0:
-            mask = rng.random(a.shape) >= cfg.dropout_rate
-            d = a * mask / keep
-        else:
-            d = a
+            y = z  # eval keeps no normalized copy, so the block works in z
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        z *= inv_std                       # z is now xhat
+        np.multiply(z, t[f"block{b}.bn.scale"], out=y)
+        y += t[f"block{b}.bn.shift"]
+        np.maximum(y, 0.0, out=y)
         if train:
+            mask = y > 0.0
+            if dropout_keep is not None:
+                mask &= dropout_keep[b]
+                y *= mask
+                y /= keep
             cache.blocks.append(_BlockCache(
-                x=h, xhat=xhat, inv_std=inv_std, gate=y > 0, mask=mask, keep=keep,
+                x=h, xhat=z, inv_std=inv_std, mask=mask, keep=keep,
             ))
-        h = h + d
+            # h is cached for backward, so the residual sum goes into y
+            y += h
+            h = y
+        else:
+            h += y
+        del z, y  # freed before the next block's matmul allocates
 
-    logits = h @ t["output.w"] + t["output.b"]
+    logits = h @ t["output.w"]
+    logits += t["output.b"]
     if train:
         cache.h_final = h
         params.updates += 1
@@ -168,7 +186,12 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
 
 def backward(params: ModelParams, cache: ForwardCache,
              grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of sum(grad_logits * logits) w.r.t. every trainable tensor."""
+    """Exact gradients of sum(grad_logits * logits) w.r.t. every trainable tensor.
+
+    Per block, one n x hidden_dim buffer carries the gradient from the
+    dropout output down to the block's pre-activation, and the residual
+    gradient accumulates in place; ``grad_logits`` is never written.
+    """
     cfg = params.config
     t = params.tensors
     g = np.asarray(grad_logits, dtype=np.float64)
@@ -183,25 +206,28 @@ def backward(params: ModelParams, cache: ForwardCache,
 
     for b in range(cfg.n_blocks - 1, -1, -1):
         blk = cache.blocks[b]
-        dd = dh  # gradient reaching the dropout output on the residual branch
-        if blk.mask is not None:
-            da = dd * blk.mask / blk.keep
-        else:
-            da = dd
-        dy = np.where(blk.gate, da, 0.0)
-        grads[f"block{b}.bn.scale"] = (dy * blk.xhat).sum(axis=0)
-        grads[f"block{b}.bn.shift"] = dy.sum(axis=0)
-        dxhat = dy * t[f"block{b}.bn.scale"]
+        # gradient reaching the residual branch, through dropout and ReLU
+        dz = dh * blk.mask
+        if blk.keep < 1.0:
+            dz /= blk.keep
+        tmp = dz * blk.xhat
+        grads[f"block{b}.bn.scale"] = tmp.sum(axis=0)
+        grads[f"block{b}.bn.shift"] = dz.sum(axis=0)
+        dz *= t[f"block{b}.bn.scale"]      # dz is now the xhat gradient
         # batch-statistics backward: mean and variance both depend on z
-        m = dxhat.shape[0]
-        dz = (blk.inv_std / m) * (
-            m * dxhat
-            - dxhat.sum(axis=0)
-            - blk.xhat * (dxhat * blk.xhat).sum(axis=0)
-        )
+        m = dz.shape[0]
+        dxhat_sum = dz.sum(axis=0)
+        np.multiply(dz, blk.xhat, out=tmp)
+        dxhat_xhat_sum = tmp.sum(axis=0)
+        dz *= m
+        dz -= dxhat_sum
+        np.multiply(blk.xhat, dxhat_xhat_sum, out=tmp)
+        dz -= tmp
+        dz *= blk.inv_std / m
+        del tmp  # freed before the matmuls below allocate
         grads[f"block{b}.linear.w"] = blk.x.T @ dz
         grads[f"block{b}.linear.b"] = dz.sum(axis=0)
-        dh = dh + dz @ t[f"block{b}.linear.w"].T
+        dh += dz @ t[f"block{b}.linear.w"].T
 
     grads["input.w"] = cache.x0.T @ dh
     grads["input.b"] = dh.sum(axis=0)
@@ -209,13 +235,18 @@ def backward(params: ModelParams, cache: ForwardCache,
 
 
 def apply_head(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax over k bin logits."""
+    """Stable softmax over k bin logits.
+
+    The result is one fresh array, shifted, exponentiated and normalized in
+    place; ``logits`` is never written.
+    """
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    p = z - z.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def head_backward(pmf: np.ndarray, grad_pmf: np.ndarray) -> np.ndarray:

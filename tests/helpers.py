@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,7 +14,9 @@ from binsurv.data import (
 )
 from binsurv.losses import LossWeights, combined_loss
 from binsurv.metrics import kaplan_meier
-from binsurv.model import ModelParams, apply_head, forward, head_backward, backward
+from binsurv.model import (
+    BN_EPS, BN_MOMENTUM, ModelParams, apply_head, backward, forward, head_backward,
+)
 
 GRAD_FLOOR = 1e-4  # relative-error denominator floor for near-zero gradients
 
@@ -408,3 +410,126 @@ def reference_load_csv(path, time_column: str = "time",
             f"in column '{feature_names[col]}'"
         )
     return SurvivalDataset(features, times, events, feature_names)
+
+
+@dataclass(eq=False)
+class ReferenceBlockCache:
+    x: np.ndarray
+    xhat: np.ndarray
+    inv_std: np.ndarray
+    gate: np.ndarray
+    mask: np.ndarray | None
+    keep: float
+
+
+@dataclass(eq=False)
+class ReferenceForwardCache:
+    x0: np.ndarray
+    blocks: list[ReferenceBlockCache] = field(default_factory=list)
+    h_final: np.ndarray | None = None
+
+
+def reference_forward(params: ModelParams, x, mode: str = "train", seed=None):
+    """The allocating forward pass that ``model.forward`` replaced, kept as
+    the oracle for its logits and running statistics, bit for bit.
+
+    Every step makes a new array, train mode takes the batch mean twice
+    (``z.var`` recomputes it), and each block draws its own dropout
+    uniforms from the one seeded generator.
+    """
+    cfg = params.config
+    x = np.asarray(x, dtype=np.float64)
+    train = mode == "train"
+    rng = None
+    if train and cfg.dropout_rate > 0.0:
+        rng = np.random.default_rng(seed)
+
+    t = params.tensors
+    h = x @ t["input.w"] + t["input.b"]
+    cache = ReferenceForwardCache(x0=x) if train else None
+    keep = 1.0 - cfg.dropout_rate
+
+    for b in range(cfg.n_blocks):
+        z = h @ t[f"block{b}.linear.w"] + t[f"block{b}.linear.b"]
+        if train:
+            mean = z.mean(axis=0)
+            var = z.var(axis=0)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            xhat = (z - mean) * inv_std
+            t[f"block{b}.bn.mean"] *= 1.0 - BN_MOMENTUM
+            t[f"block{b}.bn.mean"] += BN_MOMENTUM * mean
+            t[f"block{b}.bn.var"] *= 1.0 - BN_MOMENTUM
+            t[f"block{b}.bn.var"] += BN_MOMENTUM * var
+        else:
+            mean = t[f"block{b}.bn.mean"]
+            var = t[f"block{b}.bn.var"]
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            xhat = (z - mean) * inv_std
+        y = t[f"block{b}.bn.scale"] * xhat + t[f"block{b}.bn.shift"]
+        a = np.maximum(y, 0.0)
+        mask = None
+        if train and cfg.dropout_rate > 0.0:
+            mask = rng.random(a.shape) >= cfg.dropout_rate
+            d = a * mask / keep
+        else:
+            d = a
+        if train:
+            cache.blocks.append(ReferenceBlockCache(
+                x=h, xhat=xhat, inv_std=inv_std, gate=y > 0, mask=mask, keep=keep,
+            ))
+        h = h + d
+
+    logits = h @ t["output.w"] + t["output.b"]
+    if train:
+        cache.h_final = h
+        params.updates += 1
+        return logits, cache
+    return logits, None
+
+
+def reference_backward(params: ModelParams, cache: ReferenceForwardCache,
+                       grad_logits) -> dict[str, np.ndarray]:
+    """The allocating backward pass that ``model.backward`` replaced, over
+    a :func:`reference_forward` cache with separate ReLU gate and dropout
+    mask."""
+    cfg = params.config
+    t = params.tensors
+    g = np.asarray(grad_logits, dtype=np.float64)
+
+    grads: dict[str, np.ndarray] = {}
+    grads["output.w"] = cache.h_final.T @ g
+    grads["output.b"] = g.sum(axis=0)
+    dh = g @ t["output.w"].T
+
+    for b in range(cfg.n_blocks - 1, -1, -1):
+        blk = cache.blocks[b]
+        dd = dh
+        if blk.mask is not None:
+            da = dd * blk.mask / blk.keep
+        else:
+            da = dd
+        dy = np.where(blk.gate, da, 0.0)
+        grads[f"block{b}.bn.scale"] = (dy * blk.xhat).sum(axis=0)
+        grads[f"block{b}.bn.shift"] = dy.sum(axis=0)
+        dxhat = dy * t[f"block{b}.bn.scale"]
+        m = dxhat.shape[0]
+        dz = (blk.inv_std / m) * (
+            m * dxhat
+            - dxhat.sum(axis=0)
+            - blk.xhat * (dxhat * blk.xhat).sum(axis=0)
+        )
+        grads[f"block{b}.linear.w"] = blk.x.T @ dz
+        grads[f"block{b}.linear.b"] = dz.sum(axis=0)
+        dh = dh + dz @ t[f"block{b}.linear.w"].T
+
+    grads["input.w"] = cache.x0.T @ dh
+    grads["input.b"] = dh.sum(axis=0)
+    return grads
+
+
+def reference_apply_head(logits) -> np.ndarray:
+    """The allocating softmax that ``model.apply_head`` replaced."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)

@@ -13,7 +13,9 @@ from binsurv.cli import main
 from binsurv.config import (
     ConfigError, ExperimentConfig, build_config, parse_config_file,
 )
-from binsurv.data import FeatureScaler, load_csv, load_grid, write_csv
+from binsurv.data import (
+    FeatureScaler, SurvivalDataset, load_csv, load_grid, write_csv,
+)
 from binsurv.model import apply_head, forward, load_checkpoint, predict_risk
 
 
@@ -264,6 +266,79 @@ class TestTrainCommand:
         for name in ("checkpoint.json", "history.csv", "grid.json"):
             assert (single / name).read_bytes() == (presplit / name).read_bytes(), name
         assert (single / "test.csv").read_bytes() == (prep / "test.csv").read_bytes()
+
+
+def unscorable_copy(src, dst, kind):
+    """``src`` with no comparable pair: every row censored, or every event
+    at the largest time, so no event is followed by a later time."""
+    ds = load_csv(src)
+    if kind == "all-censored":
+        events = np.zeros_like(ds.events)
+    else:
+        events = (ds.times == ds.times.max()).astype(np.int64)
+    write_csv(SurvivalDataset(ds.features, ds.times, events, ds.feature_names), dst)
+    return dst
+
+
+@pytest.fixture(scope="module")
+def prep_dir(data_csv, tmp_path_factory):
+    prep = tmp_path_factory.mktemp("prep")
+    assert run(["prepare", "--data", str(data_csv), "--out", str(prep),
+                "--seed", "2"]) == 0
+    return prep
+
+
+class TestUnscorableSplits:
+    """A split the C-index cannot score exits 2 naming it, before training."""
+
+    KINDS = ["all-censored", "events-at-the-last-time"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_validation_split_rejected_before_training(self, prep_dir, tmp_path,
+                                                       capsys, command, kind):
+        val = unscorable_copy(prep_dir / "val.csv", tmp_path / "val_bad.csv", kind)
+        out = tmp_path / "o"
+        code = run([command, "--out", str(out), *FAST,
+                    "--set", f"train_csv={prep_dir / 'train.csv'}",
+                    "--set", f"val_csv={val}",
+                    "--set", f"test_csv={prep_dir / 'test.csv'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: val_csv={val} has no comparable pair" in err
+        assert not list(out.rglob("history.csv"))  # no epoch ran
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ablate_test_split_rejected_before_training(self, prep_dir, tmp_path,
+                                                        capsys, kind):
+        test = unscorable_copy(prep_dir / "test.csv", tmp_path / "test_bad.csv", kind)
+        out = tmp_path / "o"
+        code = run(["ablate", "--out", str(out), *FAST, "--rows", "mle",
+                    "--set", f"train_csv={prep_dir / 'train.csv'}",
+                    "--set", f"val_csv={prep_dir / 'val.csv'}",
+                    "--set", f"test_csv={test}"])
+        assert code == 2
+        assert f"error: test_csv={test} has no comparable pair" in capsys.readouterr().err
+        assert not list(out.rglob("history.csv"))
+
+    def test_single_file_split_is_named(self, data_csv, tmp_path, capsys):
+        # the validation split is checked before the grid is built
+        data = unscorable_copy(data_csv, tmp_path / "censored.csv", "all-censored")
+        code = run(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                    *FAST])
+        assert code == 2
+        assert (f"error: the val split of data={data} has no comparable pair"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_evaluate_names_the_data_file(self, run_dir, tmp_path, capsys, kind):
+        data = unscorable_copy(run_dir / "test.csv", tmp_path / "bad.csv", kind)
+        code = run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--grid", str(run_dir / "grid.json"), "--data", str(data),
+                    "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert (f"error: {data}: no comparable pairs for the concordance index"
+                in capsys.readouterr().err)
 
 
 class TestEvaluateCommand:

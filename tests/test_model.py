@@ -1,6 +1,7 @@
 """Network forward/backward, output head, risk mapping, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from binsurv.model import (
     ModelConfig, apply_head, backward, forward, head_backward, init_params,
     load_checkpoint, predict_risk, predict_survival, save_checkpoint,
 )
-from helpers import fd_input_grad, rel_err_arr
+from helpers import (
+    fd_input_grad, reference_apply_head, reference_backward, reference_forward,
+    rel_err_arr,
+)
 
 
 def small_config(k_bins=5, dropout=0.0):
@@ -245,6 +249,124 @@ class TestBackward:
             num = (up - dn) / (2 * h)
             denom = max(abs(num), abs(analytic[name][idx]), 1e-4)
             assert abs(num - analytic[name][idx]) / denom < 1e-5
+
+
+def perturbed_params(cfg, rng):
+    """Initial params with every tensor moved off its init value, so biases,
+    the batch-norm affine and the running statistics all take part."""
+    p = init_params(cfg, seed=int(rng.integers(1000)))
+    for name, tensor in p.tensors.items():
+        if name.endswith(".var"):
+            tensor[...] = rng.uniform(0.5, 2.0, size=tensor.shape)
+        elif name.endswith(".scale"):
+            tensor[...] = rng.uniform(0.5, 1.5, size=tensor.shape)
+        else:
+            tensor += 0.3 * rng.standard_normal(tensor.shape)
+    return p
+
+
+class TestReferencePasses:
+    """The in-place passes against the allocating ones they replaced, bit for
+    bit.  ``np.array_equal`` counts -0.0 equal to 0.0: where ReLU closed the
+    gate, backward multiplies by the combined mask instead of writing +0.0,
+    and the sign of that exact zero is the only difference it can make."""
+
+    @pytest.mark.parametrize("n", [2, 3, 257, 1024])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_passes_equal_the_reference(self, mode, dropout, n_blocks, n):
+        rng = np.random.default_rng([n, n_blocks, int(dropout * 10)])
+        cfg = ModelConfig(input_dim=6, hidden_dim=16, n_blocks=n_blocks,
+                          dropout_rate=dropout, k_bins=7)
+        p = perturbed_params(cfg, rng)
+        ref = p.copy()
+        x = 2.0 * rng.standard_normal((n, cfg.input_dim))
+        x_before = x.copy()
+        seed = [5, n]
+
+        logits, cache = forward(p, x, mode=mode, seed=seed)
+        ref_logits, ref_cache = reference_forward(ref, x, mode=mode, seed=seed)
+        assert np.array_equal(logits, ref_logits)
+        assert p.updates == ref.updates
+        for name, tensor in p.tensors.items():
+            assert np.array_equal(tensor, ref.tensors[name]), name
+
+        logits_before = logits.copy()
+        pmfs = apply_head(logits)
+        assert np.array_equal(pmfs, reference_apply_head(logits))
+        assert np.array_equal(logits, logits_before)
+
+        if mode == "train":
+            grad_pmf = rng.standard_normal(pmfs.shape)
+            grad_logits = head_backward(pmfs, grad_pmf)
+            g_before = grad_logits.copy()
+            grads = backward(p, cache, grad_logits)
+            ref_grads = reference_backward(ref, ref_cache, grad_logits)
+            assert grads.keys() == ref_grads.keys()
+            assert set(grads) == set(p.trainable_names())
+            for name, grad in grads.items():
+                assert np.array_equal(grad, ref_grads[name]), name
+            assert np.array_equal(grad_logits, g_before)
+        else:
+            assert cache is None and ref_cache is None
+        assert np.array_equal(x, x_before)
+
+    def test_repeated_train_steps_stay_equal(self, rng):
+        # the running statistics compound over steps; a drift would show here
+        cfg = ModelConfig(input_dim=5, hidden_dim=12, n_blocks=2,
+                          dropout_rate=0.2, k_bins=6)
+        p = perturbed_params(cfg, rng)
+        ref = p.copy()
+        for step in range(20):
+            x = rng.standard_normal((64, cfg.input_dim))
+            c = rng.standard_normal((64, cfg.k_bins))
+            logits, cache = forward(p, x, mode="train", seed=[step])
+            ref_logits, ref_cache = reference_forward(ref, x, mode="train", seed=[step])
+            assert np.array_equal(logits, ref_logits)
+            grads = backward(p, cache, c)
+            ref_grads = reference_backward(ref, ref_cache, c)
+            for name in p.trainable_names():
+                assert np.array_equal(grads[name], ref_grads[name]), name
+                p.tensors[name] -= 0.05 * grads[name]
+                ref.tensors[name] -= 0.05 * ref_grads[name]
+        for name, tensor in p.tensors.items():
+            assert np.array_equal(tensor, ref.tensors[name]), name
+
+    def test_head_on_one_row_and_extreme_logits(self):
+        for z in (np.array([0.5, -1.0, 3.0]), np.array([[700.0, -700.0, 0.0]]),
+                  np.array([[-1e300, 1e300, 0.0]])):
+            assert np.array_equal(apply_head(z), reference_apply_head(z))
+
+
+class TestPeakMemory:
+    """numpy reports its buffers to tracemalloc, so a pass's traced peak is
+    the most memory its temporaries hold at once."""
+
+    n, hidden, k = 20_000, 32, 10
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base
+
+    def test_eval_forward_holds_at_most_two_hidden_arrays(self, rng):
+        cfg = ModelConfig(input_dim=10, hidden_dim=self.hidden, n_blocks=2,
+                          k_bins=self.k)
+        p = perturbed_params(cfg, rng)
+        x = rng.standard_normal((self.n, cfg.input_dim))
+        peak = self.traced_peak(lambda: forward(p, x, mode="eval"))
+        assert peak <= 2.5 * self.n * self.hidden * 8
+
+    def test_head_holds_about_one_output_array(self, rng):
+        logits = rng.standard_normal((self.n, self.k))
+        peak = self.traced_peak(lambda: apply_head(logits))
+        assert peak <= 1.5 * self.n * self.k * 8
 
 
 class TestCheckpoint:
