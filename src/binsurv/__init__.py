@@ -4,18 +4,17 @@ objectives on a shared time grid."""
 from .config import ConfigError, ExperimentConfig, build_config, parse_config_file
 from .data import (
     BinnedBatch, CsvFormatError, DegenerateGridError, FeatureScaler,
-    SurvivalDataset, TimeGrid, apply_scaler, assign_bin, bin_dataset,
-    bin_midpoints, build_time_grid, load_csv, load_grid, normalize_time,
-    save_grid, split_dataset, write_csv,
+    SurvivalDataset, apply_scaler, assign_bin, bin_dataset, bin_midpoints,
+    build_time_grid, load_csv, load_grid, normalize_time, save_grid,
+    split_dataset, write_csv,
 )
 from .losses import (
     LossWeights, calibration_loss, combined_loss, likelihood_loss, rank_loss,
     time_rank_loss,
 )
 from .metrics import (
-    EvalReport, KMCurve, UndefinedMetricError, brier_score_t, c_index,
-    evaluate_model, hazard_ratio, ibs, kaplan_meier, log_rank, m_tdauc,
-    select_cutoff, tdauc,
+    UndefinedMetricError, brier_score_t, c_index, evaluate_model,
+    hazard_ratio, ibs, kaplan_meier, log_rank, m_tdauc, select_cutoff, tdauc,
 )
 from .model import (
     ModelConfig, ModelParams, apply_head, backward, forward, head_backward,

@@ -199,12 +199,9 @@ def cmd_train(args) -> int:
     _, history = _train_once(splits, grid, cfg, cfg.loss_weights(), out)
     (out / "config_resolved.txt").write_text(
         "\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
-    if history:
-        best = max(history, key=lambda r: r.val_c_index)
-        print(f"train: {len(history)} epochs; best val C-index "
-              f"{best.val_c_index:.4f} at epoch {best.epoch}; artifacts in {out}")
-    else:
-        print(f"train: {len(history)} epochs; artifacts in {out}")
+    best = max(history, key=lambda r: r.val_c_index)
+    print(f"train: {len(history)} epochs; best val C-index "
+          f"{best.val_c_index:.4f} at epoch {best.epoch}; artifacts in {out}")
     return 0
 
 

@@ -59,19 +59,39 @@ class FeatureScaler:
 class TimeGrid:
     """Affine normalization of study time plus a 1/k-wide bin layout.
 
-    ``t_min``/``t_max`` are the smallest and largest *event* times seen when
-    the grid was built.  ``t_min`` maps to 0.1/k, ``t_max`` to (k - 2.1)/k and
-    everything at or beyond ``t_max_1`` is cropped onto (k - 1)/k, the left
-    edge of the reserved final bin.
+    Three numbers fix the grid: ``k_bins`` and ``t_min``/``t_max``, the
+    smallest and largest *event* times seen when the grid was built.
+    ``t_min`` maps to 0.1/k, ``t_max`` to (k - 2.1)/k and everything at or
+    beyond ``t_max_1`` is cropped onto (k - 1)/k, the left edge of the
+    reserved final bin.  The other constants are derived from these three.
     """
 
     k_bins: int
     t_min: float
     t_max: float
-    delta_t: float
-    t_min_prime: float
-    t_max_1: float
-    t_max_2: float
+
+    def __post_init__(self):
+        if self.k_bins < MIN_K_BINS:
+            raise ValueError(f"k_bins must be at least {MIN_K_BINS}")
+        if not -math.inf < self.t_min < self.t_max < math.inf:  # NaN fails too
+            raise ValueError("grid times must be finite with t_min < t_max, "
+                             f"got {self.t_min!r} and {self.t_max!r}")
+
+    @property
+    def delta_t(self) -> float:
+        return (self.t_max - self.t_min) / (self.k_bins - 2.2)
+
+    @property
+    def t_min_prime(self) -> float:
+        return self.t_min - 0.1 * self.delta_t
+
+    @property
+    def t_max_1(self) -> float:
+        return self.t_min_prime + (self.k_bins - 1) * self.delta_t
+
+    @property
+    def t_max_2(self) -> float:
+        return self.t_min_prime + self.k_bins * self.delta_t
 
     @property
     def span(self) -> float:
@@ -159,26 +179,12 @@ def build_time_grid(dataset: SurvivalDataset, k_bins: int) -> TimeGrid:
     first event, events occupy bins 1..k-2 and the top of the grid keeps one
     finite interval plus the reserved "beyond observation" bin.
     """
-    if k_bins < MIN_K_BINS:
-        raise ValueError(f"k_bins must be at least {MIN_K_BINS}")
     event_times = dataset.times[dataset.events == 1]
     if np.unique(event_times).size < 2:
         raise DegenerateGridError(
             "time grid needs at least two distinct event times"
         )
-    t_min = float(event_times.min())
-    t_max = float(event_times.max())
-    delta_t = (t_max - t_min) / (k_bins - 2.2)
-    t_min_prime = t_min - 0.1 * delta_t
-    return TimeGrid(
-        k_bins=k_bins,
-        t_min=t_min,
-        t_max=t_max,
-        delta_t=delta_t,
-        t_min_prime=t_min_prime,
-        t_max_1=t_min_prime + (k_bins - 1) * delta_t,
-        t_max_2=t_min_prime + k_bins * delta_t,
-    )
+    return TimeGrid(k_bins, float(event_times.min()), float(event_times.max()))
 
 
 def normalize_time(t, grid: TimeGrid):
@@ -217,13 +223,15 @@ def bin_midpoints(k_bins: int) -> np.ndarray:
 def bin_dataset(dataset: SurvivalDataset, grid: TimeGrid) -> BinnedBatch:
     """Normalize and bin every sample with a pre-built grid.
 
-    Event samples can never occupy the reserved final bin: on held-out data an
-    event beyond the grid's crop point is clamped into bin k-1.
+    Events never occupy the reserved final bin: on the split the grid was
+    built from, the last event lands in bin k - 2.  An event at or beyond
+    the grid's crop point raises ValueError.
     """
     t_norm = normalize_time(dataset.times, grid)
     bins = assign_bin(t_norm, grid.k_bins)
-    is_event = dataset.events == 1
-    bins = np.where(is_event & (bins == grid.k_bins), grid.k_bins - 1, bins)
+    if np.any(bins[dataset.events == 1] == grid.k_bins):
+        raise ValueError(f"an event lies in the reserved bin {grid.k_bins}, "
+                         "at or beyond the grid's crop point")
     return BinnedBatch(features=dataset.features, t_norm=t_norm, bins=bins,
                        events=dataset.events)
 
@@ -392,17 +400,13 @@ def split_dataset(dataset: SurvivalDataset, ratios, seed: int):
 
 
 def save_grid(grid: TimeGrid, path) -> None:
-    """Persist grid constants as JSON (floats round-trip via repr)."""
+    """Persist the three grid numbers as JSON (floats round-trip via repr)."""
     payload = {
         "format": "binsurv-grid",
         "version": 1,
         "k_bins": grid.k_bins,
         "t_min": grid.t_min,
         "t_max": grid.t_max,
-        "delta_t": grid.delta_t,
-        "t_min_prime": grid.t_min_prime,
-        "t_max_1": grid.t_max_1,
-        "t_max_2": grid.t_max_2,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -410,19 +414,16 @@ def save_grid(grid: TimeGrid, path) -> None:
 
 
 def load_grid(path) -> TimeGrid:
+    """Inverse of :func:`save_grid`; a file that also lists the derived
+    constants, as older versions wrote, loads to the same grid."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != "binsurv-grid":
         raise ValueError(f"{path}: not a binsurv grid file")
     try:
-        return TimeGrid(
-            k_bins=int(payload["k_bins"]),
-            t_min=float(payload["t_min"]),
-            t_max=float(payload["t_max"]),
-            delta_t=float(payload["delta_t"]),
-            t_min_prime=float(payload["t_min_prime"]),
-            t_max_1=float(payload["t_max_1"]),
-            t_max_2=float(payload["t_max_2"]),
-        )
+        return TimeGrid(int(payload["k_bins"]), float(payload["t_min"]),
+                        float(payload["t_max"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BinnedBatch, bin_midpoints
+from .metrics import has_comparable_pair
 from .model import predict_risk
 
 LIKELIHOOD_FLOOR = 1e-12
@@ -105,10 +106,10 @@ def _pair_layout(t_norm, events):
     (t_i < t_j) sit before position ``earlier[j]``.
     """
     t = np.asarray(t_norm, dtype=np.float64)
+    if not has_comparable_pair(t, events):
+        return None
     is_event = np.asarray(events) == 1
     n_events = int(is_event.sum())
-    if n_events == 0 or not np.any(t[is_event] < t.max()):
-        return None
     order = np.argsort(t, kind="stable")
     t_sorted = t[order]
     later = np.searchsorted(t_sorted, t, side="right")

@@ -114,11 +114,10 @@ def _comparable_pair_count(t, is_event) -> int:
 
 
 def has_comparable_pair(times, events) -> bool:
-    """Whether some event precedes a later time, so :func:`c_index` is defined."""
+    """Whether some event precedes a later time, so :func:`c_index` is
+    defined: exactly when some event is earlier than the latest time."""
     t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
-    order = np.argsort(t, kind="stable")
-    return _comparable_pair_count(t[order], e[order] == 1) > 0
+    return t.size > 0 and bool(np.any(t[np.asarray(events) == 1] < t.max()))
 
 
 def _later_lower_count(s, is_event) -> int:

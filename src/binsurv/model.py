@@ -30,8 +30,11 @@ class ModelConfig:
     k_bins: int = 10
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_dim < 1 or self.n_blocks < 0:
-            raise ValueError("dimensions must be positive")
+        for name in ("input_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.n_blocks < 0:
+            raise ValueError("n_blocks must be non-negative")
         if not 0.0 <= self.dropout_rate < 1.0:
             # the config key; checkpoint.json keeps the field name
             raise ValueError("dropout must lie in [0, 1)")
@@ -315,7 +318,9 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; returns (params, meta).
 
-    A body that format v1 does not write raises ValueError naming the file.
+    A body that format v1 does not write raises ValueError naming the file:
+    the tensors must have exactly the names and shapes :func:`init_params`
+    lays out for the stored config, and finite values.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -336,11 +341,28 @@ def load_checkpoint(path):
         if unknown:
             raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
         cfg = ModelConfig(**{name: config[name] for name in names})
-        tensors = {
-            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in payload["tensors"].items()
-        }
+        layout = init_params(cfg, seed=0).tensors
+        entries = payload["tensors"]
+        for name in (*layout, *entries):
+            if (name in layout) != (name in entries):
+                state = "missing" if name in layout else "unexpected"
+                raise ValueError(f"{path}: {state} tensor {name!r}")
+        tensors = {name: _stored_tensor(path, name, entry, layout[name].shape)
+                   for name, entry in entries.items()}
         params = ModelParams(config=cfg, tensors=tensors, updates=int(payload["updates"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     return params, payload.get("meta", {})
+
+
+def _stored_tensor(path, name: str, entry: dict, shape: tuple) -> np.ndarray:
+    """One checkpoint tensor as an array of ``shape``, finite throughout."""
+    try:
+        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValueError(f"{path}: tensor {name!r} must be a {list(shape)} array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: tensor {name!r} has a non-finite value")
+    return arr

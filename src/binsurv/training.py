@@ -27,8 +27,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if not 0.0 < self.lr_init < np.inf:
@@ -146,10 +146,7 @@ def fit(train: BinnedBatch, val: SurvivalDataset, model_config: ModelConfig,
     The raw validation rows are scored after every epoch, and the snapshot
     with the highest validation C-index wins.
     """
-    params = init_params(model_config, config.seed)
-    state = TrainState(params=params)
-    if config.epochs == 0:
-        return params.copy(), []
+    state = TrainState(params=init_params(model_config, config.seed))
     for _ in range(config.epochs):
         train_epoch(state, train, weights, config)
         score = validation_c_index(state.params, val)

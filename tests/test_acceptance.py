@@ -168,11 +168,12 @@ def test_a06_ten_bin_grid_reference_points():
     assert assign_bin(0.9, 10) == 10
 
     # the final bin is reserved for right-censored tails: a late *event*
-    # lands in bin 9, a late censoring keeps bin 10
+    # is rejected, a late censoring, binned alone, keeps bin 10
     late = SurvivalDataset(np.zeros((2, 1)), np.array([50.0, 50.0]),
                            np.array([1, 0]), ("x1",))
-    binned = bin_dataset(late, grid)
-    assert binned.bins[0] == 9 and binned.bins[1] == 10
+    with pytest.raises(ValueError, match="reserved bin 10"):
+        bin_dataset(late, grid)
+    assert bin_dataset(late.subset([1]), grid).bins[0] == 10
 
 
 def test_a07_pairwise_gradients_push_risks_apart_under_both_signs(rng):

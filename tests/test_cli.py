@@ -43,6 +43,23 @@ def run_dir(data_csv, tmp_path_factory):
     return out
 
 
+def edit_tensors(payload, drop=None, narrow=None, first_value=(), add=None):
+    """A copy of a checkpoint payload with one tensor edit applied."""
+    payload = json.loads(json.dumps(payload))
+    tensors = payload["tensors"]
+    if drop:
+        del tensors[drop]
+    if narrow:  # one output column fewer, data cut to match
+        rows, cols = tensors[narrow]["shape"]
+        tensors[narrow] = {"shape": [rows, cols - 1],
+                           "data": tensors[narrow]["data"][:rows * (cols - 1)]}
+    if first_value != ():
+        tensors["input.w"]["data"][0] = first_value
+    if add:
+        tensors[add] = {"shape": [1], "data": [0.0]}
+    return payload
+
+
 @pytest.fixture(scope="module")
 def ablation(data_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("abl")
@@ -202,7 +219,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("setting, message", [
         ("calib_bins=0", "calib_bins must be at least 1"),
         ("dropout=1.5", "dropout must lie in [0, 1)"),
-    ], ids=["calib_bins", "dropout"])
+        ("epochs=0", "epochs must be at least 1"),
+        ("hidden_dim=0", "hidden_dim must be at least 1"),
+        ("n_blocks=-1", "n_blocks must be non-negative"),
+    ], ids=["calib_bins", "dropout", "epochs", "hidden_dim", "n_blocks"])
     def test_range_error_names_the_config_key(self, data_csv, tmp_path, capsys,
                                               setting, message):
         code = run(["train", "--data", str(data_csv), "--out",
@@ -472,11 +492,28 @@ class TestEvaluateCommand:
          "unknown config key 'width'"),
         ("checkpoint", lambda p: {k: v for k, v in p.items() if k != "tensors"},
          "missing key 'tensors'"),
+        ("checkpoint", lambda p: edit_tensors(p, drop="block0.bn.var"),
+         "missing tensor 'block0.bn.var'"),
+        ("checkpoint", lambda p: edit_tensors(p, narrow="output.w"),
+         "tensor 'output.w' must be a [8, 10] array"),
+        ("checkpoint", lambda p: edit_tensors(p, first_value=None),
+         "tensor 'input.w' has a non-finite value"),
+        ("checkpoint", lambda p: edit_tensors(p, first_value=float("nan")),
+         "tensor 'input.w' has a non-finite value"),
+        ("checkpoint", lambda p: edit_tensors(p, add="extra.w"),
+         "unexpected tensor 'extra.w'"),
         ("grid", lambda p: {"format": "x"}, "not a binsurv grid file"),
         ("grid", lambda p: {k: v for k, v in p.items() if k != "t_min"},
          "missing key 't_min'"),
+        ("grid", lambda p: {**p, "t_min": p["t_max"], "t_max": p["t_min"]},
+         "grid times must be finite with t_min < t_max"),
+        ("grid", lambda p: {**p, "t_min": float("nan")},
+         "grid times must be finite with t_min < t_max"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
-            "extra-config-key", "no-tensors", "foreign-grid", "grid-no-t_min"])
+            "extra-config-key", "no-tensors", "missing-tensor",
+            "reshaped-tensor", "null-value", "nan-value", "extra-tensor",
+            "foreign-grid", "grid-no-t_min", "grid-swapped-times",
+            "grid-nan-t_min"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")

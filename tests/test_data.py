@@ -1,5 +1,6 @@
 """Time grid arithmetic, binning, CSV IO, splits, and the feature scaler."""
 
+import json
 import math
 import os
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from binsurv.data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
-    apply_scaler, assign_bin, bin_dataset, bin_midpoints,
+    TimeGrid, apply_scaler, assign_bin, bin_dataset, bin_midpoints,
     build_time_grid, load_csv, load_grid, normalize_time, save_grid,
     split_dataset, write_csv,
 )
@@ -52,6 +53,20 @@ class TestGridConstruction:
     def test_needs_three_bins(self):
         with pytest.raises(ValueError):
             build_time_grid(make_dataset([1.0, 2.0], [1, 1]), 2)
+
+    @pytest.mark.parametrize("k_bins, t_min, t_max, message", [
+        (2, 1.0, 2.0, "k_bins must be at least 3"),
+        (5, math.nan, 2.0, "finite"),
+        (5, 1.0, math.nan, "finite"),
+        (5, -math.inf, 2.0, "finite"),
+        (5, 1.0, math.inf, "finite"),
+        (5, 2.0, 2.0, "t_min < t_max"),
+        (5, 3.0, 2.0, "t_min < t_max"),
+    ])
+    def test_time_grid_rejects_invalid_numbers(self, k_bins, t_min, t_max,
+                                               message):
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(k_bins, t_min, t_max)
 
     def test_interior_boundaries_count(self):
         grid = build_time_grid(make_dataset([1.0, 2.0], [1, 1]), 7)
@@ -135,12 +150,13 @@ class TestBinDataset:
         batch = bin_dataset(ds, build_time_grid(ds, 5))
         assert batch.bins[2] == 5
 
-    def test_late_event_clamps_into_previous_bin(self):
+    def test_late_event_is_rejected(self):
         # an unseen event beyond the crop point cannot use the reserved bin
         train = make_dataset([2.0, 6.0], [1, 1])
         grid = build_time_grid(train, 5)
         held_out = make_dataset([100.0], [1])
-        assert bin_dataset(held_out, grid).bins[0] == 4
+        with pytest.raises(ValueError, match="reserved bin 5"):
+            bin_dataset(held_out, grid)
 
     def test_take_selects_rows(self, rng):
         ds = random_dataset(rng, 50)
@@ -489,11 +505,32 @@ class TestGridIO:
         grid = build_time_grid(ds, 9)
         path = tmp_path / "grid.json"
         save_grid(grid, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert list(payload) == ["format", "version", "k_bins", "t_min", "t_max"]
         back = load_grid(path)
         assert back.k_bins == grid.k_bins
         for name in ("t_min", "t_max", "delta_t", "t_min_prime",
                      "t_max_1", "t_max_2"):
             assert getattr(back, name) == getattr(grid, name)
+
+    def test_seven_key_file_loads_to_the_built_grid(self, tmp_path):
+        # a grid.json as earlier versions wrote it, derived constants included
+        path = tmp_path / "grid.json"
+        path.write_text(
+            '{\n  "format": "binsurv-grid",\n  "version": 1,\n  "k_bins": 7,\n'
+            '  "t_min": 0.37,\n  "t_max": 9.81,\n'
+            '  "delta_t": 1.966666666666667,\n'
+            '  "t_min_prime": 0.17333333333333328,\n'
+            '  "t_max_1": 11.973333333333336,\n'
+            '  "t_max_2": 13.940000000000003\n}\n', encoding="utf-8")
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        built = build_time_grid(make_dataset([0.37, 9.81, 4.2], [1, 1, 0]), 7)
+        loaded = load_grid(path)
+        assert loaded == built
+        for name in ("t_min", "t_max", "delta_t", "t_min_prime",
+                     "t_max_1", "t_max_2"):
+            assert getattr(loaded, name) == stored[name], name
+            assert getattr(built, name) == stored[name], name
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,12 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binsurv.data import BinnedBatch, assign_bin, bin_midpoints
 from binsurv.losses import (
-    LossWeights, calibration_loss, combined_loss,
+    LossWeights, _pair_layout, calibration_loss, combined_loss,
     likelihood_loss, rank_loss, time_rank_loss,
 )
 from binsurv.model import predict_risk
@@ -46,6 +46,18 @@ class TestComparablePairs:
         pairs = comparable_pairs(np.array([0.1, 0.9]), np.array([0, 1]))
         assert len(pairs) == 0
         assert pairs.n_events == 1
+
+    @given(st.lists(st.tuples(st.sampled_from([0.05, 0.35, 0.65, 0.9]),
+                              st.integers(0, 1)), min_size=1, max_size=12))
+    @example([(0.9, 1), (0.9, 0)])  # events tied at the maximum
+    @example([(0.05, 0), (0.9, 0)])  # all censored
+    @example([(0.35, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_layout_is_none_exactly_without_pairs(self, rows):
+        t = np.array([r[0] for r in rows])
+        e = np.array([r[1] for r in rows])
+        layout = _pair_layout(t, e)
+        assert (layout is None) is (len(comparable_pairs(t, e)) == 0)
 
 
 class TestLikelihood:

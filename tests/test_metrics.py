@@ -5,20 +5,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binsurv.data import bin_dataset, build_time_grid
 from binsurv.metrics import (
     UndefinedMetricError, _log_rank_tables, brier_score_t, c_index, default_eval_times,
-    evaluate_model, hazard_ratio, ibs, kaplan_meier, log_rank, m_tdauc,
-    select_cutoff, tdauc,
+    evaluate_model, has_comparable_pair, hazard_ratio, ibs, kaplan_meier,
+    log_rank, m_tdauc, select_cutoff, tdauc,
 )
 from binsurv.model import (
     ModelConfig, apply_head, forward, init_params, predict_risk,
 )
 from helpers import (
-    brute_c_index, brute_tdauc, pair_count_c_index, random_dataset,
+    brute_c_index, brute_tdauc, comparable_pairs, pair_count_c_index, random_dataset,
     reference_log_rank_tables, reference_select_cutoff, slow_brier,
     slow_km_survival_before,
 )
@@ -70,6 +70,25 @@ class TestKaplanMeier:
             kaplan_meier([1.0], [1], target="hazard")
         with pytest.raises(ValueError):
             kaplan_meier([], [])
+
+
+# (time, event) rows on a coarse time set, so ties are common
+ROWS = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                          st.integers(0, 1)), max_size=12)
+
+
+class TestHasComparablePair:
+    @given(ROWS)
+    @example([])                            # empty input
+    @example([(1.0, 1)])                    # one row
+    @example([(0.5, 0), (2.0, 0)])          # all censored
+    @example([(2.0, 1), (2.0, 1), (2.0, 0)])  # every event tied at the maximum
+    @example([(1.0, 1), (2.0, 1), (2.0, 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_pair_scan(self, rows):
+        t = np.array([r[0] for r in rows], dtype=np.float64)
+        e = np.array([r[1] for r in rows], dtype=np.int64)
+        assert has_comparable_pair(t, e) is (len(comparable_pairs(t, e)) > 0)
 
 
 class TestCIndex:

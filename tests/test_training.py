@@ -140,14 +140,10 @@ class TestTrainEpoch:
 
 
 class TestFit:
-    def test_zero_epochs_returns_untrained_copy(self, rng):
-        train, val, cfg = make_fit_inputs(rng)
-        params, records = fit(train, val, cfg, LossWeights(),
-                              TrainConfig(epochs=0, batch_size=16, lr_init=0.01))
-        assert records == []
-        fresh = init_params(cfg, seed=0)
-        assert np.array_equal(params.tensors["input.w"],
-                              fresh.tensors["input.w"])
+    def test_zero_epochs_rejected(self):
+        # the CLI side (`--set epochs=0` exits 2) is in test_cli.py
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            TrainConfig(epochs=0)
 
     def test_every_epoch_is_validated(self, rng):
         train, val, cfg = make_fit_inputs(rng)
