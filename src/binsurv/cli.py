@@ -20,18 +20,20 @@ from .config import (
 )
 from .data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
-    apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid, save_grid,
-    split_dataset, write_csv,
+    TimeGrid, apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid,
+    save_grid, split_dataset, write_csv,
 )
-from .losses import LossWeights
+from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
     UndefinedMetricError, evaluate_model, has_comparable_pair, select_cutoff,
     write_curve_csv, write_report_csv,
 )
-from .model import apply_head, forward, load_checkpoint, predict_risk, save_checkpoint
+from .model import (
+    ModelConfig, apply_head, forward, load_checkpoint, predict_risk, save_checkpoint,
+)
 from .svgplot import line_plot_svg
 from .synth import SynthConfig, bayes_c_index, generate
-from .training import fit, write_history_csv
+from .training import TrainConfig, fit, write_history_csv
 
 log = logging.getLogger(__name__)
 
@@ -61,16 +63,9 @@ def _collect_config(args) -> ExperimentConfig:
     values: dict[str, str] = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    if args.data is not None:
-        values["data"] = args.data
-    if args.time_col is not None:
-        values["time_col"] = args.time_col
-    if args.event_col is not None:
-        values["event_col"] = args.event_col
-    if args.out is not None:
-        values["out"] = args.out
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
+    for key in ("data", "time_col", "event_col", "out", "seed"):
+        if getattr(args, key) is not None:
+            values[key] = str(getattr(args, key))
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -80,12 +75,17 @@ def _collect_config(args) -> ExperimentConfig:
 
 
 @dataclass
-class _Splits:
-    train: SurvivalDataset
+class _Setup:
+    """Everything a run needs, built and checked before its first write."""
+    raw: tuple                     # (train, val, test) as split or read
+    train: SurvivalDataset         # standardized with ``scaler``
     val: SurvivalDataset
-    test: SurvivalDataset | None
-    test_raw: SurvivalDataset | None
+    test: SurvivalDataset | None   # None when there are no held-out rows
     scaler: FeatureScaler
+    grid: TimeGrid
+    model: ModelConfig
+    training: TrainConfig
+    weights: LossWeights
 
 
 def _require_comparable_pair(cfg: ExperimentConfig, key: str,
@@ -100,36 +100,50 @@ def _require_comparable_pair(cfg: ExperimentConfig, key: str,
                       "by a later time), so its C-index is undefined")
 
 
-def _load_splits(cfg: ExperimentConfig) -> _Splits:
-    """Resolve single-file or pre-split data into standardized train/val(/test).
+def _setup(cfg: ExperimentConfig) -> _Setup:
+    """Load, split, scale and grid the data, and check every setting.
 
-    The one scaler is fitted on the raw training split only, so validation
-    and test rows feed no statistic in either mode.  A validation split with
-    no comparable pair cannot select a model and is rejected here.
+    Single-file or pre-split data gives train/val(/test).  The one scaler is
+    fitted on the raw training split only, so validation and test rows feed
+    no statistic in either mode.  A validation split with no comparable pair
+    cannot select a model and is rejected here.
     """
+    weights, training = cfg.loss_weights(), cfg.train_config()
     if cfg.data:
-        raw = load_csv(cfg.data, cfg.time_col, cfg.event_col)
+        data = load_csv(cfg.data, cfg.time_col, cfg.event_col)
         with config_errors():
-            train, val, test = split_dataset(raw, cfg.split, cfg.seed)
-        if not len(test):
-            test = None
+            raw = split_dataset(data, cfg.split, cfg.seed)
     elif cfg.train_csv and cfg.val_csv:
-        train = load_csv(cfg.train_csv, cfg.time_col, cfg.event_col)
-        val = load_csv(cfg.val_csv, cfg.time_col, cfg.event_col)
-        test = None
-        if cfg.test_csv:
-            test = load_csv(cfg.test_csv, cfg.time_col, cfg.event_col)
+        raw = tuple(load_csv(path, cfg.time_col, cfg.event_col) if path else None
+                    for path in (cfg.train_csv, cfg.val_csv, cfg.test_csv))
     else:
         raise ConfigError("provide either data= or train_csv= and val_csv=")
+    train, val, test = raw
     _require_comparable_pair(cfg, "val_csv", val)
+    with config_errors():
+        grid = build_time_grid(train, cfg.k_bins)
     scaler = FeatureScaler.fit(train.features)
-    return _Splits(
+    return _Setup(
+        raw=raw,
         train=apply_scaler(train, scaler),
         val=apply_scaler(val, scaler),
-        test=apply_scaler(test, scaler) if test is not None else None,
-        test_raw=test if cfg.data else None,
+        test=apply_scaler(test, scaler) if test is not None and len(test) else None,
         scaler=scaler,
+        grid=grid,
+        model=cfg.model_config(train.n_features),
+        training=training,
+        weights=weights,
     )
+
+
+def _start_outputs(cfg: ExperimentConfig, grid: TimeGrid) -> Path:
+    """Create ``out`` and write the grid and the resolved settings into it."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_grid(grid, out / "grid.json")
+    (out / "config_resolved.txt").write_text(
+        "\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
+    return out
 
 
 def _oracle_sidecar(csv_path) -> Path:
@@ -138,26 +152,25 @@ def _oracle_sidecar(csv_path) -> Path:
     return csv_path.with_suffix(csv_path.suffix + ".oracle.json")
 
 
-def _train_once(splits: _Splits, grid, cfg: ExperimentConfig,
-                weights: LossWeights, out_dir: Path):
+def _train_once(run: _Setup, cfg: ExperimentConfig, weights: LossWeights,
+                out_dir: Path):
     """Shared train-and-persist path used by both `train` and `ablate`."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_cfg = cfg.model_config(splits.train.n_features)
-    best, history = fit(bin_dataset(splits.train, grid), splits.val, model_cfg,
-                        weights, cfg.train_config())
+    best, history = fit(bin_dataset(run.train, run.grid), run.val, run.model,
+                        weights, run.training)
     write_history_csv(history, out_dir / "history.csv")
 
-    logits, _ = forward(best, splits.train.features, mode="eval")
+    logits, _ = forward(best, run.train.features, mode="eval")
     train_risks = predict_risk(apply_head(logits))
     try:
-        cutoff = select_cutoff(train_risks, splits.train.times, splits.train.events)
+        cutoff = select_cutoff(train_risks, run.train.times, run.train.events)
     except UndefinedMetricError as exc:
         log.warning("no training cutoff stored: %s", exc)
         cutoff = None
     meta = {
-        "scaler_mean": splits.scaler.mean.tolist(),
-        "scaler_std": splits.scaler.std.tolist(),
-        "feature_names": list(splits.train.feature_names),
+        "scaler_mean": run.scaler.mean.tolist(),
+        "scaler_std": run.scaler.std.tolist(),
+        "feature_names": list(run.train.feature_names),
         "time_col": cfg.time_col,
         "event_col": cfg.event_col,
         "seed": cfg.seed,
@@ -171,34 +184,24 @@ def cmd_prepare(args) -> int:
     cfg = _collect_config(args)
     if not cfg.data:
         raise ConfigError("prepare needs data= (a single CSV to split)")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    raw = load_csv(cfg.data, cfg.time_col, cfg.event_col)
-    with config_errors():
-        train, val, test = split_dataset(raw, cfg.split, cfg.seed)
-        grid = build_time_grid(train, cfg.k_bins)
-    for name, part in (("train", train), ("val", val), ("test", test)):
+    run = _setup(cfg)
+    out = _start_outputs(cfg, run.grid)
+    for name, part in zip(("train", "val", "test"), run.raw):
         write_csv(part, out / f"{name}.csv", cfg.time_col, cfg.event_col)
-    save_grid(grid, out / "grid.json")
-    print(f"prepare: {len(raw)} rows -> train {len(train)} / val {len(val)} / "
-          f"test {len(test)}; grid with {grid.k_bins} bins written to {out}")
+    sizes = [len(part) for part in run.raw]
+    print(f"prepare: {sum(sizes)} rows -> train {sizes[0]} / val {sizes[1]} / "
+          f"test {sizes[2]}; grid with {run.grid.k_bins} bins written to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _collect_config(args)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    splits = _load_splits(cfg)
-    if splits.test_raw is not None:
+    run = _setup(cfg)
+    out = _start_outputs(cfg, run.grid)
+    if cfg.data and run.test is not None:
         # held-out rows stay raw; evaluation re-standardizes with the stored scaler
-        write_csv(splits.test_raw, out / "test.csv", cfg.time_col, cfg.event_col)
-    with config_errors():
-        grid = build_time_grid(splits.train, cfg.k_bins)
-    save_grid(grid, out / "grid.json")
-    _, history = _train_once(splits, grid, cfg, cfg.loss_weights(), out)
-    (out / "config_resolved.txt").write_text(
-        "\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
+        write_csv(run.raw[2], out / "test.csv", cfg.time_col, cfg.event_col)
+    _, history = _train_once(run, cfg, run.weights, out)
     best = max(history, key=lambda r: r.val_c_index)
     print(f"train: {len(history)} epochs; best val C-index "
           f"{best.val_c_index:.4f} at epoch {best.epoch}; artifacts in {out}")
@@ -283,44 +286,37 @@ def _row_weights(cfg: ExperimentConfig, row) -> LossWeights:
                 f"unknown ablation component '{part}' "
                 f"(expected one of {', '.join(_ABLATION_COMPONENTS)})"
             )
-    if "rank" in row and "time_rank" in row:
+    kinds = [kind for kind in PAIRWISE_KINDS if kind in row]
+    if len(kinds) > 1:
         raise ConfigError("an ablation row cannot contain both pairwise terms")
-    if "time_rank" in row:
-        beta, kind = cfg.beta, "time_rank"
-    elif "rank" in row:
-        beta, kind = cfg.beta, "rank"
-    else:
-        beta, kind = 0.0, cfg.pairwise_kind
-    return replace(
-        cfg.loss_weights(),
-        alpha=cfg.alpha if "mle" in row else 0.0,
-        beta=beta,
-        gamma=cfg.gamma if "calibration" in row else 0.0,
-        pairwise_kind=kind,
-    )
+    base = cfg.loss_weights()
+    try:
+        return replace(
+            base,
+            alpha=cfg.alpha if "mle" in row else 0.0,
+            beta=cfg.beta if kinds else 0.0,
+            gamma=cfg.gamma if "calibration" in row else 0.0,
+            pairwise_kind=kinds[0] if kinds else cfg.pairwise_kind,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"ablation row {'+'.join(row)}: {exc}") from None
 
 
 def cmd_ablate(args) -> int:
     cfg = _collect_config(args)
     rows = _parse_rows(args.rows) if args.rows else DEFAULT_ABLATION_ROWS
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    splits = _load_splits(cfg)
-    if splits.test is None:
+    row_weights = [_row_weights(cfg, row) for row in rows]
+    run = _setup(cfg)
+    if run.test is None:
         raise ConfigError("ablate needs a test split (single-CSV mode or test_csv=)")
-    _require_comparable_pair(cfg, "test_csv", splits.test)
-    with config_errors():
-        grid = build_time_grid(splits.train, cfg.k_bins)
-    save_grid(grid, out / "grid.json")
-    (out / "config_resolved.txt").write_text(
-        "\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
+    _require_comparable_pair(cfg, "test_csv", run.test)
+    out = _start_outputs(cfg, run.grid)
 
     lines = ["mle,rank,time_rank,calibration,c_index,ibs,m_tdauc"]
-    for index, row in enumerate(rows, start=1):
-        weights = _row_weights(cfg, row)
+    for index, (row, weights) in enumerate(zip(rows, row_weights), start=1):
         row_dir = out / f"row_{index}_{'_'.join(row)}"
-        params, _ = _train_once(splits, grid, cfg, weights, row_dir)
-        report = evaluate_model(params, splits.test, grid)
+        params, _ = _train_once(run, cfg, weights, row_dir)
+        report = evaluate_model(params, run.test, run.grid)
         flags = [str(int(c in row)) for c in _ABLATION_COMPONENTS]
         lines.append(",".join(flags + [repr(report.c_index), repr(report.ibs),
                                        repr(report.m_tdauc)]))

@@ -413,6 +413,16 @@ def save_grid(grid: TimeGrid, path) -> None:
         fh.write("\n")
 
 
+def require_json_number(path, key: str, value, integer: bool = False) -> None:
+    """Reject a value read from JSON file ``path`` that is not an integer
+    (``integer``) or a number, naming the file and the key.  A JSON true or
+    false loads as a bool, which Python counts as an int, so it is rejected
+    too; so is ``10.7`` or ``"10"`` where an integer is due."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{path}: {key} must be {kind}, got {value!r}")
+
+
 def load_grid(path) -> TimeGrid:
     """Inverse of :func:`save_grid`; a file that also lists the derived
     constants, as older versions wrote, loads to the same grid."""
@@ -421,9 +431,13 @@ def load_grid(path) -> TimeGrid:
     if payload.get("format") != "binsurv-grid":
         raise ValueError(f"{path}: not a binsurv grid file")
     try:
-        return TimeGrid(int(payload["k_bins"]), float(payload["t_min"]),
-                        float(payload["t_max"]))
+        k_bins, t_min, t_max = (payload[key] for key in ("k_bins", "t_min", "t_max"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    require_json_number(path, "k_bins", k_bins, integer=True)
+    require_json_number(path, "t_min", t_min)
+    require_json_number(path, "t_max", t_max)
+    try:
+        return TimeGrid(k_bins, float(t_min), float(t_max))
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -58,6 +58,8 @@ class LossWeights:
         for name in ("alpha", "beta", "gamma"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+        if self.alpha == 0.0 and self.beta == 0.0 and self.gamma == 0.0:
+            raise ValueError("at least one of alpha, beta and gamma must be positive")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must lie in (0, 1]")
         if not 0.0 <= self.rho <= RHO_MAX:
@@ -265,8 +267,6 @@ def combined_loss(pmfs: np.ndarray, batch: BinnedBatch, weights: LossWeights):
     (value, grad_pmf, parts) where ``parts`` holds the raw component values
     for logging.
     """
-    if weights.alpha == 0.0 and weights.beta == 0.0 and weights.gamma == 0.0:
-        raise ValueError("at least one loss weight must be positive")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     value = 0.0
     grad = np.zeros_like(p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import MIN_K_BINS, bin_midpoints
+from .data import MIN_K_BINS, bin_midpoints, require_json_number
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -340,7 +340,10 @@ def load_checkpoint(path):
         unknown = [key for key in config if key not in names]
         if unknown:
             raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
-        cfg = ModelConfig(**{name: config[name] for name in names})
+        values = {name: config[name] for name in names}
+        for name, value in values.items():
+            require_json_number(path, name, value, integer=name != "dropout_rate")
+        cfg = ModelConfig(**values)
         layout = init_params(cfg, seed=0).tensors
         entries = payload["tensors"]
         for name in (*layout, *entries):

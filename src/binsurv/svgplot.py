@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def line_plot_svg(path, x, series, title: str, xlabel: str, ylabel: str) -> None
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
     ]
     axis_color = "#444444"
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
@@ -70,11 +70,11 @@ def line_plot_svg(path, x, series, title: str, xlabel: str, ylabel: str) -> None
                      f'font-family="sans-serif" font-size="11">{ty:.3g}</text>')
     parts.append(f'<text x="{x0 + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-                 f'{escape(xlabel)}</text>')
+                 f'{escape(xlabel, quote=False)}</text>')
     parts.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">'
-                 f'{escape(ylabel)}</text>')
+                 f'{escape(ylabel, quote=False)}</text>')
 
     for idx, (label, ys) in enumerate(series):
         ys = np.asarray(ys, dtype=np.float64)
@@ -87,7 +87,7 @@ def line_plot_svg(path, x, series, title: str, xlabel: str, ylabel: str) -> None
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.8"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{escape(str(label))}</text>')
+                     f'font-size="12">{escape(str(label), quote=False)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +43,7 @@ class EpochRecord:
     likelihood: float
     pairwise: float
     calibration: float
-    val_c_index: float | None = None
-
-
-@dataclass(eq=False)
-class TrainState:
-    params: ModelParams
-    epoch: int = 0
-    best_c_index: float = -math.inf
-    best_epoch: int = -1
-    best_params: ModelParams | None = None
-    records: list[EpochRecord] = field(default_factory=list)
+    val_c_index: float
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr_init: float) -> float:
@@ -84,44 +74,39 @@ def _dropout_seed(seed: int, epoch: int, batch_index: int) -> list[int]:
     return [seed, epoch, batch_index, 0x5F]
 
 
-def train_epoch(state: TrainState, train: BinnedBatch, weights: LossWeights,
-                config: TrainConfig) -> TrainState:
+def train_epoch(params: ModelParams, train: BinnedBatch, weights: LossWeights,
+                config: TrainConfig, epoch: int):
     """One pass over the training data in a seeded, epoch-dependent order.
 
-    A trailing batch of size 1 is dropped (BatchNorm needs batch statistics).
+    ``epoch`` is 0-based.  Returns (lr, loss, likelihood, pairwise,
+    calibration), the loss parts averaged over the batches.  A trailing batch
+    of size 1 is dropped (BatchNorm needs batch statistics).
     """
     n = len(train)
-    order = np.random.default_rng([config.seed, state.epoch]).permutation(n)
-    lr = cosine_lr(state.epoch, config.epochs, config.lr_init)
+    order = np.random.default_rng([config.seed, epoch]).permutation(n)
+    lr = cosine_lr(epoch, config.epochs, config.lr_init)
     totals = np.zeros(4)
     n_batches = 0
     for batch_index, start in enumerate(range(0, n, config.batch_size)):
         idx = order[start:start + config.batch_size]
         if idx.size == 1:
-            log.info("epoch %d: dropping trailing batch of size 1", state.epoch + 1)
+            log.info("epoch %d: dropping trailing batch of size 1", epoch + 1)
             continue
         sub = train.take(idx)
         logits, cache = forward(
-            state.params, sub.features, mode="train",
-            seed=_dropout_seed(config.seed, state.epoch, batch_index),
+            params, sub.features, mode="train",
+            seed=_dropout_seed(config.seed, epoch, batch_index),
         )
         pmfs = apply_head(logits)
         value, grad_pmf, parts = combined_loss(pmfs, sub, weights)
         grad_logits = head_backward(pmfs, grad_pmf)
-        grads = backward(state.params, cache, grad_logits)
-        sgd_step(state.params, grads, lr)
+        grads = backward(params, cache, grad_logits)
+        sgd_step(params, grads, lr)
         totals += (value, parts["likelihood"], parts["pairwise"], parts["calibration"])
         n_batches += 1
     if n_batches == 0:
         raise ValueError("training data produced no usable batches")
-    means = totals / n_batches
-    state.records.append(EpochRecord(
-        epoch=state.epoch + 1, lr=lr, loss=float(means[0]),
-        likelihood=float(means[1]), pairwise=float(means[2]),
-        calibration=float(means[3]),
-    ))
-    state.epoch += 1
-    return state
+    return (lr, *(float(m) for m in totals / n_batches))
 
 
 def validation_c_index(params: ModelParams, val: SurvivalDataset) -> float:
@@ -131,28 +116,22 @@ def validation_c_index(params: ModelParams, val: SurvivalDataset) -> float:
     return c_index(risks, val.times, val.events)
 
 
-def _maybe_snapshot(state: TrainState, score: float) -> None:
-    # strict improvement only: ties keep the earlier epoch's snapshot
-    if score > state.best_c_index:
-        state.best_c_index = score
-        state.best_epoch = state.epoch
-        state.best_params = state.params.copy()
-
-
 def fit(train: BinnedBatch, val: SurvivalDataset, model_config: ModelConfig,
         weights: LossWeights, config: TrainConfig):
     """Train on the binned training rows and return (best_params, history).
 
     The raw validation rows are scored after every epoch, and the snapshot
-    with the highest validation C-index wins.
+    with the highest validation C-index wins; ties keep the earlier epoch.
     """
-    state = TrainState(params=init_params(model_config, config.seed))
-    for _ in range(config.epochs):
-        train_epoch(state, train, weights, config)
-        score = validation_c_index(state.params, val)
-        state.records[-1].val_c_index = score
-        _maybe_snapshot(state, score)
-    return state.best_params, state.records
+    params = init_params(model_config, config.seed)
+    best, best_score, history = None, -math.inf, []
+    for epoch in range(config.epochs):
+        stats = train_epoch(params, train, weights, config, epoch)
+        score = validation_c_index(params, val)
+        history.append(EpochRecord(epoch + 1, *stats, val_c_index=score))
+        if score > best_score:
+            best, best_score = params.copy(), score
+    return best, history
 
 
 def write_history_csv(records, path) -> None:
@@ -160,8 +139,7 @@ def write_history_csv(records, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("epoch,lr,loss,likelihood,pairwise,calibration,val_c_index\n")
         for r in records:
-            val = "" if r.val_c_index is None else repr(r.val_c_index)
             fh.write(
                 f"{r.epoch},{r.lr!r},{r.loss!r},{r.likelihood!r},"
-                f"{r.pairwise!r},{r.calibration!r},{val}\n"
+                f"{r.pairwise!r},{r.calibration!r},{r.val_c_index!r}\n"
             )

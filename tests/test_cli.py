@@ -288,6 +288,50 @@ class TestTrainCommand:
         assert (single / "test.csv").read_bytes() == (prep / "test.csv").read_bytes()
 
 
+ZERO_WEIGHTS = ["--set", "alpha=0", "--set", "beta=0", "--set", "gamma=0"]
+REJECTED_RUNS = [
+    *[(command, "cohort", extra) for command in ("prepare", "train", "ablate")
+      for extra in (["--set", "hidden_dim=0"], ["--set", "sigma=3"],
+                    ["--set", "k_bins=2"], ["--set", "epochs=0"], ZERO_WEIGHTS)],
+    *[(command, data, []) for command in ("prepare", "train", "ablate")
+      for data in ("bad-event", "all-censored")],
+    ("ablate", "cohort", ["--set", "alpha=0"]),
+    ("ablate", "cohort", ["--rows", "mle,bogus"]),
+    ("ablate", "cohort", ["--rows", "mle,rank+time_rank"]),
+]
+
+
+@pytest.mark.parametrize("command, data, extra", REJECTED_RUNS, ids=[
+    "-".join([command, data, *extra[1::2]]) for command, data, extra in REJECTED_RUNS])
+def test_rejected_run_writes_nothing(data_csv, tmp_path, capsys, command, data,
+                                     extra):
+    """Every setting, ablation row and input row is checked before the first
+    write, so a rejected run leaves no output directory behind."""
+    source = data_csv
+    if data == "bad-event":
+        source = tmp_path / "bad_event.csv"
+        lines = data_csv.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",2"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    elif data == "all-censored":
+        source = unscorable_copy(data_csv, tmp_path / "censored.csv", data)
+    out = tmp_path / "o"
+    code = run([command, "--data", str(source), "--out", str(out), *FAST, *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_ablation_row_without_loss_is_named(data_csv, tmp_path, capsys):
+    # with alpha=0 the mle row weighs nothing; the default rows are all checked
+    code = run(["ablate", "--data", str(data_csv), "--out", str(tmp_path / "o"),
+                *FAST, "--set", "alpha=0"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ablation row mle: at least one of alpha, beta and gamma "
+        "must be positive\n")
+
+
 def unscorable_copy(src, dst, kind):
     """``src`` with no comparable pair: every row censored, or every event
     at the largest time, so no event is followed by a later time."""
@@ -502,6 +546,16 @@ class TestEvaluateCommand:
          "tensor 'input.w' has a non-finite value"),
         ("checkpoint", lambda p: edit_tensors(p, add="extra.w"),
          "unexpected tensor 'extra.w'"),
+        ("checkpoint", lambda p: {**p, "config": {**p["config"], "hidden_dim": 8.0}},
+         "hidden_dim must be an integer, got 8.0"),
+        ("checkpoint", lambda p: {**p, "config": {**p["config"], "dropout_rate": "0.2"}},
+         "dropout_rate must be a number, got '0.2'"),
+        ("checkpoint", lambda p: {**p, "config": {**p["config"], "n_blocks": True}},
+         "n_blocks must be an integer, got True"),
+        ("checkpoint", lambda p: {**p, "config": {**p["config"], "input_dim": "5"}},
+         "input_dim must be an integer, got '5'"),
+        ("checkpoint", lambda p: {**p, "config": {**p["config"], "k_bins": 10.0}},
+         "k_bins must be an integer, got 10.0"),
         ("grid", lambda p: {"format": "x"}, "not a binsurv grid file"),
         ("grid", lambda p: {k: v for k, v in p.items() if k != "t_min"},
          "missing key 't_min'"),
@@ -509,11 +563,17 @@ class TestEvaluateCommand:
          "grid times must be finite with t_min < t_max"),
         ("grid", lambda p: {**p, "t_min": float("nan")},
          "grid times must be finite with t_min < t_max"),
+        ("grid", lambda p: {**p, "k_bins": 10.7}, "k_bins must be an integer, got 10.7"),
+        ("grid", lambda p: {**p, "k_bins": "10"}, "k_bins must be an integer, got '10'"),
+        ("grid", lambda p: {**p, "t_max": str(p["t_max"])}, "t_max must be a number"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
             "extra-config-key", "no-tensors", "missing-tensor",
             "reshaped-tensor", "null-value", "nan-value", "extra-tensor",
+            "float-hidden_dim", "string-dropout_rate", "bool-n_blocks",
+            "string-input_dim", "float-k_bins",
             "foreign-grid", "grid-no-t_min", "grid-swapped-times",
-            "grid-nan-t_min"])
+            "grid-nan-t_min", "grid-fractional-k_bins", "grid-string-k_bins",
+            "grid-string-t_max"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")
@@ -583,6 +643,29 @@ class TestPrepareCommand:
 
     def test_needs_single_csv(self, tmp_path):
         assert run(["prepare", "--out", str(tmp_path / "p")]) == 2
+
+    def test_resolved_config_matches_train(self, data_csv, tmp_path):
+        prep, trained = tmp_path / "prep", tmp_path / "run"
+        for command, out in (("prepare", prep), ("train", trained)):
+            assert run([command, "--data", str(data_csv), "--out", str(out),
+                        "--seed", "4", *FAST]) == 0
+        lines = {out: (out / "config_resolved.txt").read_text().splitlines()
+                 for out in (prep, trained)}
+        assert f"out={prep}" in lines[prep]
+        assert ([line.replace(str(prep), str(trained)) for line in lines[prep]]
+                == lines[trained])
+
+    def test_empty_test_part_is_written(self, tmp_path):
+        # five rows split 3/2/0: every row is an event at its own time, so
+        # the validation part has a comparable pair
+        data = tmp_path / "tiny.csv"
+        data.write_text("x,time,event\n" + "".join(
+            f"{i / 10},{i + 1}.0,1\n" for i in range(5)), encoding="utf-8")
+        out = tmp_path / "prep"
+        assert run(["prepare", "--data", str(data), "--out", str(out),
+                    "--set", "split=0.5,0.45,0.05"]) == 0
+        assert (out / "test.csv").read_text().splitlines() == ["x,time,event"]
+        assert len((out / "train.csv").read_text().splitlines()) == 4
 
 
 class TestAblateCommand:

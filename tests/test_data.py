@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -536,6 +537,24 @@ class TestGridIO:
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "something-else"}', encoding="utf-8")
         with pytest.raises(ValueError):
+            load_grid(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k_bins", 10.7, "k_bins must be an integer"),
+        ("k_bins", 10.0, "k_bins must be an integer"),
+        ("k_bins", "10", "k_bins must be an integer"),
+        ("k_bins", True, "k_bins must be an integer"),
+        ("t_min", "0.5", "t_min must be a number"),
+        ("t_max", None, "t_max must be a number"),
+        ("t_max", False, "t_max must be a number"),
+    ])
+    def test_rejects_mistyped_numbers(self, tmp_path, key, value, message):
+        # int() and float() would turn each of these into a grid
+        path = tmp_path / "grid.json"
+        payload = {"format": "binsurv-grid", "version": 1, "k_bins": 10,
+                   "t_min": 0.5, "t_max": 9.5, key: value}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_grid(path)
 
 

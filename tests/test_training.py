@@ -9,9 +9,10 @@ import pytest
 from binsurv.data import bin_dataset, build_time_grid
 from binsurv.losses import LossWeights
 from binsurv.model import ModelConfig, init_params
+from binsurv import training
 from binsurv.training import (
-    EpochRecord, TrainConfig, TrainState, _maybe_snapshot, cosine_lr, fit,
-    sgd_step, train_epoch, validation_c_index, write_history_csv,
+    TrainConfig, cosine_lr, fit, sgd_step, train_epoch, validation_c_index,
+    write_history_csv,
 )
 from helpers import random_dataset
 
@@ -81,25 +82,41 @@ class TestSgdStep:
 
 
 class TestSnapshot:
-    def test_strict_improvement_with_tie_keeping_earlier(self):
-        cfg = ModelConfig(input_dim=1, hidden_dim=2, n_blocks=0, k_bins=3,
-                          dropout_rate=0.0)
-        state = TrainState(params=init_params(cfg, seed=0))
-        for epoch, score in enumerate((0.6, 0.7, 0.65, 0.7), start=1):
-            state.epoch = epoch
-            _maybe_snapshot(state, score)
-        assert state.best_c_index == 0.7
-        assert state.best_epoch == 2  # the later tie at 0.7 does not replace
+    SCORES = (0.6, 0.7, 0.65, 0.7)
 
-    def test_snapshot_is_a_copy(self):
-        cfg = ModelConfig(input_dim=1, hidden_dim=2, n_blocks=0, k_bins=3,
-                          dropout_rate=0.0)
-        state = TrainState(params=init_params(cfg, seed=0))
-        state.epoch = 1
-        _maybe_snapshot(state, 0.8)
-        state.params.tensors["input.w"][:] += 100.0
-        assert not np.array_equal(state.best_params.tensors["input.w"],
-                                  state.params.tensors["input.w"])
+    def fit_with_scores(self, rng, monkeypatch):
+        """fit over four epochs whose validation scores are SCORES; returns
+        the best params, a copy of the params seen at each scoring, and the
+        live params object fit trained."""
+        live, snapshots = [], []
+
+        def scripted(params, val):
+            live.append(params)
+            snapshots.append(params.copy())
+            return self.SCORES[len(snapshots) - 1]
+
+        monkeypatch.setattr(training, "validation_c_index", scripted)
+        train, val, cfg = make_fit_inputs(rng)
+        best, records = fit(train, val, cfg, LossWeights(),
+                            TrainConfig(epochs=4, batch_size=32, lr_init=0.05))
+        assert [r.val_c_index for r in records] == list(self.SCORES)
+        assert all(p is live[0] for p in live)
+        return best, snapshots, live[0]
+
+    def test_strict_improvement_with_tie_keeping_earlier(self, rng, monkeypatch):
+        best, snapshots, _ = self.fit_with_scores(rng, monkeypatch)
+        # the later tie at 0.7 (epoch 4) does not replace epoch 2
+        for name, value in best.tensors.items():
+            assert np.array_equal(value, snapshots[1].tensors[name]), name
+        assert not np.array_equal(best.tensors["input.w"],
+                                  snapshots[3].tensors["input.w"])
+
+    def test_snapshot_is_a_copy(self, rng, monkeypatch):
+        best, _, live = self.fit_with_scores(rng, monkeypatch)
+        assert best is not live
+        for name, value in best.tensors.items():
+            assert not np.shares_memory(value, live.tensors[name]), name
+        assert not np.array_equal(best.tensors["input.w"], live.tensors["input.w"])
 
 
 class TestTrainEpoch:
@@ -109,12 +126,11 @@ class TestTrainEpoch:
         batch = bin_dataset(ds, grid)
         cfg = ModelConfig(input_dim=3, hidden_dim=4, n_blocks=1, k_bins=4,
                           dropout_rate=0.0)
-        state = TrainState(params=init_params(cfg, seed=0))
         with caplog.at_level(logging.INFO, logger="binsurv.training"):
-            train_epoch(state, batch, LossWeights(),
-                        TrainConfig(epochs=2, batch_size=2, lr_init=0.01))
-        assert "size 1" in caplog.text
-        assert state.records[-1].epoch == 1
+            stats = train_epoch(init_params(cfg, seed=0), batch, LossWeights(),
+                                TrainConfig(epochs=2, batch_size=2, lr_init=0.01), 0)
+        assert "epoch 1: dropping trailing batch of size 1" in caplog.text
+        assert len(stats) == 5
 
     def test_all_batches_unusable_raises(self, rng):
         ds = random_dataset(rng, 2, censor_frac=0.0)
@@ -122,21 +138,18 @@ class TestTrainEpoch:
         batch = bin_dataset(ds, grid).take([0])
         cfg = ModelConfig(input_dim=3, hidden_dim=4, n_blocks=0, k_bins=4,
                           dropout_rate=0.0)
-        state = TrainState(params=init_params(cfg, seed=0))
         with pytest.raises(ValueError):
-            train_epoch(state, batch, LossWeights(),
-                        TrainConfig(epochs=1, batch_size=2, lr_init=0.01))
+            train_epoch(init_params(cfg, seed=0), batch, LossWeights(),
+                        TrainConfig(epochs=1, batch_size=2, lr_init=0.01), 0)
 
     def test_record_shape(self, rng):
         train, _, cfg = make_fit_inputs(rng)
-        state = TrainState(params=init_params(cfg, seed=0))
-        train_epoch(state, train, LossWeights(),
-                    TrainConfig(epochs=3, batch_size=32, lr_init=0.05))
-        rec = state.records[0]
-        assert rec.epoch == 1
-        assert rec.lr == cosine_lr(0, 3, 0.05)
-        assert rec.val_c_index is None
-        assert np.isfinite(rec.loss)
+        lr, loss, likelihood, pairwise, calibration = train_epoch(
+            init_params(cfg, seed=0), train, LossWeights(),
+            TrainConfig(epochs=3, batch_size=32, lr_init=0.05), 1)
+        assert lr == cosine_lr(1, 3, 0.05)
+        assert all(isinstance(v, float) and np.isfinite(v)
+                   for v in (loss, likelihood, pairwise, calibration))
 
 
 class TestFit:
@@ -150,7 +163,7 @@ class TestFit:
         _, records = fit(train, val, cfg, LossWeights(),
                          TrainConfig(epochs=5, batch_size=32, lr_init=0.05))
         assert [r.epoch for r in records] == [1, 2, 3, 4, 5]
-        assert all(r.val_c_index is not None for r in records)
+        assert all(np.isfinite(r.val_c_index) for r in records)
 
     def test_deterministic_repeat(self, rng):
         train, val, cfg = make_fit_inputs(rng)
@@ -180,8 +193,7 @@ class TestFit:
         train, val, cfg = make_fit_inputs(rng, n=200)
         best, records = fit(train, val, cfg, LossWeights(),
                             TrainConfig(epochs=8, batch_size=64, lr_init=0.05))
-        best_score = max(r.val_c_index for r in records
-                         if r.val_c_index is not None)
+        best_score = max(r.val_c_index for r in records)
         assert validation_c_index(best, val) == pytest.approx(best_score)
 
 
@@ -195,17 +207,6 @@ class TestHistoryCsv:
         write_history_csv(r1, a)
         write_history_csv(r2, b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_unscored_epochs_leave_the_cell_empty(self, tmp_path):
-        # train_epoch records an epoch before fit scores it on validation
-        records = [EpochRecord(1, 0.1, 1.0, -2.0, 0.5, 0.1),
-                   EpochRecord(2, 0.05, 0.9, -1.9, 0.4, 0.1, val_c_index=0.6)]
-        path = tmp_path / "h.csv"
-        write_history_csv(records, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,lr,loss,likelihood,pairwise,calibration,val_c_index"
-        assert lines[1].endswith(",")      # epoch 1 unscored
-        assert not lines[2].endswith(",")  # epoch 2 scored
 
 
 class TestTrainConfigValidation:
