@@ -21,7 +21,7 @@ from .config import (
 from .data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
     TimeGrid, apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid,
-    save_grid, split_dataset, write_csv,
+    require_json_number, save_grid, split_dataset, write_csv,
 )
 from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
@@ -224,21 +224,50 @@ def _match_features(test: SurvivalDataset, names) -> SurvivalDataset:
                            test.times, test.events, names)
 
 
+def _check_meta(path, meta, input_dim: int) -> None:
+    """Reject checkpoint meta unlike what `train` writes, naming the file and
+    the key: ``input_dim`` distinct feature names, as many finite scaler
+    means and positive finite stds, and a finite cutoff or null."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta must be an object")
+    for key in ("feature_names", "scaler_mean", "scaler_std"):
+        if key not in meta:
+            # a scaler fitted here would use statistics of the held-out rows
+            raise ValueError(f"{path}: checkpoint meta has no '{key}'")
+    names = meta["feature_names"]
+    if (not isinstance(names, list) or len(names) != input_dim
+            or not all(isinstance(name, str) for name in names)
+            or len(set(names)) != input_dim):
+        raise ValueError(f"{path}: feature_names must be a list of "
+                         f"{input_dim} distinct strings")
+    for key, low, kind in (("scaler_mean", -np.inf, "finite"),
+                           ("scaler_std", 0.0, "finite and positive")):
+        values = meta[key]
+        if not isinstance(values, list) or len(values) != input_dim:
+            raise ValueError(f"{path}: {key} must be a list of {input_dim} numbers")
+        for i, value in enumerate(values):
+            require_json_number(path, f"{key}[{i}]", value)
+            if not low < value < np.inf:
+                raise ValueError(f"{path}: {key}[{i}] must be {kind}, got {value!r}")
+    cutoff = meta.get("cutoff")
+    if cutoff is not None:
+        require_json_number(path, "cutoff", cutoff)
+        if not -np.inf < cutoff < np.inf:
+            raise ValueError(f"{path}: cutoff must be finite or null, got {cutoff!r}")
+
+
 def cmd_evaluate(args) -> int:
     # a ValueError means the file exists but is not a model file this
     # version reads
     with config_errors():
         params, meta = load_checkpoint(args.checkpoint)
+        _check_meta(args.checkpoint, meta, params.config.input_dim)
         grid = load_grid(args.grid)
     if grid.k_bins != params.config.k_bins:
         raise ConfigError(
             f"grid has {grid.k_bins} bins but the checkpoint was trained "
             f"with {params.config.k_bins}"
         )
-    for key in ("feature_names", "scaler_mean", "scaler_std"):
-        if key not in meta:
-            # a scaler fitted here would use statistics of the held-out rows
-            raise ConfigError(f"checkpoint meta has no '{key}'")
     scaler = FeatureScaler(
         mean=np.asarray(meta["scaler_mean"], dtype=np.float64),
         std=np.asarray(meta["scaler_std"], dtype=np.float64),

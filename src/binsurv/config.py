@@ -33,48 +33,42 @@ class ExperimentConfig:
     time_col: str = "time"
     event_col: str = "event"
     split: tuple = (0.6, 0.2, 0.2)
-    seed: int = 0
+    seed: int = TrainConfig.seed
     out: str = "run"
-    # discretization and model
-    k_bins: int = 10
-    hidden_dim: int = 32
-    n_blocks: int = 2
-    dropout: float = 0.2
+    # discretization and model; every default below is the sub-config's own
+    k_bins: int = ModelConfig.k_bins
+    hidden_dim: int = ModelConfig.hidden_dim
+    n_blocks: int = ModelConfig.n_blocks
+    dropout: float = ModelConfig.dropout_rate
     # loss
-    alpha: float = 1.0
-    beta: float = 0.05
-    gamma: float = 1.0
-    sigma: float = 1.0
-    rho: float = 1.0
-    calib_bins: int = 10
-    pairwise_kind: str = "time_rank"
+    alpha: float = LossWeights.alpha
+    beta: float = LossWeights.beta
+    gamma: float = LossWeights.gamma
+    sigma: float = LossWeights.sigma
+    rho: float = LossWeights.rho
+    pairwise_kind: str = LossWeights.pairwise_kind
     # optimization
-    epochs: int = 150
-    batch_size: int = 256
-    lr_init: float = 0.01
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr_init: float = TrainConfig.lr_init
 
     def model_config(self, input_dim: int) -> ModelConfig:
-        with config_errors():
-            return ModelConfig(
-                input_dim=input_dim, hidden_dim=self.hidden_dim,
-                n_blocks=self.n_blocks, dropout_rate=self.dropout,
-                k_bins=self.k_bins,
-            )
+        return self._sub_config(ModelConfig, input_dim=input_dim,
+                                dropout_rate=self.dropout)
 
     def loss_weights(self) -> LossWeights:
-        with config_errors():
-            return LossWeights(
-                alpha=self.alpha, beta=self.beta, gamma=self.gamma,
-                sigma=self.sigma, rho=self.rho, calib_bins=self.calib_bins,
-                pairwise_kind=self.pairwise_kind,
-            )
+        return self._sub_config(LossWeights)
 
     def train_config(self) -> TrainConfig:
+        return self._sub_config(TrainConfig)
+
+    def _sub_config(self, cls, **given):
+        """``cls`` with each field not in ``given`` taken from the setting of
+        the same name; a rejected value raises ConfigError."""
+        values = {f.name: getattr(self, f.name) for f in fields(cls)
+                  if f.name not in given}
         with config_errors():
-            return TrainConfig(
-                epochs=self.epochs, batch_size=self.batch_size,
-                lr_init=self.lr_init, seed=self.seed,
-            )
+            return cls(**values, **given)
 
     def resolved_lines(self) -> list[str]:
         """Deterministic key=value dump of every setting, field order."""

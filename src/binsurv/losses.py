@@ -51,7 +51,6 @@ class LossWeights:
     gamma: float = 1.0
     sigma: float = 1.0
     rho: float = 1.0
-    calib_bins: int = 10
     pairwise_kind: str = "time_rank"
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class LossWeights:
             raise ValueError("sigma must lie in (0, 1]")
         if not 0.0 <= self.rho <= RHO_MAX:
             raise ValueError(f"rho must lie in [0, {RHO_MAX:g}]")
-        if self.calib_bins < 1:
-            raise ValueError("calib_bins must be at least 1")
         if self.pairwise_kind not in PAIRWISE_KINDS:
             raise ValueError(f"pairwise_kind must be one of {PAIRWISE_KINDS}")
 
@@ -205,54 +202,43 @@ def time_rank_loss(risks: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
     return value, grad
 
 
-def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch, calib_bins: int = 10):
-    """Squared gap between predicted and observed event ratios per interval.
+def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch):
+    """Squared gap between predicted and observed event ratios per time bin.
 
-    Normalized time [0, 1] is split into ``calib_bins`` equal-width intervals.
-    For interval g = [a, b): predicted ratio is the batch pmf mass whose bin
-    midpoints fall in g divided by the mass at midpoints >= a; observed ratio
-    is the number of events with normalized time in g divided by the samples
-    with time >= a.  Observed ratios are constants (no gradient).  Intervals
-    whose predicted or observed denominator is zero are skipped; the value is
-    the mean over the intervals kept.  Returns (value, grad_pmf).
+    For bin g, the predicted ratio is the batch's pmf mass in column g divided
+    by its mass in columns >= g; the observed ratio is the number of events
+    in bin g divided by the samples in bins >= g.  Observed ratios are
+    constants (no gradient).  Bins whose predicted or observed denominator is
+    zero are skipped; the value is the mean over the bins kept.  Returns
+    (value, grad_pmf).
     """
-    if calib_bins < 1:
-        raise ValueError("calib_bins must be at least 1")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     n, k = p.shape
     if len(batch) != n:
         raise ValueError("pmfs and batch disagree on length")
-    edges = np.linspace(0.0, 1.0, calib_bins + 1)
-    mids = bin_midpoints(k)
-    mid_iv = np.searchsorted(edges, mids, side="right") - 1
-    t_iv = np.searchsorted(edges, batch.t_norm, side="right") - 1
+    kidx = batch.bins - 1
 
-    col_mass = p.sum(axis=0)
-    mass_per_iv = np.bincount(mid_iv, weights=col_mass, minlength=calib_bins)
-    pred_den = np.cumsum(mass_per_iv[::-1])[::-1]
-    ev_count = np.bincount(t_iv[batch.events == 1],
-                           minlength=calib_bins).astype(np.float64)
-    obs_den = np.cumsum(
-        np.bincount(t_iv, minlength=calib_bins)[::-1])[::-1].astype(np.float64)
+    mass = p.sum(axis=0)
+    pred_den = np.cumsum(mass[::-1])[::-1]
+    ev_count = np.bincount(kidx[batch.events == 1], minlength=k).astype(np.float64)
+    obs_den = np.cumsum(np.bincount(kidx, minlength=k)[::-1])[::-1].astype(np.float64)
 
     valid = (pred_den > 0.0) & (obs_den > 0.0)
     if not np.any(valid):
         return 0.0, np.zeros_like(p)
-    pred = np.zeros(calib_bins)
-    pred[valid] = mass_per_iv[valid] / pred_den[valid]
-    obs = np.zeros(calib_bins)
+    pred = np.zeros(k)
+    pred[valid] = mass[valid] / pred_den[valid]
+    obs = np.zeros(k)
     obs[valid] = ev_count[valid] / obs_den[valid]
     diff = np.where(valid, pred - obs, 0.0)
     n_valid = int(valid.sum())
     value = float((diff ** 2).sum() / n_valid)
 
-    # d pred_g / d p[i, c] = (1[c in g] - pred_g * 1[mid_c >= a_g]) / pred_den_g,
+    # d pred_g / d p[i, c] = (1[c = g] - pred_g * 1[c >= g]) / pred_den_g,
     # identical for every row i, so the gradient is one per-column vector
     c_g = np.where(valid, 2.0 * diff / n_valid, 0.0)
     a_vec = np.where(valid, c_g / np.where(valid, pred_den, 1.0), 0.0)
-    b_vec = a_vec * pred
-    b_cum = np.cumsum(b_vec)
-    col_grad = a_vec[mid_iv] - b_cum[mid_iv]
+    col_grad = a_vec - np.cumsum(a_vec * pred)
     grad = np.broadcast_to(col_grad, p.shape).copy()
     return value, grad
 
@@ -291,7 +277,7 @@ def combined_loss(pmfs: np.ndarray, batch: BinnedBatch, weights: LossWeights):
         parts["pairwise"] = pv
 
     if weights.gamma > 0.0:
-        cv, cg = calibration_loss(p, batch, weights.calib_bins)
+        cv, cg = calibration_loss(p, batch)
         value += weights.gamma * cv
         grad += weights.gamma * cg
         parts["calibration"] = cv

@@ -352,7 +352,8 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: {state} tensor {name!r}")
         tensors = {name: _stored_tensor(path, name, entry, layout[name].shape)
                    for name, entry in entries.items()}
-        params = ModelParams(config=cfg, tensors=tensors, updates=int(payload["updates"]))
+        require_json_number(path, "updates", payload["updates"], integer=True)
+        params = ModelParams(config=cfg, tensors=tensors, updates=payload["updates"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     return params, payload.get("meta", {})

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from binsurv.data import (
-    CsvFormatError, SurvivalDataset, bin_dataset, build_time_grid,
+    CsvFormatError, SurvivalDataset, bin_dataset, bin_midpoints, build_time_grid,
 )
 from binsurv.losses import LossWeights, combined_loss
 from binsurv.metrics import kaplan_meier
@@ -270,6 +270,42 @@ def brute_time_rank_loss(risks, batch, sigma=1.0, rho=1.0, magnitude=False):
     np.add.at(grad, pairs.i, w)
     np.add.at(grad, pairs.j, w if magnitude else -w)
     return value, grad
+
+
+def reference_calibration_loss(pmfs, batch, n_intervals):
+    """The interval form that ``losses.calibration_loss`` replaced: ratios
+    over ``n_intervals`` equal-width intervals of normalized time, each bin's
+    mass placed by its midpoint and each sample by its normalized time."""
+    p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
+    k = p.shape[1]
+    edges = np.linspace(0.0, 1.0, n_intervals + 1)
+    mid_iv = np.searchsorted(edges, bin_midpoints(k), side="right") - 1
+    t_iv = np.searchsorted(edges, batch.t_norm, side="right") - 1
+
+    col_mass = p.sum(axis=0)
+    mass_per_iv = np.bincount(mid_iv, weights=col_mass, minlength=n_intervals)
+    pred_den = np.cumsum(mass_per_iv[::-1])[::-1]
+    ev_count = np.bincount(t_iv[batch.events == 1],
+                           minlength=n_intervals).astype(np.float64)
+    obs_den = np.cumsum(
+        np.bincount(t_iv, minlength=n_intervals)[::-1])[::-1].astype(np.float64)
+
+    valid = (pred_den > 0.0) & (obs_den > 0.0)
+    if not np.any(valid):
+        return 0.0, np.zeros_like(p)
+    pred = np.zeros(n_intervals)
+    pred[valid] = mass_per_iv[valid] / pred_den[valid]
+    obs = np.zeros(n_intervals)
+    obs[valid] = ev_count[valid] / obs_den[valid]
+    diff = np.where(valid, pred - obs, 0.0)
+    n_valid = int(valid.sum())
+    value = float((diff ** 2).sum() / n_valid)
+
+    c_g = np.where(valid, 2.0 * diff / n_valid, 0.0)
+    a_vec = np.where(valid, c_g / np.where(valid, pred_den, 1.0), 0.0)
+    b_cum = np.cumsum(a_vec * pred)
+    col_grad = a_vec[mid_iv] - b_cum[mid_iv]
+    return value, np.broadcast_to(col_grad, p.shape).copy()
 
 
 def pair_count_c_index(scores, times, events):

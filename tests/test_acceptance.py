@@ -271,13 +271,13 @@ def test_a10_perfectly_calibrated_batch_zeroes_the_penalty():
                         events=np.ones(5, dtype=np.int64))
     pmfs = np.zeros((5, 5))
     pmfs[np.arange(5), bins - 1] = 1.0  # predictions equal the outcomes
-    value, _ = calibration_loss(pmfs, batch, 5)
+    value, _ = calibration_loss(pmfs, batch)
     assert value == 0.0
 
     shifted = pmfs.copy()
     shifted[0, 0] -= 0.2
     shifted[0, 1] += 0.2
-    value, _ = calibration_loss(shifted, batch, 5)
+    value, _ = calibration_loss(shifted, batch)
     assert value > 0.0
 
 

@@ -16,7 +16,11 @@ from binsurv.config import (
 from binsurv.data import (
     FeatureScaler, SurvivalDataset, load_csv, load_grid, write_csv,
 )
-from binsurv.model import apply_head, forward, load_checkpoint, predict_risk
+from binsurv.losses import LossWeights
+from binsurv.model import (
+    ModelConfig, apply_head, forward, load_checkpoint, predict_risk,
+)
+from binsurv.training import TrainConfig
 
 
 def run(args):
@@ -60,6 +64,11 @@ def edit_tensors(payload, drop=None, narrow=None, first_value=(), add=None):
     return payload
 
 
+def edit_meta(payload, **changes):
+    """A copy of a checkpoint payload with the given meta keys replaced."""
+    return {**payload, "meta": {**payload["meta"], **changes}}
+
+
 @pytest.fixture(scope="module")
 def ablation(data_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("abl")
@@ -82,9 +91,15 @@ class TestConfigModule:
 
     def test_unknown_key_is_named(self):
         for key in ("learning_rate", "head", "momentum", "weight_decay",
-                    "likelihood_mode", "eval_every"):
+                    "likelihood_mode", "eval_every", "calib_bins"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 build_config({key: "0"})
+
+    def test_defaults_are_the_sub_configs_own(self):
+        cfg = build_config({})
+        assert cfg.model_config(4) == ModelConfig(4)
+        assert cfg.loss_weights() == LossWeights()
+        assert cfg.train_config() == TrainConfig()
 
     def test_bad_value_is_named(self):
         with pytest.raises(ConfigError, match="epochs"):
@@ -113,7 +128,7 @@ class TestConfigModule:
         lines = cfg.resolved_lines()
         keys = {line.split("=")[0] for line in lines}
         for expected in ("alpha", "beta", "gamma", "sigma", "rho",
-                         "calib_bins", "pairwise_kind",
+                         "pairwise_kind",
                          "epochs", "batch_size", "k_bins"):
             assert expected in keys
         assert lines == cfg.resolved_lines()  # stable across calls
@@ -217,12 +232,11 @@ class TestTrainCommand:
         assert setting.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, message", [
-        ("calib_bins=0", "calib_bins must be at least 1"),
         ("dropout=1.5", "dropout must lie in [0, 1)"),
         ("epochs=0", "epochs must be at least 1"),
         ("hidden_dim=0", "hidden_dim must be at least 1"),
         ("n_blocks=-1", "n_blocks must be non-negative"),
-    ], ids=["calib_bins", "dropout", "epochs", "hidden_dim", "n_blocks"])
+    ], ids=["dropout", "epochs", "hidden_dim", "n_blocks"])
     def test_range_error_names_the_config_key(self, data_csv, tmp_path, capsys,
                                               setting, message):
         code = run(["train", "--data", str(data_csv), "--out",
@@ -556,6 +570,24 @@ class TestEvaluateCommand:
          "input_dim must be an integer, got '5'"),
         ("checkpoint", lambda p: {**p, "config": {**p["config"], "k_bins": 10.0}},
          "k_bins must be an integer, got 10.0"),
+        ("checkpoint", lambda p: {**p, "updates": 2.5},
+         "updates must be an integer, got 2.5"),
+        ("checkpoint", lambda p: edit_meta(p, cutoff="0.5"),
+         "cutoff must be a number, got '0.5'"),
+        ("checkpoint", lambda p: edit_meta(p, cutoff=float("nan")),
+         "cutoff must be finite or null, got nan"),
+        ("checkpoint", lambda p: edit_meta(p, feature_names=5),
+         "feature_names must be a list of 5 distinct strings"),
+        ("checkpoint", lambda p: edit_meta(p, feature_names=["x1"] * 5),
+         "feature_names must be a list of 5 distinct strings"),
+        ("checkpoint", lambda p: edit_meta(p, scaler_mean="abc"),
+         "scaler_mean must be a list of 5 numbers"),
+        ("checkpoint", lambda p: edit_meta(p, scaler_mean=["abc"] * 5),
+         "scaler_mean[0] must be a number, got 'abc'"),
+        ("checkpoint", lambda p: edit_meta(p, scaler_std=[1.0] * 9),
+         "scaler_std must be a list of 5 numbers"),
+        ("checkpoint", lambda p: edit_meta(p, scaler_std=[0.0] * 5),
+         "scaler_std[0] must be finite and positive, got 0.0"),
         ("grid", lambda p: {"format": "x"}, "not a binsurv grid file"),
         ("grid", lambda p: {k: v for k, v in p.items() if k != "t_min"},
          "missing key 't_min'"),
@@ -570,7 +602,10 @@ class TestEvaluateCommand:
             "extra-config-key", "no-tensors", "missing-tensor",
             "reshaped-tensor", "null-value", "nan-value", "extra-tensor",
             "float-hidden_dim", "string-dropout_rate", "bool-n_blocks",
-            "string-input_dim", "float-k_bins",
+            "string-input_dim", "float-k_bins", "float-updates",
+            "string-cutoff", "nan-cutoff", "int-feature_names",
+            "repeated-feature_names", "string-scaler_mean",
+            "string-scaler_mean-entry", "long-scaler_std", "zero-scaler_std",
             "foreign-grid", "grid-no-t_min", "grid-swapped-times",
             "grid-nan-t_min", "grid-fractional-k_bins", "grid-string-k_bins",
             "grid-string-t_max"])

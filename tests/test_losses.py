@@ -15,7 +15,8 @@ from binsurv.losses import (
 from binsurv.model import predict_risk
 from helpers import (
     GRAD_FLOOR, brute_rank_loss, brute_time_rank_loss, comparable_pairs,
-    fd_input_grad, random_batch, random_pmfs, rel_err_arr,
+    fd_input_grad, random_batch, random_pmfs, reference_calibration_loss,
+    rel_err_arr,
 )
 
 
@@ -275,14 +276,14 @@ class TestPairwiseOracle:
 
 class TestCalibration:
     def test_perfectly_calibrated_batch_scores_zero(self):
-        # one-hot mass at each sample's own bin with times at the midpoints
-        # makes predicted and observed interval ratios identical counts
+        # one-hot mass at each sample's own bin makes predicted and observed
+        # bin ratios identical counts
         k = 5
         bins = np.array([1, 2, 3, 4, 2, 3])
         pmfs = np.zeros((6, k))
         pmfs[np.arange(6), bins - 1] = 1.0
         batch = manual_batch(bins, np.ones(6, dtype=int), k=k)
-        value, _ = calibration_loss(pmfs, batch, k)
+        value, _ = calibration_loss(pmfs, batch)
         assert value == 0.0
 
     def test_perturbation_makes_it_positive(self):
@@ -292,41 +293,41 @@ class TestCalibration:
         pmfs[np.arange(6), bins - 1] = 1.0
         pmfs[0] = np.array([0.6, 0.4, 0.0, 0.0, 0.0])
         batch = manual_batch(bins, np.ones(6, dtype=int), k=k)
-        value, _ = calibration_loss(pmfs, batch, k)
+        value, _ = calibration_loss(pmfs, batch)
         assert value > 0.0
 
     def test_skips_empty_intervals(self):
-        # all mass and all times inside the first interval: later intervals
-        # have empty denominators and must not contribute
+        # all mass and all samples in the first bin: later bins have empty
+        # denominators and must not contribute
         k = 4
         pmfs = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         batch = manual_batch([1, 1], [1, 1], k=k, t_norm=[0.05, 0.05])
-        value, _ = calibration_loss(pmfs, batch, 2)
-        # single valid interval, predicted 1.0 vs observed 1.0
+        value, grad = calibration_loss(pmfs, batch)
+        # single valid bin, predicted 1.0 vs observed 1.0
         assert value == 0.0
+        assert np.all(grad == 0.0)
 
     def test_hand_computed_value(self):
-        # two samples, uniform mass, both events in the first half
+        # two samples, uniform mass, both events in the first bin
         k = 2
         pmfs = np.array([[0.5, 0.5], [0.5, 0.5]])
-        batch = manual_batch([1, 1], [1, 1], k=k)  # t_norm = 0.25 both
-        value, _ = calibration_loss(pmfs, batch, 2)
-        # interval 1: pred 0.5/1.0, obs 2/2 -> (0.5-1)^2; interval 2:
-        # pred 0.5/0.5, obs 0/0 -> skipped; mean over 1 valid interval
+        batch = manual_batch([1, 1], [1, 1], k=k)
+        value, _ = calibration_loss(pmfs, batch)
+        # bin 1: pred 0.5/1.0, obs 2/2 -> (0.5-1)^2; bin 2: pred 0.5/0.5,
+        # obs 0/0 -> skipped; mean over 1 valid bin
         assert value == pytest.approx(0.25)
 
     def test_value_bounded_by_one(self, rng):
         _, _, batch = random_batch(rng, 30, k_bins=6)
         pmfs = random_pmfs(rng, 30, 6)
-        value, _ = calibration_loss(pmfs, batch, 10)
+        value, _ = calibration_loss(pmfs, batch)
         assert 0.0 <= value <= 1.0
 
     def test_fd(self, rng):
         _, _, batch = random_batch(rng, 18, k_bins=5)
         pmfs = random_pmfs(rng, 18, 5)
-        _, grad = calibration_loss(pmfs, batch, 7)
-        num = fd_input_grad(
-            lambda p: calibration_loss(p, batch, 7)[0], pmfs)
+        _, grad = calibration_loss(pmfs, batch)
+        num = fd_input_grad(lambda p: calibration_loss(p, batch)[0], pmfs)
         assert rel_err_arr(grad, num) < 1e-6
 
     def test_gradient_constant_across_rows(self, rng):
@@ -335,22 +336,33 @@ class TestCalibration:
         _, grad = calibration_loss(pmfs, batch)
         assert np.allclose(grad, grad[0][None, :], atol=1e-15)
 
-    def test_edges_must_increase(self):
-        batch = manual_batch([1, 2], [1, 1], k=2)
-        with pytest.raises(ValueError, match="calib_bins"):
-            calibration_loss(np.full((2, 2), 0.5), batch, 0)
+    @given(st.integers(2, 12),
+           st.lists(st.tuples(st.integers(0, 11), st.floats(0.01, 0.99),
+                              st.integers(0, 1)), min_size=1, max_size=40),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_interval_form_on_k_intervals(self, k, rows, seed):
+        # times lie inside their bins: the interval form's linspace edge
+        # below the top bin can round either side of (k - 1) / k
+        t = np.array([(min(b, k - 1) + f) / k for b, f, _ in rows])
+        events = np.array([e for _, _, e in rows], dtype=np.int64)
+        batch = manual_batch(assign_bin(t, k), events, k, t_norm=t)
+        pmfs = random_pmfs(np.random.default_rng(seed), len(rows), k)
+        value, grad = calibration_loss(pmfs, batch)
+        expect, expect_grad = reference_calibration_loss(pmfs, batch, k)
+        assert value == expect
+        assert grad.tobytes() == expect_grad.tobytes()
 
 
 class TestCombined:
     def test_matches_component_sum(self, rng):
         _, _, batch = random_batch(rng, 20, k_bins=5)
         pmfs = random_pmfs(rng, 20, 5)
-        w = LossWeights(alpha=0.7, beta=0.03, gamma=1.1, sigma=0.9, rho=1.2,
-                        calib_bins=6)
+        w = LossWeights(alpha=0.7, beta=0.03, gamma=1.1, sigma=0.9, rho=1.2)
         value, _, parts = combined_loss(pmfs, batch, w)
         lv, _ = likelihood_loss(pmfs, batch)
         pv, _ = time_rank_loss(predict_risk(pmfs), batch, 0.9, 1.2)
-        cv, _ = calibration_loss(pmfs, batch, 6)
+        cv, _ = calibration_loss(pmfs, batch)
         assert value == pytest.approx(-0.7 * lv + 0.03 * pv + 1.1 * cv)
         assert parts["likelihood"] == pytest.approx(lv)
         assert parts["pairwise"] == pytest.approx(pv)
@@ -361,7 +373,7 @@ class TestCombined:
         _, _, batch = random_batch(rng, 12, k_bins=5, censored_low=True)
         pmfs = random_pmfs(rng, 12, 5)
         w = LossWeights(alpha=1.0, beta=0.05, gamma=1.0, sigma=0.9, rho=1.1,
-                        calib_bins=5, pairwise_kind=kind)
+                        pairwise_kind=kind)
         _, grad, _ = combined_loss(pmfs, batch, w)
         num = fd_input_grad(lambda p: combined_loss(p, batch, w)[0], pmfs)
         assert rel_err_arr(grad, num) < 1e-5
@@ -428,5 +440,3 @@ class TestWeightsValidation:
     def test_enumerations_checked(self):
         with pytest.raises(ValueError):
             LossWeights(pairwise_kind="margin")
-        with pytest.raises(ValueError):
-            LossWeights(calib_bins=0)
