@@ -247,7 +247,7 @@ def load_csv(path, time_column: str = "time",
     decimal floats (``nan``/``inf`` spellings included), optionally quoted
     and padded with whitespace; lines end in LF, CRLF or CR, and a blank
     line is an error.  Times must be finite and > 0, events 0 or 1, and
-    features finite.
+    features finite.  Time, event and at least one feature are distinct columns.
 
     numpy's C parser reads the data lines in one call.  Only when it or a
     vectorised check rejects the file does :func:`_raise_first_bad_row`
@@ -261,6 +261,8 @@ def load_csv(path, time_column: str = "time",
     (the CLI fits one scaler on the training split).  Every failure raises
     :class:`CsvFormatError`.
     """
+    if time_column == event_column:
+        raise CsvFormatError(f"{path}: '{time_column}' is both the time and event column")
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -274,6 +276,8 @@ def load_csv(path, time_column: str = "time",
                 raise CsvFormatError(f"{path}: column {i + 1} has an empty name")
             if name in header[:i]:
                 raise CsvFormatError(f"{path}: duplicate column '{name}'")
+        if len(header) == 2:
+            raise CsvFormatError(f"{path}: no feature column")
         text = fh.read()
     if not text:
         raise CsvFormatError(f"{path}: no data rows")

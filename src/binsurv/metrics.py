@@ -145,48 +145,49 @@ def _later_lower_count(s, is_event) -> int:
     return total
 
 
-def brier_score_t(pmfs, times, events, t_star: float, censor_km: KMCurve,
-                  grid: TimeGrid) -> float:
-    """Censoring-weighted squared error of survival predictions at ``t_star``.
+def brier_score_t(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
+    """Censoring-weighted squared error of survival predictions at each t*
+    of a strictly increasing grid ``t_grid``.
 
-    Samples with an event at or before t_star contribute S_hat(t*)^2 weighted
+    Samples with an event at or before t* contribute S_hat(t*)^2 weighted
     by 1/G(t_i-); samples still under observation contribute
-    (1 - S_hat(t*))^2 weighted by 1/G(t*-); samples censored before t_star
-    contribute nothing.  Per-sample survival is read from the pmf at the bin
-    containing t_star.  Samples whose weight denominator is zero are dropped
-    from the sum (with a warning) while n stays fixed.
+    (1 - S_hat(t*))^2 weighted by 1/G(t*-); samples censored before t*
+    contribute nothing.  G, the rows' censoring Kaplan-Meier curve, is fitted
+    and read once.  Per-sample survival is read from the pmf at the bin
+    containing t*.  Samples whose weight denominator is zero are dropped
+    from the sum (with a warning per time) while n stays fixed.
     """
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    if t_grid.size == 0:
+        raise ValueError("ibs needs a non-empty evaluation grid")
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("evaluation grid must be strictly increasing")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
     n = t.size
-    k_star = assign_bin(normalize_time(float(t_star), grid), grid.k_bins)
-    surv = predict_survival(p, k_star)
-
-    g_i = np.asarray(censor_km.survival_before(t))
-    g_star = float(censor_km.survival_before(float(t_star)))
-
-    had_event = (t <= t_star) & (e == 1)
-    still_out = t > t_star
-    dropped = 0
-    total = 0.0
-
-    usable = had_event & (g_i > 0.0)
-    dropped += int(np.count_nonzero(had_event & ~usable))
-    total += (surv[usable] ** 2 / g_i[usable]).sum()
-
-    if np.any(still_out):
+    censoring = kaplan_meier(t, e, target="censoring")
+    g_i = censoring.survival_before(t)
+    is_event = e == 1
+    g_stars = censoring.survival_before(t_grid).tolist()
+    k_stars = assign_bin(normalize_time(t_grid, grid), grid.k_bins).tolist()
+    scores = []
+    for t_star, g_star, k_star in zip(t_grid.tolist(), g_stars, k_stars):
+        surv = predict_survival(p, k_star)
+        had_event = (t <= t_star) & is_event
+        still_out = t > t_star
+        usable = had_event & (g_i > 0.0)
+        dropped = int(np.count_nonzero(had_event & ~usable))
+        total = (surv[usable] ** 2 / g_i[usable]).sum()
         if g_star > 0.0:
             total += ((1.0 - surv[still_out]) ** 2).sum() / g_star
         else:
             dropped += int(np.count_nonzero(still_out))
-    if dropped:
-        warnings.warn(
-            f"brier score at t*={t_star!r}: {dropped} sample(s) dropped "
-            "because the censoring weight is zero",
-            RuntimeWarning,
-        )
-    return float(total / n)
+        if dropped:
+            warnings.warn(f"brier score at t*={t_star!r}: {dropped} sample(s) dropped "
+                          "because the censoring weight is zero", RuntimeWarning)
+        scores.append(float(total / n))
+    return np.asarray(scores)
 
 
 def _grid_mean(ys, xs) -> float:
@@ -202,18 +203,6 @@ def _grid_mean(ys, xs) -> float:
     return area / float(xs[-1] - xs[0])
 
 
-def _brier_curve(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
-    """Brier score at each point of a strictly increasing evaluation grid."""
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size == 0:
-        raise ValueError("ibs needs a non-empty evaluation grid")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("evaluation grid must be strictly increasing")
-    censor_km = kaplan_meier(times, events, target="censoring")
-    return np.asarray([brier_score_t(pmfs, times, events, float(t), censor_km, grid)
-                       for t in t_grid])
-
-
 def ibs(pmfs, times, events, t_grid, grid: TimeGrid) -> float:
     """Brier score averaged over an evaluation grid (trapezoidal rule).
 
@@ -221,41 +210,45 @@ def ibs(pmfs, times, events, t_grid, grid: TimeGrid) -> float:
     a constant Brier curve averages to itself.  A single-point grid returns
     the pointwise score.
     """
-    return _grid_mean(_brier_curve(pmfs, times, events, t_grid, grid), t_grid)
+    return _grid_mean(brier_score_t(pmfs, times, events, t_grid, grid), t_grid)
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    boundaries = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1], True])
-    starts, ends = boundaries[:-1], boundaries[1:]
-    group_rank = (starts + 1 + ends) / 2.0
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
-
-
-def tdauc(scores, times, events, t: float) -> float:
-    """Time-dependent AUC at ``t``: cumulative cases vs dynamic controls.
+def tdauc(scores, times, events, t_grid) -> np.ndarray:
+    """Time-dependent AUC at each t of ``t_grid``: cumulative cases vs
+    dynamic controls.
 
     Cases are samples with an event at or before t, controls are samples
     observed beyond t; the statistic is the Mann-Whitney probability that a
-    case outscores a control, ties counting half.
+    case outscores a control, ties counting half, from the cases' midranks.
+    One sort puts the scores in tie blocks, and a ``bincount`` per time
+    counts the cases and controls in each.  A NaN ranks above every number
+    and ties with none, the cases' NaNs below the controls'.
     """
     s = np.asarray(scores, dtype=np.float64)
     tm = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
-    cases = (tm <= t) & (e == 1)
-    controls = tm > t
-    n_cases = int(cases.sum())
-    n_controls = int(controls.sum())
-    if n_cases == 0 or n_controls == 0:
-        raise UndefinedMetricError(f"no cases or no controls at t={t!r}")
-    pooled = np.concatenate([s[cases], s[controls]])
-    ranks = _midranks(pooled)
-    rank_sum = ranks[:n_cases].sum()
-    return float((rank_sum - n_cases * (n_cases + 1) / 2.0) / (n_cases * n_controls))
+    is_event = np.asarray(events, dtype=np.int64) == 1
+    distinct = np.unique(s)  # ascending, NaN last
+    block = np.searchsorted(distinct, s)  # tie block of each row; NaNs share one
+    nan_block = np.searchsorted(distinct, np.nan)
+    values = []
+    for t in np.asarray(t_grid, dtype=np.float64).tolist():
+        cases = (tm <= t) & is_event
+        controls = tm > t
+        n_cases = int(cases.sum())
+        n_controls = int(controls.sum())
+        if n_cases == 0 or n_controls == 0:
+            raise UndefinedMetricError(f"no cases or no controls at t={t!r}")
+        in_case = np.bincount(block[cases], minlength=distinct.size + 1)
+        pooled = np.bincount(block[cases | controls], minlength=distinct.size + 1)
+        below = np.cumsum(pooled) - pooled
+        # c pooled rows above b others share the midrank (2b + c + 1) / 2;
+        # k NaN cases rank b + 1 .. b + k, the same sum with c = k.  The sum
+        # is exact, so it is the float that adding the midranks gives
+        pooled[nan_block] = in_case[nan_block]
+        rank_sum = int((in_case * (2 * below + pooled + 1)).sum()) / 2
+        values.append(float((rank_sum - n_cases * (n_cases + 1) / 2.0)
+                            / (n_cases * n_controls)))
+    return np.asarray(values)
 
 
 def _tdauc_curve(scores, times, events, t_grid):
@@ -263,15 +256,13 @@ def _tdauc_curve(scores, times, events, t_grid):
     and controls; the mean is the mean TDAUC."""
     tm = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
-    ts, values = [], []
-    for t in np.asarray(t_grid, dtype=np.float64):
-        if np.any((tm <= t) & (e == 1)) and np.any(tm > t):
-            ts.append(float(t))
-            values.append(tdauc(scores, times, events, float(t)))
-    if not values:
+    ts = np.asarray([t for t in np.asarray(t_grid, dtype=np.float64).tolist()
+                     if np.any((tm <= t) & (e == 1)) and np.any(tm > t)],
+                    dtype=np.float64)
+    if ts.size == 0:
         raise UndefinedMetricError("no evaluable time points for mean TDAUC")
-    values = np.asarray(values)
-    return np.asarray(ts), values, float(np.mean(values))
+    values = tdauc(scores, times, events, ts)
+    return ts, values, float(np.mean(values))
 
 
 def m_tdauc(scores, times, events, t_grid) -> float:
@@ -479,7 +470,7 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
 
     cindex = c_index(risks, times, events)
     eval_times = default_eval_times(grid)
-    brier = _brier_curve(pmfs, times, events, eval_times, grid)
+    brier = brier_score_t(pmfs, times, events, eval_times, grid)
     ibs_value = _grid_mean(brier, eval_times)
     td_times, td_vals, mean_tdauc = _tdauc_curve(risks, times, events, eval_times)
 

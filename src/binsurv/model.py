@@ -65,24 +65,27 @@ class ModelParams:
         )
 
 
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor of the model, in storage order."""
+    h, k = config.hidden_dim, config.k_bins
+    shapes = {"input.w": (config.input_dim, h), "input.b": (h,)}
+    for b in range(config.n_blocks):
+        shapes[f"block{b}.linear.w"] = (h, h)
+        for part in ("linear.b", "bn.scale", "bn.shift", "bn.mean", "bn.var"):
+            shapes[f"block{b}.{part}"] = (h,)
+    return {**shapes, "output.w": (h, k), "output.b": (k,)}
+
+
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Scaled-uniform weight init (bound 1/sqrt(fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-
-    def linear(name, fan_in, fan_out):
-        bound = 1.0 / math.sqrt(fan_in)
-        tensors[f"{name}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        tensors[f"{name}.b"] = np.zeros(fan_out)
-
-    linear("input", config.input_dim, config.hidden_dim)
-    for b in range(config.n_blocks):
-        linear(f"block{b}.linear", config.hidden_dim, config.hidden_dim)
-        tensors[f"block{b}.bn.scale"] = np.ones(config.hidden_dim)
-        tensors[f"block{b}.bn.shift"] = np.zeros(config.hidden_dim)
-        tensors[f"block{b}.bn.mean"] = np.zeros(config.hidden_dim)
-        tensors[f"block{b}.bn.var"] = np.ones(config.hidden_dim)
-    linear("output", config.hidden_dim, config.k_bins)
+    for name, shape in _tensor_shapes(config).items():
+        if name.endswith(".w"):
+            bound = 1.0 / math.sqrt(shape[0])
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            tensors[name] = np.full(shape, float(name.endswith((".scale", ".var"))))
     return ModelParams(config=config, tensors=tensors, updates=0)
 
 
@@ -319,8 +322,8 @@ def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; returns (params, meta).
 
     A body that format v1 does not write raises ValueError naming the file:
-    the tensors must have exactly the names and shapes :func:`init_params`
-    lays out for the stored config, and finite values.
+    the tensors must have exactly the names and shapes
+    :func:`_tensor_shapes` lays out for the stored config, and finite values.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -344,13 +347,13 @@ def load_checkpoint(path):
         for name, value in values.items():
             require_json_number(path, name, value, integer=name != "dropout_rate")
         cfg = ModelConfig(**values)
-        layout = init_params(cfg, seed=0).tensors
+        layout = _tensor_shapes(cfg)
         entries = payload["tensors"]
         for name in (*layout, *entries):
             if (name in layout) != (name in entries):
                 state = "missing" if name in layout else "unexpected"
                 raise ValueError(f"{path}: {state} tensor {name!r}")
-        tensors = {name: _stored_tensor(path, name, entry, layout[name].shape)
+        tensors = {name: _stored_tensor(path, name, entry, layout[name])
                    for name, entry in entries.items()}
         require_json_number(path, "updates", payload["updates"], integer=True)
         params = ModelParams(config=cfg, tensors=tensors, updates=payload["updates"])

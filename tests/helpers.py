@@ -166,6 +166,91 @@ def slow_brier(pmfs, times, events, t_star, grid):
     return total / n
 
 
+def reference_brier_curve(pmfs, times, events, t_grid, grid, censoring=None):
+    """Brier score at each grid time, one pass per time that reads its own
+    weights: the per-time form ``metrics.brier_score_t`` replaced.
+
+    ``censoring`` defaults to the Kaplan-Meier curve of the rows' censoring
+    times, as the library fits it; another curve can stand in for it.
+    """
+    from binsurv.data import assign_bin, normalize_time
+    from binsurv.model import predict_survival
+
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    if t_grid.size == 0:
+        raise ValueError("ibs needs a non-empty evaluation grid")
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("evaluation grid must be strictly increasing")
+    if censoring is None:
+        censoring = kaplan_meier(times, events, target="censoring")
+    p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events, dtype=np.int64)
+    n = t.size
+    curve = []
+    for t_star in t_grid:
+        t_star = float(t_star)
+        k_star = assign_bin(normalize_time(t_star, grid), grid.k_bins)
+        surv = predict_survival(p, k_star)
+        g_i = np.asarray(censoring.survival_before(t))
+        g_star = float(censoring.survival_before(t_star))
+
+        had_event = (t <= t_star) & (e == 1)
+        still_out = t > t_star
+        dropped = 0
+        total = 0.0
+
+        usable = had_event & (g_i > 0.0)
+        dropped += int(np.count_nonzero(had_event & ~usable))
+        total += (surv[usable] ** 2 / g_i[usable]).sum()
+
+        if np.any(still_out):
+            if g_star > 0.0:
+                total += ((1.0 - surv[still_out]) ** 2).sum() / g_star
+            else:
+                dropped += int(np.count_nonzero(still_out))
+        if dropped:
+            warnings.warn(
+                f"brier score at t*={t_star!r}: {dropped} sample(s) dropped "
+                "because the censoring weight is zero",
+                RuntimeWarning,
+            )
+        curve.append(float(total / n))
+    return np.asarray(curve)
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties averaged."""
+    order = np.argsort(x, kind="mergesort")
+    sx = x[order]
+    boundaries = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1], True])
+    starts, ends = boundaries[:-1], boundaries[1:]
+    group_rank = (starts + 1 + ends) / 2.0
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(group_rank, ends - starts)
+    return ranks
+
+
+def reference_tdauc(scores, times, events, t: float) -> float:
+    """TDAUC at one time ``t`` from a fresh midrank sort of its cases and
+    controls: the per-time form ``metrics.tdauc`` replaced."""
+    from binsurv.metrics import UndefinedMetricError
+
+    s = np.asarray(scores, dtype=np.float64)
+    tm = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events, dtype=np.int64)
+    cases = (tm <= t) & (e == 1)
+    controls = tm > t
+    n_cases = int(cases.sum())
+    n_controls = int(controls.sum())
+    if n_cases == 0 or n_controls == 0:
+        raise UndefinedMetricError(f"no cases or no controls at t={t!r}")
+    pooled = np.concatenate([s[cases], s[controls]])
+    ranks = _midranks(pooled)
+    rank_sum = ranks[:n_cases].sum()
+    return float((rank_sum - n_cases * (n_cases + 1) / 2.0) / (n_cases * n_controls))
+
+
 def brute_c_index(scores, times, events):
     """O(n^2) concordance for cross-checking the fast implementation."""
     s = np.asarray(scores, dtype=np.float64)

@@ -22,7 +22,7 @@ from binsurv.losses import LossWeights, calibration_loss, \
     combined_loss, time_rank_loss
 from binsurv.metrics import (
     brier_score_t, c_index, default_eval_times, evaluate_model, ibs,
-    kaplan_meier, m_tdauc, tdauc,
+    m_tdauc, tdauc,
 )
 from binsurv.model import (
     ModelConfig, apply_head, forward, init_params, load_checkpoint,
@@ -103,7 +103,7 @@ def test_a04_ranking_and_brier_metrics_match_brute_force(rng):
             t = float(np.quantile(times, q))
             expect = brute_tdauc(scores, times, events, t)
             if expect is not None:
-                assert tdauc(scores, times, events, t) == expect
+                assert tdauc(scores, times, events, [t])[0] == expect
                 checked_auc += 1
     assert checked_c >= 90 and checked_auc >= 200
 
@@ -112,13 +112,11 @@ def test_a04_ranking_and_brier_metrics_match_brute_force(rng):
         ds = random_dataset(rng, n, censor_frac=0.35)
         grid = build_time_grid(ds, 6)
         pmfs = random_pmfs(rng, n, 6)
-        censor_km = kaplan_meier(ds.times, ds.events, target="censoring")
         for q in (0.3, 0.6, 0.9):
             t_star = float(np.quantile(ds.times, q))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fast = brier_score_t(pmfs, ds.times, ds.events, t_star,
-                                     censor_km, grid)
+                fast = brier_score_t(pmfs, ds.times, ds.events, [t_star], grid)[0]
             slow = slow_brier(pmfs, ds.times, ds.events, t_star, grid)
             assert abs(fast - slow) <= 1e-12
 
@@ -134,10 +132,7 @@ def test_a05_uninformative_predictions_hit_reference_scores(rng):
     pmfs[:, 0] = 0.5
     pmfs[:, -1] = 0.5
     eval_times = np.arange(2.0, 19.0)  # integer grid keeps the sums dyadic
-    censor_km = kaplan_meier(times, events, target="censoring")
-    for t_star in eval_times:
-        assert brier_score_t(pmfs, times, events, float(t_star),
-                             censor_km, grid) == 0.25
+    assert np.all(brier_score_t(pmfs, times, events, eval_times, grid) == 0.25)
     assert ibs(pmfs, times, events, eval_times, grid) == 0.25
 
     # random scores carry no signal: concordance and mean dynamic AUC sit at

@@ -336,6 +336,43 @@ def test_rejected_run_writes_nothing(data_csv, tmp_path, capsys, command, data,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["prepare", "train", "ablate"])
+def test_one_column_for_time_and_event_exits_two(data_csv, tmp_path, capsys,
+                                                 command):
+    out = tmp_path / "o"
+    code = run([command, "--data", str(data_csv), "--out", str(out), *FAST,
+                "--set", "time_col=event"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {data_csv}: 'event' is both the time and event column\n")
+    assert not out.exists()
+
+
+def test_evaluate_with_one_column_for_time_and_event_exits_two(run_dir, tmp_path,
+                                                               capsys):
+    out = tmp_path / "e"
+    data = run_dir / "test.csv"
+    code = run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                "--grid", str(run_dir / "grid.json"), "--data", str(data),
+                "--time-col", "time", "--event-col", "time", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: 'time' is both the time and event column\n")
+    assert not out.exists()
+
+
+def test_file_without_features_exits_two(tmp_path, capsys):
+    data = tmp_path / "outcomes.csv"
+    data.write_text("time,event\n" + "".join(f"{t}.5,{t % 2}\n" for t in range(1, 40)),
+                    encoding="utf-8")
+    out = tmp_path / "o"
+    code = run(["train", "--data", str(data), "--out", str(out), *FAST])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: no feature column\n")
+    assert not out.exists()
+
+
 def test_ablation_row_without_loss_is_named(data_csv, tmp_path, capsys):
     # with alpha=0 the mle row weighs nothing; the default rows are all checked
     code = run(["ablate", "--data", str(data_csv), "--out", str(tmp_path / "o"),

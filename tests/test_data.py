@@ -339,6 +339,18 @@ class TestCsvIO:
         with pytest.raises(CsvFormatError, match="duplicate column 'time'"):
             load_csv(path)
 
+    def test_one_column_for_time_and_event_rejected(self, tmp_path):
+        path = self.write(tmp_path, "time,event,x1\n1.0,1,0.2\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_csv(path, "event", "event")
+        assert str(info.value) == f"{path}: 'event' is both the time and event column"
+
+    def test_file_without_features_rejected(self, tmp_path):
+        path = self.write(tmp_path, "event,time\n1,1.0\n0,2.0\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: no feature column"
+
     def test_empty_header_name_rejected(self, tmp_path):
         path = self.write(tmp_path, "x1,,time,event\n0.2,0.3,1.0,1\n")
         with pytest.raises(CsvFormatError, match="column 2 has an empty name"):

@@ -1,14 +1,17 @@
 """Censoring-aware metrics against hand values and brute-force oracles."""
 
+import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binsurv.data import bin_dataset, build_time_grid
+from binsurv import metrics
+from binsurv.data import TimeGrid, bin_dataset, build_time_grid
 from binsurv.metrics import (
     UndefinedMetricError, _log_rank_tables, brier_score_t, c_index, default_eval_times,
     evaluate_model, has_comparable_pair, hazard_ratio, ibs, kaplan_meier,
@@ -19,8 +22,8 @@ from binsurv.model import (
 )
 from helpers import (
     brute_c_index, brute_tdauc, comparable_pairs, pair_count_c_index, random_dataset,
-    reference_log_rank_tables, reference_select_cutoff, slow_brier,
-    slow_km_survival_before,
+    random_pmfs, reference_brier_curve, reference_log_rank_tables,
+    reference_select_cutoff, reference_tdauc, slow_brier, slow_km_survival_before,
 )
 
 
@@ -180,11 +183,10 @@ class TestBrier:
         z = rng.standard_normal((70, 8))
         ez = np.exp(z - z.max(axis=1, keepdims=True))
         pmfs = ez / ez.sum(axis=1, keepdims=True)
-        km = kaplan_meier(ds.times, ds.events, target="censoring")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for t_star in (1.0, 2.5, 4.0, 7.0):
-                got = brier_score_t(pmfs, ds.times, ds.events, t_star, km, grid)
+                got = brier_score_t(pmfs, ds.times, ds.events, [t_star], grid)[0]
                 expect = slow_brier(pmfs, ds.times.tolist(),
                                     ds.events.tolist(), t_star, grid)
                 assert got == pytest.approx(expect, abs=1e-12)
@@ -201,13 +203,13 @@ class TestBrier:
         pmfs = np.zeros((20, 10))
         pmfs[:, 0] = 0.5
         pmfs[:, -1] = 0.5
-        km = kaplan_meier(times, events, target="censoring")
-        for t_star in (2.0, 5.0, 11.0, 19.0):
-            assert brier_score_t(pmfs, times, events, t_star, km, grid) == 0.25
+        t_grid = [2.0, 5.0, 11.0, 19.0]
+        assert brier_score_t(pmfs, times, events, t_grid, grid).tolist() == [0.25] * 4
 
     def test_zero_weight_samples_dropped_with_warning(self):
         # a censoring curve that hits zero before t* zeroes the weight of
-        # every sample still under observation at t*
+        # every sample still under observation at t*; the scored rows' own
+        # curve never does, so another cohort's stands in for it
         km = kaplan_meier([1.0, 2.0, 3.0], [1, 1, 0], target="censoring")
         times = np.array([1.0, 2.0, 3.0, 4.0])
         events = np.ones(4, dtype=int)
@@ -216,9 +218,10 @@ class TestBrier:
                       feature_names=ds.feature_names)
         grid = build_time_grid(ds, 5)
         pmfs = np.full((4, 5), 0.2)
-        with pytest.warns(RuntimeWarning, match="dropped"):
-            value = brier_score_t(pmfs, times, events, 3.5, km, grid)
-        assert np.isfinite(value)
+        with mock.patch.object(metrics, "kaplan_meier", return_value=km), \
+                pytest.warns(RuntimeWarning, match=r"t\*=3\.5: 1 sample\(s\) dropped"):
+            value = brier_score_t(pmfs, times, events, [3.5], grid)
+        assert np.isfinite(value).all()
 
 
 class TestIbs:
@@ -243,9 +246,8 @@ class TestIbs:
                       feature_names=ds.feature_names)
         grid = build_time_grid(ds, 5)
         pmfs = np.full((10, 5), 0.2)
-        km = kaplan_meier(times, events, target="censoring")
         single = ibs(pmfs, times, events, [4.0], grid)
-        assert single == brier_score_t(pmfs, times, events, 4.0, km, grid)
+        assert single == brier_score_t(pmfs, times, events, [4.0], grid)[0]
 
     def test_rejects_bad_grids(self, rng):
         ds = random_dataset(rng, 10)
@@ -268,15 +270,15 @@ class TestTdauc:
                 expect = brute_tdauc(s, t, e, q)
                 if expect is None:
                     with pytest.raises(UndefinedMetricError):
-                        tdauc(s, t, e, q)
+                        tdauc(s, t, e, [q])
                 else:
-                    assert tdauc(s, t, e, q) == expect
+                    assert tdauc(s, t, e, [q])[0] == expect
 
     def test_perfect_separation(self):
         s = np.array([5.0, 4.0, 1.0, 0.5])
         t = np.array([1.0, 2.0, 9.0, 9.5])
         e = np.ones(4, dtype=int)
-        assert tdauc(s, t, e, 2.5) == 1.0
+        assert tdauc(s, t, e, [2.5]).tolist() == [1.0]
 
     def test_m_tdauc_skips_nonevaluable_points(self):
         s = np.array([3.0, 2.0, 1.0])
@@ -284,12 +286,81 @@ class TestTdauc:
         e = np.array([1, 1, 1])
         # t=0.5 has no cases yet; t=3.5 has no controls left
         value = m_tdauc(s, t, e, [0.5, 1.5, 2.5, 3.5])
-        expect = (tdauc(s, t, e, 1.5) + tdauc(s, t, e, 2.5)) / 2
+        expect = tdauc(s, t, e, [1.5, 2.5]).mean()
         assert value == pytest.approx(expect)
 
     def test_m_tdauc_all_points_unusable(self):
         with pytest.raises(UndefinedMetricError):
             m_tdauc([1.0, 2.0], [1.0, 2.0], [1, 1], [5.0, 6.0])
+
+
+@st.composite
+def graded_cohorts(draw):
+    """Times and scores with ties, up to three NaN scores, an increasing grid of
+    1-12 times, and maybe a censoring curve that falls to zero: that of
+    another cohort whose latest rows are censored."""
+    n = draw(st.integers(1, 30))
+    column = st.lists(st.integers(1, 12), min_size=n, max_size=n)
+    times = np.asarray(draw(column), dtype=np.float64)
+    events = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    scores = np.asarray(draw(column), dtype=np.float64) % 5
+    scores[draw(st.lists(st.integers(0, n - 1), max_size=3))] = np.nan
+    t_grid = np.asarray(sorted(draw(st.sets(st.integers(1, 52), min_size=1,
+                                            max_size=12)))) / 4.0
+    pmfs = random_pmfs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       n, draw(st.integers(3, 8)))
+    censoring = None
+    if draw(st.booleans()):
+        other = np.asarray(draw(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 1)),
+                                         min_size=1, max_size=8)))
+        other_times, other_events = other[:, 0].astype(np.float64), other[:, 1]
+        other_events[other_times == other_times.max()] = 0
+        censoring = kaplan_meier(other_times, other_events, target="censoring")
+    return times, events, scores, pmfs, t_grid, censoring
+
+
+# the rows' own censoring curve stays above zero at every time a weight
+# reads it, so a zero weight needs another curve: this one drops a row at
+# t* = 3.5 and one at t* = 4.5
+DROPPING_COHORT = (np.arange(1.0, 5.0), np.ones(4, dtype=np.int64),
+                   np.array([2.0, np.nan, 2.0, 1.0]), np.full((4, 5), 0.2),
+                   np.array([0.5, 2.5, 3.5, 4.5]),
+                   kaplan_meier([1.0, 2.0, 3.0], [1, 1, 0], target="censoring"))
+
+
+class TestGridForms:
+    """The grid forms against the per-time oracles, compared with ==."""
+
+    @given(graded_cohorts())
+    @example(DROPPING_COHORT)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_per_time_oracles(self, cohort):
+        times, events, scores, pmfs, t_grid, censoring = cohort
+        grid = TimeGrid(pmfs.shape[1], 2.0, 10.0)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            want = reference_brier_curve(pmfs, times, events, t_grid, grid, censoring)
+        substitute = (contextlib.nullcontext() if censoring is None else
+                      mock.patch.object(metrics, "kaplan_meier", return_value=censoring))
+        with substitute, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = brier_score_t(pmfs, times, events, t_grid, grid)
+        assert got.tolist() == want.tolist()
+        assert [(w.category, str(w.message)) for w in seen] == \
+            [(w.category, str(w.message)) for w in expected]
+
+        defined, first_error = [], None
+        for t in t_grid.tolist():
+            try:
+                defined.append((t, reference_tdauc(scores, times, events, t)))
+            except UndefinedMetricError as exc:
+                first_error = first_error or str(exc)
+        if first_error is not None:
+            with pytest.raises(UndefinedMetricError) as info:
+                tdauc(scores, times, events, t_grid)
+            assert str(info.value) == first_error
+        got = tdauc(scores, times, events, [t for t, _ in defined])
+        assert got.tolist() == [value for _, value in defined]
 
 
 class TestLogRank:

@@ -391,6 +391,22 @@ class TestCheckpoint:
         save_checkpoint(b, p, meta={"k": 1})
         assert a.read_bytes() == b.read_bytes()
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        # the tensor layout is checked against the shape table, not against
+        # freshly drawn weights
+        p = init_params(small_config(), seed=4)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        back, _ = load_checkpoint(path)
+        assert list(back.tensors) == list(p.tensors)
+        for name, tensor in p.tensors.items():
+            assert np.array_equal(back.tensors[name], tensor), name
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "other"}', encoding="utf-8")
