@@ -227,7 +227,7 @@ def _match_features(test: SurvivalDataset, names) -> SurvivalDataset:
 def _check_meta(path, meta, input_dim: int) -> None:
     """Reject checkpoint meta unlike what `train` writes, naming the file and
     the key: ``input_dim`` distinct feature names, as many finite scaler
-    means and positive finite stds, and a finite cutoff or null."""
+    means and positive finite stds, a finite cutoff or null, string columns."""
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: meta must be an object")
     for key in ("feature_names", "scaler_mean", "scaler_std"):
@@ -254,6 +254,9 @@ def _check_meta(path, meta, input_dim: int) -> None:
         require_json_number(path, "cutoff", cutoff)
         if not -np.inf < cutoff < np.inf:
             raise ValueError(f"{path}: cutoff must be finite or null, got {cutoff!r}")
+    for key in ("time_col", "event_col"):
+        if key in meta and not isinstance(meta[key], str):
+            raise ValueError(f"{path}: {key} must be a string, got {meta[key]!r}")
 
 
 def cmd_evaluate(args) -> int:
@@ -290,7 +293,7 @@ def cmd_evaluate(args) -> int:
     write_curve_csv(out / "tdauc_curve.csv", report.tdauc_times,
                     report.tdauc_curve, "tdauc")
     line_plot_svg(out / "tdauc.svg", report.tdauc_times,
-                  [("TDAUC", report.tdauc_curve)],
+                  ("TDAUC", report.tdauc_curve),
                   title="Time-dependent AUC", xlabel="time", ylabel="TDAUC")
     print(f"evaluate: C-index {report.c_index:.4f}, IBS {report.ibs:.4f}, "
           f"mTDAUC {report.m_tdauc:.4f}, HR {report.hazard_ratio:.3f} "

@@ -427,13 +427,23 @@ def require_json_number(path, key: str, value, integer: bool = False) -> None:
         raise ValueError(f"{path}: {key} must be {kind}, got {value!r}")
 
 
+def read_json_object(path, file_format: str, kind: str) -> dict:
+    """The JSON object in file ``path`` tagged ``format: file_format``; any
+    other file content raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != file_format:
+        raise ValueError(f"{path}: not a {kind}")
+    return payload
+
+
 def load_grid(path) -> TimeGrid:
     """Inverse of :func:`save_grid`; a file that also lists the derived
     constants, as older versions wrote, loads to the same grid."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "binsurv-grid":
-        raise ValueError(f"{path}: not a binsurv grid file")
+    payload = read_json_object(path, "binsurv-grid", "binsurv grid file")
     try:
         k_bins, t_min, t_max = (payload[key] for key in ("k_bins", "t_min", "t_max"))
     except KeyError as exc:

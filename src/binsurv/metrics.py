@@ -2,7 +2,8 @@
 
 All metrics work on raw observed times.  Inverse-probability-of-censoring
 weights come from a Kaplan-Meier fit of the censoring distribution evaluated
-at left limits (the weight at t uses the step value just before t).
+at left limits (the weight at t uses the step value just before t).  The
+metrics that rank risk scores reject a NaN or infinite score.
 """
 
 from __future__ import annotations
@@ -82,19 +83,13 @@ def c_index(scores, times, events) -> float:
     counts are exact integers, so the result does not depend on the order
     of summation.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
+    s, t, e = _scored(scores, times, events)
     # time order; same-time samples by score, so none is later and lower
     order = np.lexsort((s, t))
     s, t, is_event = s[order], t[order], e[order] == 1
     den = _comparable_pair_count(t, is_event)
     if den == 0:
         raise UndefinedMetricError("no comparable pairs for the concordance index")
-    # a NaN score is neither higher than nor tied with any other, so its
-    # pairs count in the denominator only
-    scored = ~np.isnan(s)
-    s, t, is_event = s[scored], t[scored], is_event[scored]
     lower = _later_lower_count(s, is_event)
     n = t.size
     t_rank = np.unique(t, return_inverse=True)[1]
@@ -154,8 +149,9 @@ def brier_score_t(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
     (1 - S_hat(t*))^2 weighted by 1/G(t*-); samples censored before t*
     contribute nothing.  G, the rows' censoring Kaplan-Meier curve, is fitted
     and read once.  Per-sample survival is read from the pmf at the bin
-    containing t*.  Samples whose weight denominator is zero are dropped
-    from the sum (with a warning per time) while n stays fixed.
+    containing t*.  No sample is dropped: G falls to zero only at a time
+    where every row still at risk is censored, so G(t_i-) > 0 for an event
+    row i, and G(t*-) = 0 only when no row is still under observation.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
@@ -166,6 +162,8 @@ def brier_score_t(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
     n = t.size
+    if p.shape[0] != n:
+        raise ValueError(f"pmfs must have one row per time, got {p.shape[0]} for {n}")
     censoring = kaplan_meier(t, e, target="censoring")
     g_i = censoring.survival_before(t)
     is_event = e == 1
@@ -175,17 +173,10 @@ def brier_score_t(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
     for t_star, g_star, k_star in zip(t_grid.tolist(), g_stars, k_stars):
         surv = predict_survival(p, k_star)
         had_event = (t <= t_star) & is_event
-        still_out = t > t_star
-        usable = had_event & (g_i > 0.0)
-        dropped = int(np.count_nonzero(had_event & ~usable))
-        total = (surv[usable] ** 2 / g_i[usable]).sum()
+        total = (surv[had_event] ** 2 / g_i[had_event]).sum()
+        # G(t*-) = 0 only when no row is under observation, an empty sum
         if g_star > 0.0:
-            total += ((1.0 - surv[still_out]) ** 2).sum() / g_star
-        else:
-            dropped += int(np.count_nonzero(still_out))
-        if dropped:
-            warnings.warn(f"brier score at t*={t_star!r}: {dropped} sample(s) dropped "
-                          "because the censoring weight is zero", RuntimeWarning)
+            total += ((1.0 - surv[t > t_star]) ** 2).sum() / g_star
         scores.append(float(total / n))
     return np.asarray(scores)
 
@@ -221,15 +212,12 @@ def tdauc(scores, times, events, t_grid) -> np.ndarray:
     observed beyond t; the statistic is the Mann-Whitney probability that a
     case outscores a control, ties counting half, from the cases' midranks.
     One sort puts the scores in tie blocks, and a ``bincount`` per time
-    counts the cases and controls in each.  A NaN ranks above every number
-    and ties with none, the cases' NaNs below the controls'.
+    counts the cases and controls in each.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    tm = np.asarray(times, dtype=np.float64)
-    is_event = np.asarray(events, dtype=np.int64) == 1
-    distinct = np.unique(s)  # ascending, NaN last
-    block = np.searchsorted(distinct, s)  # tie block of each row; NaNs share one
-    nan_block = np.searchsorted(distinct, np.nan)
+    s, tm, e = _scored(scores, times, events)
+    is_event = e == 1
+    distinct = np.unique(s)
+    block = np.searchsorted(distinct, s)  # tie block of each row
     values = []
     for t in np.asarray(t_grid, dtype=np.float64).tolist():
         cases = (tm <= t) & is_event
@@ -238,13 +226,11 @@ def tdauc(scores, times, events, t_grid) -> np.ndarray:
         n_controls = int(controls.sum())
         if n_cases == 0 or n_controls == 0:
             raise UndefinedMetricError(f"no cases or no controls at t={t!r}")
-        in_case = np.bincount(block[cases], minlength=distinct.size + 1)
-        pooled = np.bincount(block[cases | controls], minlength=distinct.size + 1)
+        in_case = np.bincount(block[cases], minlength=distinct.size)
+        pooled = np.bincount(block[cases | controls], minlength=distinct.size)
         below = np.cumsum(pooled) - pooled
-        # c pooled rows above b others share the midrank (2b + c + 1) / 2;
-        # k NaN cases rank b + 1 .. b + k, the same sum with c = k.  The sum
-        # is exact, so it is the float that adding the midranks gives
-        pooled[nan_block] = in_case[nan_block]
+        # c pooled rows above b others share the midrank (2b + c + 1) / 2; the
+        # sum is exact, so it is the float that adding the midranks gives
         rank_sum = int((in_case * (2 * below + pooled + 1)).sum()) / 2
         values.append(float((rank_sum - n_cases * (n_cases + 1) / 2.0)
                             / (n_cases * n_controls)))
@@ -253,12 +239,12 @@ def tdauc(scores, times, events, t_grid) -> np.ndarray:
 
 def _tdauc_curve(scores, times, events, t_grid):
     """(times, values, mean) of TDAUC over the grid points that have cases
-    and controls; the mean is the mean TDAUC."""
+    and controls, those t with earliest event time <= t < latest time; the
+    mean is the mean TDAUC."""
     tm = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
-    ts = np.asarray([t for t in np.asarray(t_grid, dtype=np.float64).tolist()
-                     if np.any((tm <= t) & (e == 1)) and np.any(tm > t)],
-                    dtype=np.float64)
+    first_event = tm[np.asarray(events, dtype=np.int64) == 1].min(initial=np.inf)
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    ts = t_grid[(first_event <= t_grid) & (t_grid < tm.max(initial=-np.inf))]
     if ts.size == 0:
         raise UndefinedMetricError("no evaluable time points for mean TDAUC")
     values = tdauc(scores, times, events, ts)
@@ -275,6 +261,18 @@ def _check_paired(names: str, *arrays: np.ndarray) -> None:
     if any(a.ndim != 1 for a in arrays) or len({a.size for a in arrays}) > 1:
         shapes = ", ".join(str(a.shape) for a in arrays)
         raise ValueError(f"{names} must be 1-d arrays of one length, got shapes {shapes}")
+
+
+def _scored(scores, times, events):
+    """``scores``, ``times`` and ``events`` as float64, float64 and int64
+    arrays, 1-d and of one length, with every score finite."""
+    s = np.asarray(scores, dtype=np.float64)
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events, dtype=np.int64)
+    _check_paired("scores, times and events", s, t, e)
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    return s, t, e
 
 
 def _log_rank_tables(times_a, events_a, times_b, events_b):
@@ -368,10 +366,7 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
     ``log_rank`` sorted and merge in linear time there: one ``log_rank``
     call per admissible candidate, O(m n) for m of them and n rows.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
-    _check_paired("scores, times and events", s, t, e)
+    s, t, e = _scored(scores, times, events)
     if not 0.0 <= min_group_frac <= 0.5:
         raise ValueError(f"min_group_frac must be a finite value in [0, 0.5], "
                          f"got {min_group_frac!r}")
@@ -381,9 +376,8 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
     n = s.size
     min_count = max(1, math.ceil(min_group_frac * n))
     candidates = (uniq[:-1] + uniq[1:]) / 2.0
-    # rows scoring above each candidate; NaN scores sort last and are above none
-    n_high = (np.count_nonzero(~np.isnan(s))
-              - np.searchsorted(np.sort(s), candidates, side="right"))
+    # rows scoring above each candidate
+    n_high = n - np.searchsorted(np.sort(s), candidates, side="right")
     first = np.count_nonzero(n_high > n - min_count)
     stop = np.count_nonzero(n_high >= min_count)
     order = np.argsort(t, kind="stable")
@@ -408,10 +402,7 @@ def hazard_ratio(scores, times, events, cutoff: float) -> float:
     Degenerate groups (zero observed events on either side) report 0 or
     +inf and emit a warning instead of failing.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
-    _check_paired("scores, times and events", s, t, e)
+    s, t, e = _scored(scores, times, events)
     high = s > cutoff
     if not high.any() or high.all():
         raise UndefinedMetricError("cutoff must split the samples into two non-empty groups")

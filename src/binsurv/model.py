@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import MIN_K_BINS, bin_midpoints, require_json_number
+from .data import MIN_K_BINS, bin_midpoints, read_json_object, require_json_number
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -325,14 +325,14 @@ def load_checkpoint(path):
     the tensors must have exactly the names and shapes
     :func:`_tensor_shapes` lays out for the stored config, and finite values.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a binsurv checkpoint")
+    payload = read_json_object(path, CHECKPOINT_FORMAT, "binsurv checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     try:
-        config = dict(payload["config"])
+        config, entries = payload["config"], payload["tensors"]
+        for key, value in (("config", config), ("tensors", entries)):
+            if not isinstance(value, dict):
+                raise ValueError(f"{path}: {key} must be an object")
         # format v1 names a head; any other than the softmax head (for
         # example the suffix-sum head 'mtlr') maps its outputs differently
         head = config.pop("head", CHECKPOINT_HEAD)
@@ -348,7 +348,6 @@ def load_checkpoint(path):
             require_json_number(path, name, value, integer=name != "dropout_rate")
         cfg = ModelConfig(**values)
         layout = _tensor_shapes(cfg)
-        entries = payload["tensors"]
         for name in (*layout, *entries):
             if (name in layout) != (name in entries):
                 state = "missing" if name in layout else "unexpected"

@@ -8,7 +8,7 @@ import numpy as np
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
-_COLORS = ("#1f6fb2", "#c2502a", "#3a8c5c", "#7b5aa6")
+_COLOR = "#1f6fb2"
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
@@ -18,16 +18,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
 
 
 def line_plot_svg(path, x, series, title: str, xlabel: str, ylabel: str) -> None:
-    """Write a simple multi-line plot.
-
-    ``series`` is a list of (label, values) pairs sharing the x axis.
-    """
+    """Write a one-line plot of ``series``, a (label, values) pair over ``x``."""
+    label, ys = series
     x = np.asarray(x, dtype=np.float64)
-    if x.size == 0 or not series:
-        raise ValueError("plot needs at least one point and one series")
-    all_y = np.concatenate([np.asarray(ys, dtype=np.float64) for _, ys in series])
+    ys = np.asarray(ys, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("plot needs at least one point")
     x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -76,18 +74,14 @@ def line_plot_svg(path, x, series, title: str, xlabel: str, ylabel: str) -> None
                  f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">'
                  f'{escape(ylabel, quote=False)}</text>')
 
-    for idx, (label, ys) in enumerate(series):
-        ys = np.asarray(ys, dtype=np.float64)
-        color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, ys))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
-                     f'points="{points}"/>')
-        ly = _MARGIN_T + 14 + 16 * idx
-        lx = _MARGIN_L + plot_w - 150
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                     f'stroke="{color}" stroke-width="1.8"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{escape(str(label), quote=False)}</text>')
+    points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, ys))
+    parts.append(f'<polyline fill="none" stroke="{_COLOR}" stroke-width="1.8" '
+                 f'points="{points}"/>')
+    ly, lx = _MARGIN_T + 14, _MARGIN_L + plot_w - 150  # the legend
+    parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                 f'stroke="{_COLOR}" stroke-width="1.8"/>')
+    parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
+                 f'font-size="12">{escape(str(label), quote=False)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

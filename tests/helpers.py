@@ -166,12 +166,10 @@ def slow_brier(pmfs, times, events, t_star, grid):
     return total / n
 
 
-def reference_brier_curve(pmfs, times, events, t_grid, grid, censoring=None):
+def reference_brier_curve(pmfs, times, events, t_grid, grid):
     """Brier score at each grid time, one pass per time that reads its own
-    weights: the per-time form ``metrics.brier_score_t`` replaced.
-
-    ``censoring`` defaults to the Kaplan-Meier curve of the rows' censoring
-    times, as the library fits it; another curve can stand in for it.
+    weights from the Kaplan-Meier curve of the rows' censoring times: the
+    per-time form ``metrics.brier_score_t`` replaced.
     """
     from binsurv.data import assign_bin, normalize_time
     from binsurv.model import predict_survival
@@ -181,8 +179,7 @@ def reference_brier_curve(pmfs, times, events, t_grid, grid, censoring=None):
         raise ValueError("ibs needs a non-empty evaluation grid")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("evaluation grid must be strictly increasing")
-    if censoring is None:
-        censoring = kaplan_meier(times, events, target="censoring")
+    censoring = kaplan_meier(times, events, target="censoring")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)

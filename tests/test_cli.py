@@ -635,6 +635,15 @@ class TestEvaluateCommand:
         ("grid", lambda p: {**p, "k_bins": 10.7}, "k_bins must be an integer, got 10.7"),
         ("grid", lambda p: {**p, "k_bins": "10"}, "k_bins must be an integer, got '10'"),
         ("grid", lambda p: {**p, "t_max": str(p["t_max"])}, "t_max must be a number"),
+        ("grid", lambda p: [], "not a binsurv grid file"),
+        ("checkpoint", lambda p: [], "not a binsurv checkpoint"),
+        ("grid", lambda p: "{", "not JSON"),
+        ("checkpoint", lambda p: "checkpoint", "not JSON"),
+        ("checkpoint", lambda p: {**p, "config": 5}, "config must be an object"),
+        ("checkpoint", lambda p: {**p, "tensors": 5}, "tensors must be an object"),
+        ("checkpoint", lambda p: edit_meta(p, time_col=5), "time_col must be a string, got 5"),
+        ("checkpoint", lambda p: edit_meta(p, event_col=None),
+         "event_col must be a string, got None"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
             "extra-config-key", "no-tensors", "missing-tensor",
             "reshaped-tensor", "null-value", "nan-value", "extra-tensor",
@@ -645,12 +654,16 @@ class TestEvaluateCommand:
             "string-scaler_mean-entry", "long-scaler_std", "zero-scaler_std",
             "foreign-grid", "grid-no-t_min", "grid-swapped-times",
             "grid-nan-t_min", "grid-fractional-k_bins", "grid-string-k_bins",
-            "grid-string-t_max"])
+            "grid-string-t_max", "grid-list", "checkpoint-list", "grid-not-json",
+            "checkpoint-not-json", "int-config", "int-tensors", "int-time_col",
+            "null-event_col"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")
         bad = tmp_path / source.name
-        bad.write_text(json.dumps(edit(json.loads(source.read_text()))),
+        edited = edit(json.loads(source.read_text()))
+        # an edit that returns a str writes it as the file's text, not as JSON
+        bad.write_text(edited if isinstance(edited, str) else json.dumps(edited),
                        encoding="utf-8")
         paths = {"checkpoint": run_dir / "checkpoint.json",
                  "grid": run_dir / "grid.json", which: bad}

@@ -1,16 +1,13 @@
 """Censoring-aware metrics against hand values and brute-force oracles."""
 
-import contextlib
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binsurv import metrics
 from binsurv.data import TimeGrid, bin_dataset, build_time_grid
 from binsurv.metrics import (
     UndefinedMetricError, _log_rank_tables, brier_score_t, c_index, default_eval_times,
@@ -94,6 +91,20 @@ class TestHasComparablePair:
         assert has_comparable_pair(t, e) is (len(comparable_pairs(t, e)) > 0)
 
 
+class TestScoreCheck:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("metric", [
+        c_index,
+        lambda s, t, e: tdauc(s, t, e, [2.5]),
+        select_cutoff,
+        lambda s, t, e: hazard_ratio(s, t, e, 0.5),
+    ], ids=["c_index", "tdauc", "select_cutoff", "hazard_ratio"])
+    def test_non_finite_scores_rejected(self, metric, value):
+        scores = [0.1, 0.9, value, 0.4]
+        with pytest.raises(ValueError, match="scores must be finite"):
+            metric(scores, [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
+
+
 class TestCIndex:
     def test_perfect_and_inverted(self):
         t = np.array([1.0, 2.0, 3.0, 4.0])
@@ -148,17 +159,6 @@ class TestCIndex:
             else:
                 assert c_index(s, t, e) == expect
 
-    def test_nan_scores_earn_no_credit(self, rng):
-        # NaN compares neither greater nor equal: its pairs stay in the
-        # denominator with zero credit
-        n = 40
-        t = np.round(rng.uniform(0.5, 5.0, n), 1)
-        e = (rng.random(n) < 0.7).astype(int)
-        e[0] = 1
-        s = np.round(rng.standard_normal(n), 1)
-        s[rng.random(n) < 0.3] = np.nan
-        assert c_index(s, t, e) == brute_c_index(s, t, e)
-
     def test_complement_under_negation(self, rng):
         n = 100
         t = rng.uniform(0.5, 5.0, n)
@@ -183,13 +183,10 @@ class TestBrier:
         z = rng.standard_normal((70, 8))
         ez = np.exp(z - z.max(axis=1, keepdims=True))
         pmfs = ez / ez.sum(axis=1, keepdims=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for t_star in (1.0, 2.5, 4.0, 7.0):
-                got = brier_score_t(pmfs, ds.times, ds.events, [t_star], grid)[0]
-                expect = slow_brier(pmfs, ds.times.tolist(),
-                                    ds.events.tolist(), t_star, grid)
-                assert got == pytest.approx(expect, abs=1e-12)
+        for t_star in (1.0, 2.5, 4.0, 7.0):
+            got = brier_score_t(pmfs, ds.times, ds.events, [t_star], grid)[0]
+            expect = slow_brier(pmfs, ds.times.tolist(), ds.events.tolist(), t_star, grid)
+            assert got == pytest.approx(expect, abs=1e-12)
 
     def test_constant_half_prediction_uncensored(self):
         # S_hat = 0.5 everywhere and no censoring: every sample contributes
@@ -206,22 +203,11 @@ class TestBrier:
         t_grid = [2.0, 5.0, 11.0, 19.0]
         assert brier_score_t(pmfs, times, events, t_grid, grid).tolist() == [0.25] * 4
 
-    def test_zero_weight_samples_dropped_with_warning(self):
-        # a censoring curve that hits zero before t* zeroes the weight of
-        # every sample still under observation at t*; the scored rows' own
-        # curve never does, so another cohort's stands in for it
-        km = kaplan_meier([1.0, 2.0, 3.0], [1, 1, 0], target="censoring")
-        times = np.array([1.0, 2.0, 3.0, 4.0])
-        events = np.ones(4, dtype=int)
-        ds = random_dataset(np.random.default_rng(0), 4)
-        ds = type(ds)(features=ds.features[:4], times=times, events=events,
-                      feature_names=ds.feature_names)
+    def test_rejects_a_pmf_row_count_unlike_the_times(self, rng):
+        ds = random_dataset(rng, 10)
         grid = build_time_grid(ds, 5)
-        pmfs = np.full((4, 5), 0.2)
-        with mock.patch.object(metrics, "kaplan_meier", return_value=km), \
-                pytest.warns(RuntimeWarning, match=r"t\*=3\.5: 1 sample\(s\) dropped"):
-            value = brier_score_t(pmfs, times, events, [3.5], grid)
-        assert np.isfinite(value).all()
+        with pytest.raises(ValueError, match="one row per time, got 9 for 10"):
+            brier_score_t(np.full((9, 5), 0.2), ds.times, ds.events, [2.0], grid)
 
 
 class TestIbs:
@@ -295,59 +281,58 @@ class TestTdauc:
 
 
 @st.composite
-def graded_cohorts(draw):
-    """Times and scores with ties, up to three NaN scores, an increasing grid of
-    1-12 times, and maybe a censoring curve that falls to zero: that of
-    another cohort whose latest rows are censored."""
+def tied_cohorts(draw):
+    """1-30 times on a 1-12 lattice, so many tie, and 0/1 event flags."""
     n = draw(st.integers(1, 30))
-    column = st.lists(st.integers(1, 12), min_size=n, max_size=n)
-    times = np.asarray(draw(column), dtype=np.float64)
+    times = np.asarray(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)),
+                       dtype=np.float64)
     events = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    scores = np.asarray(draw(column), dtype=np.float64) % 5
-    scores[draw(st.lists(st.integers(0, n - 1), max_size=3))] = np.nan
+    return times, events
+
+
+@st.composite
+def graded_cohorts(draw):
+    """A tied cohort with tied scores, an increasing grid of 1-12 times and
+    one pmf row per sample."""
+    times, events = draw(tied_cohorts())
+    n = times.size
+    scores = np.asarray(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)),
+                        dtype=np.float64) % 5
     t_grid = np.asarray(sorted(draw(st.sets(st.integers(1, 52), min_size=1,
                                             max_size=12)))) / 4.0
     pmfs = random_pmfs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                        n, draw(st.integers(3, 8)))
-    censoring = None
-    if draw(st.booleans()):
-        other = np.asarray(draw(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 1)),
-                                         min_size=1, max_size=8)))
-        other_times, other_events = other[:, 0].astype(np.float64), other[:, 1]
-        other_events[other_times == other_times.max()] = 0
-        censoring = kaplan_meier(other_times, other_events, target="censoring")
-    return times, events, scores, pmfs, t_grid, censoring
+    return times, events, scores, pmfs, t_grid
 
 
-# the rows' own censoring curve stays above zero at every time a weight
-# reads it, so a zero weight needs another curve: this one drops a row at
-# t* = 3.5 and one at t* = 4.5
-DROPPING_COHORT = (np.arange(1.0, 5.0), np.ones(4, dtype=np.int64),
-                   np.array([2.0, np.nan, 2.0, 1.0]), np.full((4, 5), 0.2),
-                   np.array([0.5, 2.5, 3.5, 4.5]),
-                   kaplan_meier([1.0, 2.0, 3.0], [1, 1, 0], target="censoring"))
+class TestCensoringWeights:
+    """Why brier_score_t drops no sample: the censoring curve of the scored
+    rows is positive wherever a weight reads it."""
+
+    @given(tied_cohorts(), st.lists(st.integers(0, 52), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_positive_at_event_rows_and_observed_times(self, cohort, quarters):
+        times, events = cohort
+        censoring = kaplan_meier(times, events, "censoring")
+        assert np.all(censoring.survival_before(times[events == 1]) > 0.0)
+        t_stars = np.asarray(quarters) / 4.0
+        observed = t_stars[t_stars < times.max()]  # some row has t > t*
+        assert np.all(censoring.survival_before(observed) > 0.0)
 
 
 class TestGridForms:
     """The grid forms against the per-time oracles, compared with ==."""
 
     @given(graded_cohorts())
-    @example(DROPPING_COHORT)
     @settings(max_examples=300, deadline=None)
     def test_equal_the_per_time_oracles(self, cohort):
-        times, events, scores, pmfs, t_grid, censoring = cohort
+        times, events, scores, pmfs, t_grid = cohort
         grid = TimeGrid(pmfs.shape[1], 2.0, 10.0)
-        with warnings.catch_warnings(record=True) as expected:
-            warnings.simplefilter("always")
-            want = reference_brier_curve(pmfs, times, events, t_grid, grid, censoring)
-        substitute = (contextlib.nullcontext() if censoring is None else
-                      mock.patch.object(metrics, "kaplan_meier", return_value=censoring))
-        with substitute, warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = reference_brier_curve(pmfs, times, events, t_grid, grid)
             got = brier_score_t(pmfs, times, events, t_grid, grid)
         assert got.tolist() == want.tolist()
-        assert [(w.category, str(w.message)) for w in seen] == \
-            [(w.category, str(w.message)) for w in expected]
 
         defined, first_error = [], None
         for t in t_grid.tolist():
@@ -361,6 +346,12 @@ class TestGridForms:
             assert str(info.value) == first_error
         got = tdauc(scores, times, events, [t for t, _ in defined])
         assert got.tolist() == [value for _, value in defined]
+        # the mean runs over exactly the times the oracle defines
+        if defined:
+            assert m_tdauc(scores, times, events, t_grid) == float(np.mean(got))
+        else:
+            with pytest.raises(UndefinedMetricError):
+                m_tdauc(scores, times, events, t_grid)
 
 
 class TestLogRank:
@@ -482,14 +473,11 @@ class TestCutoff:
 
     def test_matches_the_brute_force_scan(self):
         # tie-heavy cohorts: scores on a coarse lattice, times rounded to
-        # 0-2 decimals, group floors from none to half; a NaN score is above
-        # no cutoff, so its row stays in the low group
+        # 0-2 decimals, group floors from none to half
         rng = np.random.default_rng(21)
         for case in range(60):
             n = int(rng.integers(6, 80))
             scores = np.round(rng.normal(size=n), 1)
-            if case % 10 == 0:
-                scores[:2] = np.nan
             times = np.round(rng.exponential(2.0, n) + 0.05, case % 3)
             events = (rng.random(n) < 0.6).astype(np.int64)
             frac = (0.0, 0.1, 0.25, 0.5)[case % 4]
