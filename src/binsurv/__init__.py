@@ -17,11 +17,11 @@ from .metrics import (
     hazard_ratio, ibs, kaplan_meier, log_rank, m_tdauc, select_cutoff, tdauc,
 )
 from .model import (
-    ModelConfig, ModelParams, apply_head, backward, forward, head_backward,
-    init_params, load_checkpoint, predict_risk, predict_survival,
+    ModelConfig, ModelParams, TrainedModel, apply_head, backward, forward,
+    head_backward, init_params, load_checkpoint, predict_risk, predict_survival,
     save_checkpoint,
 )
-from .synth import SynthConfig, bayes_c_index, generate
+from .synth import SynthConfig, generate
 from .training import TrainConfig, cosine_lr, fit, sgd_step, write_history_csv
 
 __version__ = "0.1.0"

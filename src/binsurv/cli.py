@@ -21,30 +21,26 @@ from .config import (
 from .data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
     TimeGrid, apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid,
-    require_json_number, save_grid, split_dataset, write_csv,
+    save_grid, split_dataset, write_csv,
 )
 from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
-    UndefinedMetricError, evaluate_model, has_comparable_pair, select_cutoff,
-    write_curve_csv, write_report_csv,
+    UndefinedMetricError, c_index, evaluate_model, has_comparable_pair,
+    select_cutoff, write_curve_csv, write_report_csv,
 )
 from .model import (
-    ModelConfig, apply_head, forward, load_checkpoint, predict_risk, save_checkpoint,
+    ModelConfig, TrainedModel, apply_head, forward, load_checkpoint, predict_risk,
+    save_checkpoint,
 )
 from .svgplot import line_plot_svg
-from .synth import SynthConfig, bayes_c_index, generate
+from .synth import SynthConfig, generate
 from .training import TrainConfig, fit, write_history_csv
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ABLATION_ROWS = (
-    ("mle",),
-    ("rank",),
-    ("time_rank",),
-    ("mle", "rank"),
-    ("mle", "time_rank"),
-    ("mle", "time_rank", "calibration"),
-)
+# the --rows text of the six standard rows
+DEFAULT_ABLATION_ROWS = ("mle, rank, time_rank, mle+rank, mle+time_rank, "
+                         "mle+time_rank+calibration")
 _ABLATION_COMPONENTS = ("mle", "rank", "time_rank", "calibration")
 
 
@@ -167,16 +163,9 @@ def _train_once(run: _Setup, cfg: ExperimentConfig, weights: LossWeights,
     except UndefinedMetricError as exc:
         log.warning("no training cutoff stored: %s", exc)
         cutoff = None
-    meta = {
-        "scaler_mean": run.scaler.mean.tolist(),
-        "scaler_std": run.scaler.std.tolist(),
-        "feature_names": list(run.train.feature_names),
-        "time_col": cfg.time_col,
-        "event_col": cfg.event_col,
-        "seed": cfg.seed,
-        "cutoff": cutoff,
-    }
-    save_checkpoint(out_dir / "checkpoint.json", best, meta)
+    save_checkpoint(out_dir / "checkpoint.json", TrainedModel(
+        best, run.scaler, list(run.train.feature_names), cfg.time_col,
+        cfg.event_col, cutoff))
     return best, history
 
 
@@ -224,65 +213,22 @@ def _match_features(test: SurvivalDataset, names) -> SurvivalDataset:
                            test.times, test.events, names)
 
 
-def _check_meta(path, meta, input_dim: int) -> None:
-    """Reject checkpoint meta unlike what `train` writes, naming the file and
-    the key: ``input_dim`` distinct feature names, as many finite scaler
-    means and positive finite stds, a finite cutoff or null, string columns."""
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: meta must be an object")
-    for key in ("feature_names", "scaler_mean", "scaler_std"):
-        if key not in meta:
-            # a scaler fitted here would use statistics of the held-out rows
-            raise ValueError(f"{path}: checkpoint meta has no '{key}'")
-    names = meta["feature_names"]
-    if (not isinstance(names, list) or len(names) != input_dim
-            or not all(isinstance(name, str) for name in names)
-            or len(set(names)) != input_dim):
-        raise ValueError(f"{path}: feature_names must be a list of "
-                         f"{input_dim} distinct strings")
-    for key, low, kind in (("scaler_mean", -np.inf, "finite"),
-                           ("scaler_std", 0.0, "finite and positive")):
-        values = meta[key]
-        if not isinstance(values, list) or len(values) != input_dim:
-            raise ValueError(f"{path}: {key} must be a list of {input_dim} numbers")
-        for i, value in enumerate(values):
-            require_json_number(path, f"{key}[{i}]", value)
-            if not low < value < np.inf:
-                raise ValueError(f"{path}: {key}[{i}] must be {kind}, got {value!r}")
-    cutoff = meta.get("cutoff")
-    if cutoff is not None:
-        require_json_number(path, "cutoff", cutoff)
-        if not -np.inf < cutoff < np.inf:
-            raise ValueError(f"{path}: cutoff must be finite or null, got {cutoff!r}")
-    for key in ("time_col", "event_col"):
-        if key in meta and not isinstance(meta[key], str):
-            raise ValueError(f"{path}: {key} must be a string, got {meta[key]!r}")
-
-
 def cmd_evaluate(args) -> int:
     # a ValueError means the file exists but is not a model file this
     # version reads
     with config_errors():
-        params, meta = load_checkpoint(args.checkpoint)
-        _check_meta(args.checkpoint, meta, params.config.input_dim)
+        model = load_checkpoint(args.checkpoint)
         grid = load_grid(args.grid)
-    if grid.k_bins != params.config.k_bins:
-        raise ConfigError(
-            f"grid has {grid.k_bins} bins but the checkpoint was trained "
-            f"with {params.config.k_bins}"
-        )
-    scaler = FeatureScaler(
-        mean=np.asarray(meta["scaler_mean"], dtype=np.float64),
-        std=np.asarray(meta["scaler_std"], dtype=np.float64),
-    )
-    time_col = args.time_col or meta.get("time_col", "time")
-    event_col = args.event_col or meta.get("event_col", "event")
+    if grid.k_bins != model.params.config.k_bins:
+        raise ConfigError(f"grid has {grid.k_bins} bins but the checkpoint was "
+                          f"trained with {model.params.config.k_bins}")
     test_raw = _match_features(
-        load_csv(args.data, time_col, event_col),
-        meta["feature_names"])
-    test = apply_scaler(test_raw, scaler)
+        load_csv(args.data, args.time_col or model.time_col,
+                 args.event_col or model.event_col),
+        model.feature_names)
+    test = apply_scaler(test_raw, model.scaler)
     try:
-        report = evaluate_model(params, test, grid, cutoff=meta.get("cutoff"))
+        report = evaluate_model(model.params, test, grid, cutoff=model.cutoff)
     except UndefinedMetricError as exc:
         raise ConfigError(f"{args.data}: {exc}") from None
     out = Path(args.out or "eval")
@@ -336,7 +282,7 @@ def _row_weights(cfg: ExperimentConfig, row) -> LossWeights:
 
 def cmd_ablate(args) -> int:
     cfg = _collect_config(args)
-    rows = _parse_rows(args.rows) if args.rows else DEFAULT_ABLATION_ROWS
+    rows = _parse_rows(args.rows)
     row_weights = [_row_weights(cfg, row) for row in rows]
     run = _setup(cfg)
     if run.test is None:
@@ -364,6 +310,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # a rejected setting, or a censor rate the cohort cannot reach, exits 2
     with config_errors():
         synth_cfg = SynthConfig(
             n_samples=args.n, n_features=args.features,
@@ -371,17 +318,14 @@ def cmd_synth(args) -> int:
             weibull_shape=args.weibull_shape,
             target_censor_rate=args.censor_rate, seed=args.seed,
         )
-    dataset, risks = generate(synth_cfg)
+        dataset, risks = generate(synth_cfg)
     out_csv = Path(args.out)
     if out_csv.parent != Path(""):
         out_csv.parent.mkdir(parents=True, exist_ok=True)
     write_csv(dataset, out_csv)
-    ceiling = bayes_c_index(risks, dataset.times, dataset.events)
-    sidecar = {
-        "seed": synth_cfg.seed,
-        "bayes_c_index": ceiling,
-        "oracle_risks": risks.tolist(),
-    }
+    ceiling = c_index(risks, dataset.times, dataset.events)
+    sidecar = {"seed": synth_cfg.seed, "bayes_c_index": ceiling,
+               "oracle_risks": risks.tolist()}
     sidecar_path = _oracle_sidecar(out_csv)
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh)
@@ -419,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train one model per loss-component subset")
     _add_config_flags(p)
-    p.add_argument("--rows", help="rows like 'mle,mle+time_rank' "
-                                   "(default: the six standard subsets)")
+    p.add_argument("--rows", default=DEFAULT_ABLATION_ROWS,
+                   help=f"loss-component rows (default: {DEFAULT_ABLATION_ROWS})")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("synth", help="generate a synthetic survival dataset")

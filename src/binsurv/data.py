@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,10 +422,13 @@ def require_json_number(path, key: str, value, integer: bool = False) -> None:
     """Reject a value read from JSON file ``path`` that is not an integer
     (``integer``) or a number, naming the file and the key.  A JSON true or
     false loads as a bool, which Python counts as an int, so it is rejected
-    too; so is ``10.7`` or ``"10"`` where an integer is due."""
+    too; so is ``10.7`` or ``"10"`` where an integer is due, and an integer
+    too large for float64."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{path}: {key} must be {kind}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{path}: {key} is too large for float64")
 
 
 def read_json_object(path, file_format: str, kind: str) -> dict:

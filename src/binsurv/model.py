@@ -15,7 +15,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import MIN_K_BINS, bin_midpoints, read_json_object, require_json_number
+from .data import (
+    MIN_K_BINS, FeatureScaler, bin_midpoints, read_json_object, require_json_number,
+)
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -48,7 +50,6 @@ class ModelParams:
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
-    updates: int = 0
 
     @staticmethod
     def is_trainable(name: str) -> bool:
@@ -58,11 +59,7 @@ class ModelParams:
         return [n for n in self.tensors if self.is_trainable(n)]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            updates=self.updates,
-        )
+        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
 def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -86,7 +83,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
             tensors[name] = rng.uniform(-bound, bound, size=shape)
         else:
             tensors[name] = np.full(shape, float(name.endswith((".scale", ".var"))))
-    return ModelParams(config=config, tensors=tensors, updates=0)
+    return ModelParams(config=config, tensors=tensors)
 
 
 @dataclass(eq=False)
@@ -185,7 +182,6 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     logits += t["output.b"]
     if train:
         cache.h_final = h
-        params.updates += 1
         return logits, cache
     return logits, None
 
@@ -289,12 +285,27 @@ CHECKPOINT_VERSION = 1
 CHECKPOINT_HEAD = "cat"  # the softmax head; format v1 names it in the config
 
 
-def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
-    """Serialize params as JSON: version tag, config, shapes, row-major values.
+@dataclass(frozen=True, eq=False)
+class TrainedModel:
+    """A trained network with what was fitted on its training rows: all that
+    a checkpoint holds and all that scoring held-out rows needs."""
+
+    params: ModelParams
+    scaler: FeatureScaler       # fitted on the raw training split
+    feature_names: list[str]    # the column of each network input
+    time_col: str
+    event_col: str
+    cutoff: float | None        # log-rank cutoff on the training risks, if defined
+
+
+def save_checkpoint(path, model: TrainedModel) -> None:
+    """Serialize the model as JSON: version tag, config, shapes, row-major
+    values and, under ``meta``, what was fitted on the training rows.
 
     repr-based float encoding makes the file byte-identical across reruns of
     the same training job.
     """
+    params = model.params
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -306,31 +317,38 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
             "head": CHECKPOINT_HEAD,
             "k_bins": params.config.k_bins,
         },
-        "updates": params.updates,
         "tensors": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in params.tensors.items()
         },
-        "meta": meta or {},
+        "meta": {
+            "scaler_mean": model.scaler.mean.tolist(),
+            "scaler_std": model.scaler.std.tolist(),
+            "feature_names": list(model.feature_names),
+            "time_col": model.time_col,
+            "event_col": model.event_col,
+            "cutoff": model.cutoff,
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
-def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (params, meta).
+def load_checkpoint(path) -> TrainedModel:
+    """Inverse of :func:`save_checkpoint`; keys it no longer writes
+    (``updates``, ``meta.seed``) are ignored.
 
-    A body that format v1 does not write raises ValueError naming the file:
-    the tensors must have exactly the names and shapes
+    A body that format v1 does not write raises ValueError naming the file
+    and the key: the tensors must have exactly the names and shapes
     :func:`_tensor_shapes` lays out for the stored config, and finite values.
     """
     payload = read_json_object(path, CHECKPOINT_FORMAT, "binsurv checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     try:
-        config, entries = payload["config"], payload["tensors"]
-        for key, value in (("config", config), ("tensors", entries)):
+        config, entries, meta = payload["config"], payload["tensors"], payload["meta"]
+        for key, value in (("config", config), ("tensors", entries), ("meta", meta)):
             if not isinstance(value, dict):
                 raise ValueError(f"{path}: {key} must be an object")
         # format v1 names a head; any other than the softmax head (for
@@ -354,17 +372,17 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: {state} tensor {name!r}")
         tensors = {name: _stored_tensor(path, name, entry, layout[name])
                    for name, entry in entries.items()}
-        require_json_number(path, "updates", payload["updates"], integer=True)
-        params = ModelParams(config=cfg, tensors=tensors, updates=payload["updates"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    return params, payload.get("meta", {})
+    return _trained_model(path, ModelParams(config=cfg, tensors=tensors), meta)
 
 
 def _stored_tensor(path, name: str, entry: dict, shape: tuple) -> np.ndarray:
     """One checkpoint tensor as an array of ``shape``, finite throughout."""
     try:
         arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    except OverflowError:  # a JSON integer beyond float64
+        raise ValueError(f"{path}: tensor {name!r} is too large for float64") from None
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.shape != shape:
@@ -372,3 +390,42 @@ def _stored_tensor(path, name: str, entry: dict, shape: tuple) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: tensor {name!r} has a non-finite value")
     return arr
+
+
+def _trained_model(path, params: ModelParams, meta: dict) -> TrainedModel:
+    """``params`` with checkpoint ``meta`` holding every key save_checkpoint
+    writes: ``input_dim`` distinct feature names, as many finite scaler means
+    and positive finite stds, string column names, a finite cutoff or null."""
+    input_dim = params.config.input_dim
+    for key in ("feature_names", "scaler_mean", "scaler_std", "time_col",
+                "event_col", "cutoff"):
+        if key not in meta:
+            # a scaler fitted at evaluation would use statistics of the held-out rows
+            raise ValueError(f"{path}: checkpoint meta has no '{key}'")
+    names = meta["feature_names"]
+    if (not isinstance(names, list) or len(names) != input_dim
+            or not all(isinstance(name, str) for name in names)
+            or len(set(names)) != input_dim):
+        raise ValueError(f"{path}: feature_names must be a list of "
+                         f"{input_dim} distinct strings")
+    for key, low, kind in (("scaler_mean", -np.inf, "finite"),
+                           ("scaler_std", 0.0, "finite and positive")):
+        values = meta[key]
+        if not isinstance(values, list) or len(values) != input_dim:
+            raise ValueError(f"{path}: {key} must be a list of {input_dim} numbers")
+        for i, value in enumerate(values):
+            require_json_number(path, f"{key}[{i}]", value)
+            if not low < value < np.inf:
+                raise ValueError(f"{path}: {key}[{i}] must be {kind}, got {value!r}")
+    cutoff = meta["cutoff"]
+    if cutoff is not None:
+        require_json_number(path, "cutoff", cutoff)
+        if not -np.inf < cutoff < np.inf:
+            raise ValueError(f"{path}: cutoff must be finite or null, got {cutoff!r}")
+    for key in ("time_col", "event_col"):
+        if not isinstance(meta[key], str):
+            raise ValueError(f"{path}: {key} must be a string, got {meta[key]!r}")
+    scaler = FeatureScaler(mean=np.asarray(meta["scaler_mean"], dtype=np.float64),
+                           std=np.asarray(meta["scaler_std"], dtype=np.float64))
+    return TrainedModel(params, scaler, names, meta["time_col"], meta["event_col"],
+                        cutoff)

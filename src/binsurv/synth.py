@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .metrics import c_index
 
 RISK_MODELS = ("linear", "quadratic")
 BASELINES = ("exponential", "weibull")
@@ -134,8 +133,3 @@ def generate(config: SynthConfig):
     names = [f"x{i + 1}" for i in range(config.n_features)]
     dataset = SurvivalDataset(x, observed, events, names)
     return dataset, risk
-
-
-def bayes_c_index(oracle_risks, times, events) -> float:
-    """Concordance of the true latent risks: the ceiling any model can reach."""
-    return c_index(oracle_risks, times, events)

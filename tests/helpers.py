@@ -600,7 +600,6 @@ def reference_forward(params: ModelParams, x, mode: str = "train", seed=None):
     logits = h @ t["output.w"] + t["output.b"]
     if train:
         cache.h_final = h
-        params.updates += 1
         return logits, cache
     return logits, None
 

@@ -14,7 +14,7 @@ from binsurv.config import (
     ConfigError, ExperimentConfig, build_config, parse_config_file,
 )
 from binsurv.data import (
-    FeatureScaler, SurvivalDataset, load_csv, load_grid, write_csv,
+    SurvivalDataset, load_csv, load_grid, write_csv,
 )
 from binsurv.losses import LossWeights
 from binsurv.model import (
@@ -64,9 +64,11 @@ def edit_tensors(payload, drop=None, narrow=None, first_value=(), add=None):
     return payload
 
 
-def edit_meta(payload, **changes):
-    """A copy of a checkpoint payload with the given meta keys replaced."""
-    return {**payload, "meta": {**payload["meta"], **changes}}
+def edit_meta(payload, drop=None, **changes):
+    """A copy of a checkpoint payload with the given meta keys replaced, and
+    meta key ``drop`` deleted."""
+    meta = {key: value for key, value in payload["meta"].items() if key != drop}
+    return {**payload, "meta": {**meta, **changes}}
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,14 @@ class TestSynthCommand:
     def test_bad_arguments_exit_two(self, tmp_path):
         assert run(["synth", "--n", "1", "--out",
                     str(tmp_path / "x.csv")]) == 2
+
+    def test_unreachable_censor_rate_exits_two(self, tmp_path, capsys):
+        # three rows censor in steps of 1/3, never within 0.02 of one half
+        out = tmp_path / "x.csv"
+        assert run(["synth", "--n", "3", "--censor-rate", "0.5",
+                    "--out", str(out)]) == 2
+        assert "target censor rate 0.5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # neither the CSV nor its sidecar
 
 
 class TestTrainCommand:
@@ -312,6 +322,8 @@ REJECTED_RUNS = [
     ("ablate", "cohort", ["--set", "alpha=0"]),
     ("ablate", "cohort", ["--rows", "mle,bogus"]),
     ("ablate", "cohort", ["--rows", "mle,rank+time_rank"]),
+    ("ablate", "cohort", ["--rows", ""]),
+    ("ablate", "cohort", ["--rows", "mle,,rank"]),
 ]
 
 
@@ -561,6 +573,24 @@ class TestEvaluateCommand:
         assert code == 2
         assert "checkpoint meta has no 'feature_names'" in capsys.readouterr().err
 
+    def test_checkpoint_with_unread_keys_evaluates_the_same(self, run_dir, tmp_path):
+        # earlier versions also wrote an update counter and meta.seed
+        payload = json.loads((run_dir / "checkpoint.json").read_text())
+        meta = payload["meta"]
+        older = {"format": payload["format"], "version": payload["version"],
+                 "config": payload["config"], "updates": 40,
+                 "tensors": payload["tensors"],
+                 "meta": {**{k: v for k, v in meta.items() if k != "cutoff"},
+                          "seed": 5, "cutoff": meta["cutoff"]}}
+        checkpoint = tmp_path / "older.json"
+        checkpoint.write_text(json.dumps(older) + "\n", encoding="utf-8")
+        assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "a") == 0
+        assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "b",
+                             checkpoint=checkpoint) == 0
+        for name in ("report.csv", "brier_curve.csv", "tdauc_curve.csv", "tdauc.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
     def test_format_v1_checkpoint_still_evaluates(self, run_dir, tmp_path):
         # format v1 lays out the config in this order and names the head
         payload = json.loads((run_dir / "checkpoint.json").read_text())
@@ -607,8 +637,6 @@ class TestEvaluateCommand:
          "input_dim must be an integer, got '5'"),
         ("checkpoint", lambda p: {**p, "config": {**p["config"], "k_bins": 10.0}},
          "k_bins must be an integer, got 10.0"),
-        ("checkpoint", lambda p: {**p, "updates": 2.5},
-         "updates must be an integer, got 2.5"),
         ("checkpoint", lambda p: edit_meta(p, cutoff="0.5"),
          "cutoff must be a number, got '0.5'"),
         ("checkpoint", lambda p: edit_meta(p, cutoff=float("nan")),
@@ -644,11 +672,28 @@ class TestEvaluateCommand:
         ("checkpoint", lambda p: edit_meta(p, time_col=5), "time_col must be a string, got 5"),
         ("checkpoint", lambda p: edit_meta(p, event_col=None),
          "event_col must be a string, got None"),
+        ("checkpoint", lambda p: {k: v for k, v in p.items() if k != "meta"},
+         "missing key 'meta'"),
+        ("checkpoint", lambda p: {**p, "meta": 5}, "meta must be an object"),
+        ("checkpoint", lambda p: edit_meta(p, drop="time_col"),
+         "checkpoint meta has no 'time_col'"),
+        ("checkpoint", lambda p: edit_meta(p, drop="event_col"),
+         "checkpoint meta has no 'event_col'"),
+        ("checkpoint", lambda p: edit_meta(p, drop="cutoff"),
+         "checkpoint meta has no 'cutoff'"),
+        # a JSON integer of 400 digits is beyond float64
+        ("checkpoint", lambda p: edit_meta(p, scaler_mean=[10 ** 400] * 5),
+         "scaler_mean[0] is too large for float64"),
+        ("checkpoint", lambda p: edit_meta(p, cutoff=10 ** 400),
+         "cutoff is too large for float64"),
+        ("checkpoint", lambda p: edit_tensors(p, first_value=10 ** 400),
+         "tensor 'input.w' is too large for float64"),
+        ("grid", lambda p: {**p, "t_max": 10 ** 400}, "t_max is too large for float64"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
             "extra-config-key", "no-tensors", "missing-tensor",
             "reshaped-tensor", "null-value", "nan-value", "extra-tensor",
             "float-hidden_dim", "string-dropout_rate", "bool-n_blocks",
-            "string-input_dim", "float-k_bins", "float-updates",
+            "string-input_dim", "float-k_bins",
             "string-cutoff", "nan-cutoff", "int-feature_names",
             "repeated-feature_names", "string-scaler_mean",
             "string-scaler_mean-entry", "long-scaler_std", "zero-scaler_std",
@@ -656,7 +701,9 @@ class TestEvaluateCommand:
             "grid-nan-t_min", "grid-fractional-k_bins", "grid-string-k_bins",
             "grid-string-t_max", "grid-list", "checkpoint-list", "grid-not-json",
             "checkpoint-not-json", "int-config", "int-tensors", "int-time_col",
-            "null-event_col"])
+            "null-event_col", "no-meta", "int-meta", "no-time_col",
+            "no-event_col", "no-cutoff", "huge-scaler_mean",
+            "huge-cutoff", "huge-tensor-value", "grid-huge-t_max"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")
@@ -695,12 +742,11 @@ class TestEvaluateCommand:
             assert none[key] == stored[key]
 
     def test_rows_below_the_cutoff_still_score(self, run_dir, tmp_path):
-        params, meta = load_checkpoint(run_dir / "checkpoint.json")
-        scaler = FeatureScaler(np.asarray(meta["scaler_mean"]),
-                               np.asarray(meta["scaler_std"]))
+        model = load_checkpoint(run_dir / "checkpoint.json")
         test = load_csv(run_dir / "test.csv")
-        logits, _ = forward(params, scaler.transform(test.features), mode="eval")
-        low = np.flatnonzero(predict_risk(apply_head(logits)) <= meta["cutoff"])
+        logits, _ = forward(model.params, model.scaler.transform(test.features),
+                            mode="eval")
+        low = np.flatnonzero(predict_risk(apply_head(logits)) <= model.cutoff)
         assert low.size >= 15
         write_csv(test.subset(low[:15]), tmp_path / "low.csv")
         with pytest.warns(RuntimeWarning, match="high-risk group at the training cutoff"):
@@ -710,7 +756,7 @@ class TestEvaluateCommand:
         assert 0.0 <= float(report["c_index"]) <= 1.0
         assert 0.0 <= float(report["ibs"]) <= 1.0
         assert report["hazard_ratio"] == "nan"
-        assert float(report["cutoff"]) == meta["cutoff"]
+        assert float(report["cutoff"]) == model.cutoff
         assert report["cutoff_source"] == "checkpoint"
 
 

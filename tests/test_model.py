@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binsurv.data import FeatureScaler
 from binsurv.model import (
-    ModelConfig, apply_head, backward, forward, head_backward, init_params,
-    load_checkpoint, predict_risk, predict_survival, save_checkpoint,
+    ModelConfig, TrainedModel, apply_head, backward, forward, head_backward,
+    init_params, load_checkpoint, predict_risk, predict_survival, save_checkpoint,
 )
 from helpers import (
     fd_input_grad, reference_apply_head, reference_backward, reference_forward,
@@ -21,6 +22,14 @@ from helpers import (
 def small_config(k_bins=5, dropout=0.0):
     return ModelConfig(input_dim=4, hidden_dim=8, n_blocks=2,
                        dropout_rate=dropout, k_bins=k_bins)
+
+
+def trained(params, cutoff=0.25):
+    """``params`` with a scaler, feature names and columns, as `train` stores."""
+    n = params.config.input_dim
+    scaler = FeatureScaler(mean=np.linspace(-1.0, 1.0, n), std=np.full(n, 0.5))
+    return TrainedModel(params, scaler, [f"x{i + 1}" for i in range(n)],
+                        "time", "event", cutoff)
 
 
 class TestInit:
@@ -133,9 +142,7 @@ class TestForward:
         logits_eval, cache = forward(p, x, mode="eval")
         assert cache is None
         assert np.array_equal(p.tensors["block0.bn.mean"], before)
-        assert p.updates == 0
         forward(p, x, mode="train")
-        assert p.updates == 1
         assert not np.array_equal(p.tensors["block0.bn.mean"], before)
 
     def test_train_needs_two_samples(self, rng):
@@ -288,7 +295,6 @@ class TestReferencePasses:
         logits, cache = forward(p, x, mode=mode, seed=seed)
         ref_logits, ref_cache = reference_forward(ref, x, mode=mode, seed=seed)
         assert np.array_equal(logits, ref_logits)
-        assert p.updates == ref.updates
         for name, tensor in p.tensors.items():
             assert np.array_equal(tensor, ref.tensors[name]), name
 
@@ -375,20 +381,47 @@ class TestCheckpoint:
         p = init_params(cfg, seed=4)
         forward(p, rng.standard_normal((8, 4)), mode="train")
         path = tmp_path / "model.json"
-        save_checkpoint(path, p, meta={"cutoff": 0.25, "note": "x"})
-        back, meta = load_checkpoint(path)
-        assert meta["cutoff"] == 0.25
-        assert back.config == p.config
-        assert back.updates == p.updates
+        model = trained(p)
+        save_checkpoint(path, model)
+        back = load_checkpoint(path)
+        assert back.params.config == p.config
         for name, tensor in p.tensors.items():
-            assert np.array_equal(back.tensors[name], tensor), name
+            assert np.array_equal(back.params.tensors[name], tensor), name
+        for key in ("feature_names", "time_col", "event_col", "cutoff"):
+            assert getattr(back, key) == getattr(model, key), key
+        assert np.array_equal(back.scaler.mean, model.scaler.mean)
+        assert np.array_equal(back.scaler.std, model.scaler.std)
+
+    def test_file_holds_only_what_is_read(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, trained(init_params(small_config(), seed=4), None))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert list(payload) == ["format", "version", "config", "tensors", "meta"]
+        assert list(payload["meta"]) == ["scaler_mean", "scaler_std", "feature_names",
+                                         "time_col", "event_col", "cutoff"]
+        assert payload["meta"]["cutoff"] is None
+        assert load_checkpoint(path).cutoff is None
+
+    def test_older_files_load_and_resave_without_unread_keys(self, tmp_path):
+        # earlier writers also stored an update counter and the run's seed
+        path = tmp_path / "model.json"
+        save_checkpoint(path, trained(init_params(small_config(), seed=4)))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        older = {**{k: payload[k] for k in ("format", "version", "config")},
+                 "updates": 7, "tensors": payload["tensors"],
+                 "meta": {**payload["meta"], "seed": 3}}
+        path.write_text(json.dumps(older), encoding="utf-8")
+        back = load_checkpoint(path)
+        save_checkpoint(tmp_path / "again.json", back)
+        assert (tmp_path / "again.json").read_text(encoding="utf-8") == \
+            json.dumps(payload) + "\n"
 
     def test_rewrites_are_byte_identical(self, tmp_path, rng):
         p = init_params(small_config(), seed=4)
         forward(p, rng.standard_normal((8, 4)), mode="train")
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(a, p, meta={"k": 1})
-        save_checkpoint(b, p, meta={"k": 1})
+        save_checkpoint(a, trained(p))
+        save_checkpoint(b, trained(p))
         assert a.read_bytes() == b.read_bytes()
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
@@ -396,13 +429,13 @@ class TestCheckpoint:
         # freshly drawn weights
         p = init_params(small_config(), seed=4)
         path = tmp_path / "model.json"
-        save_checkpoint(path, p)
+        save_checkpoint(path, trained(p))
 
         def refuse(*args, **kwargs):
             raise AssertionError("load_checkpoint drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        back, _ = load_checkpoint(path)
+        back = load_checkpoint(path).params
         assert list(back.tensors) == list(p.tensors)
         for name, tensor in p.tensors.items():
             assert np.array_equal(back.tensors[name], tensor), name
@@ -418,7 +451,7 @@ class TestConfigValidation:
     def test_rejects_unknown_head(self, tmp_path):
         # format v1 files name their head; only the softmax head 'cat' loads
         path = tmp_path / "model.json"
-        save_checkpoint(path, init_params(small_config(), seed=0))
+        save_checkpoint(path, trained(init_params(small_config(), seed=0)))
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["config"]["head"] == "cat"
         payload["config"]["head"] = "mtlr"

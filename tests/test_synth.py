@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from binsurv.metrics import c_index
-from binsurv.synth import CENSOR_RATE_TOL, SynthConfig, bayes_c_index, generate
+from binsurv.synth import CENSOR_RATE_TOL, SynthConfig, generate
 
 
 def spearman(a, b):
@@ -86,18 +86,12 @@ class TestGroundTruth:
     def test_oracle_scores_beat_noisy_scores(self):
         ds, risks = generate(SynthConfig(n_samples=1500, n_features=5,
                                          target_censor_rate=0.3, seed=6))
-        ceiling = bayes_c_index(risks, ds.times, ds.events)
+        ceiling = c_index(risks, ds.times, ds.events)
         rng = np.random.default_rng(1)
         noisy = c_index(risks + 2.0 * rng.standard_normal(risks.size),
                         ds.times, ds.events)
         assert ceiling > noisy
         assert ceiling > 0.6
-
-    def test_bayes_wrapper_is_c_index_of_oracle(self):
-        ds, risks = generate(SynthConfig(n_samples=300, n_features=4,
-                                         target_censor_rate=0.2, seed=2))
-        assert bayes_c_index(risks, ds.times, ds.events) == \
-            c_index(risks, ds.times, ds.events)
 
     def test_quadratic_risk_differs_from_linear(self):
         lin, r_lin = generate(SynthConfig(n_samples=200, n_features=4,
