@@ -253,6 +253,10 @@ def _parse_rows(text: str):
         row = tuple(part.strip() for part in chunk.split("+") if part.strip())
         if not row:
             raise ConfigError(f"empty ablation row in {text!r}")
+        if len(set(row)) < len(row):
+            raise ConfigError(f"ablation row {'+'.join(row)} repeats a component")
+        if any(set(row) == set(seen) for seen in rows):
+            raise ConfigError(f"ablation row {'+'.join(row)} is given twice")
         rows.append(row)
     return tuple(rows)
 

@@ -95,39 +95,32 @@ def likelihood_loss(pmfs: np.ndarray, batch: BinnedBatch):
     return value, grad
 
 
-def _pair_layout(t_norm, events):
-    """Time order of a batch and the bounds of its comparable pairs.
+def _pair_sums(batch: BinnedBatch, anchor: np.ndarray, partner: np.ndarray):
+    """Each sample's pair terms summed as anchor and as partner.
 
-    Returns ``(order, later, earlier, is_event, n_events)``, or None when the
-    batch has no comparable pair.  ``order`` sorts the batch by time (stable).
-    In that order, the partners of sample i (t_j > t_i) sit at positions
-    ``later[i]`` and beyond, and the samples that can anchor sample j
-    (t_i < t_j) sit before position ``earlier[j]``.
+    ``anchor`` and ``partner`` hold each sample's two factors of its pair
+    terms, as vectors or as B x K arrays (one factor per threshold column);
+    ``anchor`` is zero outside the events.  Returns ``(as_anchor, as_partner,
+    n_events)``, or None when the batch has no comparable pair: as_anchor[i]
+    is anchor[i] times the sum of partner over the samples strictly later
+    than i, and as_partner[j] is partner[j] times the sum of anchor over the
+    samples strictly earlier than j.  One stable sort by time, one suffix and
+    one prefix sum, and two binary searches: O(B log B) for vectors.
     """
-    t = np.asarray(t_norm, dtype=np.float64)
-    if not has_comparable_pair(t, events):
+    t = np.asarray(batch.t_norm, dtype=np.float64)
+    if not has_comparable_pair(t, batch.events):
         return None
-    is_event = np.asarray(events) == 1
-    n_events = int(is_event.sum())
     order = np.argsort(t, kind="stable")
     t_sorted = t[order]
-    later = np.searchsorted(t_sorted, t, side="right")
-    earlier = np.searchsorted(t_sorted, t, side="left")
-    return order, later, earlier, is_event, n_events
-
-
-def _suffix_sums(x):
-    """out[m] = x[m:].sum(axis=0), with a trailing zero row at m = len(x)."""
-    out = np.zeros((x.shape[0] + 1,) + x.shape[1:])
-    out[:-1] = np.cumsum(x[::-1], axis=0)[::-1]
-    return out
-
-
-def _prefix_sums(x):
-    """out[m] = x[:m].sum(axis=0), with a leading zero row at m = 0."""
-    out = np.zeros((x.shape[0] + 1,) + x.shape[1:])
-    np.cumsum(x, axis=0, out=out[1:])
-    return out
+    # suffix[m] = sum of the sorted partners from position m, prefix[m] of
+    # the sorted anchors before it; both are zero at their open end
+    suffix = np.zeros((t.size + 1,) + partner.shape[1:])
+    suffix[:-1] = np.cumsum(partner[order][::-1], axis=0)[::-1]
+    prefix = np.zeros((t.size + 1,) + anchor.shape[1:])
+    np.cumsum(anchor[order], axis=0, out=prefix[1:])
+    as_anchor = anchor * suffix[np.searchsorted(t_sorted, t, side="right")]
+    as_partner = partner * prefix[np.searchsorted(t_sorted, t, side="left")]
+    return as_anchor, as_partner, int(np.count_nonzero(batch.events == 1))
 
 
 def rank_loss(pmfs: np.ndarray, batch: BinnedBatch, sigma: float = 1.0):
@@ -137,33 +130,28 @@ def rank_loss(pmfs: np.ndarray, batch: BinnedBatch, sigma: float = 1.0):
     event bin k_i; the per-pair term is exp(-sigma * (F_i - F_j)) and the
     value sums those terms divided by the number of events in the batch.
 
-    The term splits into exp(-sigma * F_i[k_i]) * exp(sigma * F_j[k_i]).  Per
-    threshold column, suffix sums of exp(sigma * F) over the time-sorted rows,
-    read at each event's bin, give the value and the anchor-side gradient;
-    prefix sums of the event factors, placed at their bins, give the partner
-    side.  O(B log B + B K) time and O(B K) memory.  Returns (value, grad_pmf).
+    The term splits into exp(-sigma * F_i[k_i]) * exp(sigma * F_j[k_i]).
+    Each event's anchor factor sits in its own bin column, and every
+    sample's partner factor in every column, so one ``_pair_sums`` over the
+    B x K arrays gives the value and both gradient sides.  O(B log B + B K)
+    time and O(B K) memory.  Returns (value, grad_pmf).
     """
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
-    layout = _pair_layout(batch.t_norm, batch.events)
-    if layout is None:
+    cdf = np.cumsum(p, axis=1)
+    is_event = batch.events == 1
+    cols = batch.bins[is_event] - 1
+    anchor = np.zeros_like(p)
+    anchor[is_event, cols] = np.exp(-sigma * cdf[is_event, cols])
+    sums = _pair_sums(batch, anchor, np.exp(sigma * cdf))
+    if sums is None:
         warnings.warn("rank loss: no comparable pairs in batch", RuntimeWarning)
         return 0.0, np.zeros_like(p)
-    order, later, earlier, is_event, n_events = layout
-    cdf = np.cumsum(p, axis=1)
-    cols = batch.bins[is_event] - 1
-    partner = np.exp(sigma * cdf)
-    anchor = np.exp(-sigma * cdf[is_event, cols])
-    # sum over each event's partners of its pair terms
-    as_anchor = anchor * _suffix_sums(partner[order])[later[is_event], cols]
-    placed = np.zeros_like(p)
-    placed[is_event, cols] = anchor
-    # per threshold column, sum over each sample's anchors of its pair terms
-    as_partner = partner * _prefix_sums(placed[order])[earlier]
-    value = float(as_anchor.sum() / n_events)
+    as_anchor, as_partner, n_events = sums
+    value = float(as_anchor[is_event, cols].sum() / n_events)
     # d term / dF_i = -sigma * term, d term / dF_j = sigma * term; dF/dp hits
     # every bin up to the threshold, so suffix-sum across bins
     acc = (sigma / n_events) * as_partner
-    acc[is_event, cols] -= (sigma / n_events) * as_anchor
+    acc -= (sigma / n_events) * as_anchor  # zero off each event's own column
     grad = np.cumsum(acc[:, ::-1], axis=1)[:, ::-1]
     return value, grad
 
@@ -179,24 +167,20 @@ def time_rank_loss(risks: np.ndarray, batch: BinnedBatch, sigma: float = 1.0,
 
     With u = r + rho * t_norm the term exp(-sigma * ((r_i - r_j) -
     rho * (t_j - t_i))) is exp(-sigma * u_i) * exp(sigma * u_j), so the value
-    and both gradient sides come from one sort plus a suffix and a prefix
-    sum: O(B log B) time, O(B) memory.  Both factors are taken relative to
-    the midpoint of sigma * u, which cancels in every product and keeps each
+    and both gradient sides come from one ``_pair_sums`` over vectors:
+    O(B log B) time, O(B) memory.  Both factors are taken relative to the
+    midpoint of sigma * u, which cancels in every product and keeps each
     factor within exp(+-range / 2).  Returns (value, grad_risk).
     """
     r = np.asarray(risks, dtype=np.float64)
-    layout = _pair_layout(batch.t_norm, batch.events)
-    if layout is None:
+    su = sigma * (r + rho * batch.t_norm)
+    shift = 0.5 * (su.max() + su.min()) if su.size else 0.0  # empty: no pair
+    anchor = np.where(batch.events == 1, np.exp(shift - su), 0.0)
+    sums = _pair_sums(batch, anchor, np.exp(su - shift))
+    if sums is None:
         warnings.warn("time rank loss: no comparable pairs in batch", RuntimeWarning)
         return 0.0, np.zeros_like(r)
-    order, later, earlier, is_event, n_events = layout
-    su = sigma * (r + rho * batch.t_norm)
-    shift = 0.5 * (su.max() + su.min())
-    partner = np.exp(su - shift)
-    anchor = np.where(is_event, np.exp(shift - su), 0.0)
-    # sum over each event's partners, and over each sample's anchors
-    as_anchor = anchor * _suffix_sums(partner[order])[later]
-    as_partner = partner * _prefix_sums(anchor[order])[earlier]
+    as_anchor, as_partner, n_events = sums
     value = float(as_anchor.sum() / n_events)
     grad = (-sigma / n_events) * (as_anchor - as_partner)
     return value, grad

@@ -275,35 +275,35 @@ def _scored(scores, times, events):
     return s, t, e
 
 
-def _log_rank_tables(times_a, events_a, times_b, events_b):
+def _log_rank_tables(times, events, group):
     """Observed/expected/variance pieces of the two-group log-rank statistic.
 
-    Both groups go into one time order, by a stable argsort of their
-    concatenation, which merges in linear time when each group comes sorted
-    by time.  Running counts of events, group-a rows and group-a events,
-    read at the edges of that order's tie blocks, give each block's counts;
-    the knots are the blocks that hold an event.  At a knot, n1 is group a's
-    size less its rows in earlier blocks, n2 likewise for group b, and d1,
-    d2 are the block's events in each group.  Knots, counts and the float
-    expressions are those of a binary search per knot, so the five values
-    match it bit for bit, at the cost of the argsort and a few O(n) passes.
+    ``group`` is a boolean mask of the group-a rows; the rest form group b.
+    The rows are sorted by time only when they do not come that way (a NaN
+    time fails the check and sorts last).  Running counts of events, group-a
+    rows and group-a events, read at the edges of that order's tie blocks,
+    give each block's counts; the knots are the blocks that hold an event.
+    At a knot, n1 is group a's size less its rows in earlier blocks, n2
+    likewise for group b, and d1, d2 are the block's events in each group.
+    The counts are sums over whole tie blocks, so the order of rows inside a
+    block does not change them.  Knots, counts and the float expressions are
+    those of a binary search per knot, so the five values match it bit for
+    bit, in a few O(n) passes.
     """
-    ta = np.asarray(times_a, dtype=np.float64)
-    tb = np.asarray(times_b, dtype=np.float64)
-    ea = np.asarray(events_a, dtype=np.int64)
-    eb = np.asarray(events_b, dtype=np.int64)
-    _check_paired("times_a and events_a", ta, ea)
-    _check_paired("times_b and events_b", tb, eb)
-    if ta.size == 0 or tb.size == 0:
-        raise ValueError("both groups must be non-empty")
-    t = np.concatenate([ta, tb])
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events, dtype=np.int64)
+    in_a = np.asarray(group, dtype=bool)
+    _check_paired("times, events and group", t, e, in_a)
     n = t.size
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    if np.isnan(t[-1]):  # NaN sorts last
-        raise ValueError("times_a and times_b must not be NaN")
-    in_a = order < ta.size
-    hit = (np.concatenate([ea, eb]) == 1)[order]
+    n_a = int(np.count_nonzero(in_a))
+    if n_a == 0 or n_a == n:
+        raise ValueError("both groups must be non-empty")
+    if not np.all(t[1:] >= t[:-1]):
+        order = np.argsort(t, kind="stable")
+        t, e, in_a = t[order], e[order], in_a[order]
+        if np.isnan(t[-1]):  # NaN sorts last
+            raise ValueError("times must not be NaN")
+    hit = e == 1
     edge = np.empty(n + 1, dtype=bool)
     edge[0] = edge[-1] = True
     np.not_equal(t[1:], t[:-1], out=edge[1:-1])
@@ -319,8 +319,8 @@ def _log_rank_tables(times_a, events_a, times_b, events_b):
     d = d[knot]
     start, stop = edge[knot], edge[knot + 1]
     np.cumsum(in_a, out=before[1:])
-    n1 = ta.size - before[start]
-    n2 = tb.size - (start - before[start])
+    n1 = n_a - before[start]
+    n2 = (n - n_a) - (start - before[start])
     np.cumsum(hit & in_a, out=before[1:])
     d1 = before[stop] - before[start]
     d2 = (d - d1).astype(np.float64)
@@ -335,22 +335,14 @@ def _log_rank_tables(times_a, events_a, times_b, events_b):
     return float(d1.sum()), e1, float(d2.sum()), float(d.sum() - e1), v
 
 
-def log_rank(times_a, events_a, times_b, events_b) -> float:
-    """Two-group log-rank chi-square statistic (O - E)^2 / V.
-
-    Groups that each come sorted by time merge in linear time.
+def log_rank(times, events, group) -> float:
+    """Two-group log-rank chi-square statistic (O - E)^2 / V of the ``group``
+    rows against the rest.  Rows that come sorted by time are not sorted.
     """
-    o1, e1, _o2, _e2, v = _log_rank_tables(times_a, events_a, times_b, events_b)
+    o1, e1, _o2, _e2, v = _log_rank_tables(times, events, group)
     if v == 0.0:
         return 0.0
     return float((o1 - e1) ** 2 / v)
-
-
-def _split_at(high: np.ndarray, t: np.ndarray, e: np.ndarray):
-    """Times and events of the ``high`` rows, then of the others, in row order."""
-    low = np.flatnonzero(~high)
-    high = np.flatnonzero(high)
-    return t.take(high), e.take(high), t.take(low), e.take(low)
 
 
 def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
@@ -362,9 +354,9 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
 
     The high group only shrinks as the candidates ascend, so the admissible
     ones form one range, found by one ``searchsorted`` over the sorted
-    scores.  The rows are put in time order once, so both groups reach
-    ``log_rank`` sorted and merge in linear time there: one ``log_rank``
-    call per admissible candidate, O(m n) for m of them and n rows.
+    scores.  The rows are put in time order once, so ``log_rank`` reads
+    them without sorting: one call per admissible candidate, with the high
+    rows as its group, O(m n) for m of them and n rows.
     """
     s, t, e = _scored(scores, times, events)
     if not 0.0 <= min_group_frac <= 0.5:
@@ -385,7 +377,7 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
     best_cut = None
     best_stat = -np.inf
     for cut in candidates[first:stop]:
-        stat = log_rank(*_split_at(s > cut, t, e))
+        stat = log_rank(t, e, s > cut)
         if stat > best_stat:
             best_stat = stat
             best_cut = float(cut)
@@ -406,8 +398,7 @@ def hazard_ratio(scores, times, events, cutoff: float) -> float:
     high = s > cutoff
     if not high.any() or high.all():
         raise UndefinedMetricError("cutoff must split the samples into two non-empty groups")
-    order = np.argsort(t)  # so both groups reach the merge sorted by time
-    o_h, e_h, o_l, e_l, _v = _log_rank_tables(*_split_at(high[order], t[order], e[order]))
+    o_h, e_h, o_l, e_l, _v = _log_rank_tables(t, e, high)
     if o_h == 0.0:
         warnings.warn("hazard ratio degenerate: no events in the high-risk group",
                       RuntimeWarning)

@@ -32,8 +32,9 @@ class SynthConfig:
             raise ValueError(f"risk_model must be one of {RISK_MODELS}")
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
-        if self.weibull_shape <= 0:
-            raise ValueError("weibull_shape must be positive")
+        if not 0.0 < self.weibull_shape < math.inf:
+            raise ValueError(f"weibull_shape must be finite and positive, "
+                             f"got {self.weibull_shape!r}")
         if not 0.0 <= self.target_censor_rate < 1.0:
             raise ValueError("target_censor_rate must lie in [0, 1)")
         if self.seed < 0:

@@ -160,6 +160,14 @@ class TestSynthCommand:
         assert run(["synth", "--n", "1", "--out",
                     str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("shape", ["nan", "inf"])
+    def test_weibull_shape_out_of_range_exits_two(self, tmp_path, capsys, shape):
+        out = tmp_path / "x.csv"
+        assert run(["synth", "--n", "50", "--baseline", "weibull",
+                    "--weibull-shape", shape, "--out", str(out)]) == 2
+        assert "weibull_shape must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreachable_censor_rate_exits_two(self, tmp_path, capsys):
         # three rows censor in steps of 1/3, never within 0.02 of one half
         out = tmp_path / "x.csv"
@@ -324,6 +332,8 @@ REJECTED_RUNS = [
     ("ablate", "cohort", ["--rows", "mle,rank+time_rank"]),
     ("ablate", "cohort", ["--rows", ""]),
     ("ablate", "cohort", ["--rows", "mle,,rank"]),
+    ("ablate", "cohort", ["--rows", "mle,rank+mle+rank"]),
+    ("ablate", "cohort", ["--rows", "mle+rank,rank+mle"]),
 ]
 
 
@@ -393,6 +403,21 @@ def test_ablation_row_without_loss_is_named(data_csv, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: ablation row mle: at least one of alpha, beta and gamma "
         "must be positive\n")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("mle,rank+mle+rank", "ablation row rank+mle+rank repeats a component"),
+    ("mle+rank,rank+mle", "ablation row rank+mle is given twice"),
+    ("mle,mle", "ablation row mle is given twice"),
+])
+def test_repeated_ablation_row_is_named(data_csv, tmp_path, capsys, rows, message):
+    # a repeat would train the same model again and write the same row
+    out = tmp_path / "o"
+    code = run(["ablate", "--data", str(data_csv), "--out", str(out), *FAST,
+                "--rows", rows])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def unscorable_copy(src, dst, kind):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from binsurv.data import BinnedBatch, assign_bin, bin_midpoints
 from binsurv.losses import (
-    LossWeights, _pair_layout, calibration_loss, combined_loss,
+    LossWeights, _pair_sums, calibration_loss, combined_loss,
     likelihood_loss, rank_loss, time_rank_loss,
 )
 from binsurv.model import predict_risk
@@ -55,10 +55,20 @@ class TestComparablePairs:
     @example([(0.35, 1)])
     @settings(max_examples=200, deadline=None)
     def test_layout_is_none_exactly_without_pairs(self, rows):
+        """``_pair_sums`` lays out both pairwise losses' pairs; it is None
+        exactly when the brute-force enumeration finds no pair."""
         t = np.array([r[0] for r in rows])
         e = np.array([r[1] for r in rows])
-        layout = _pair_layout(t, e)
-        assert (layout is None) is (len(comparable_pairs(t, e)) == 0)
+        batch = manual_batch(np.ones(t.size), e, k=1, t_norm=t)
+        sums = _pair_sums(batch, e.astype(np.float64), np.ones(t.size))
+        pairs = comparable_pairs(t, e)
+        assert (sums is None) is (len(pairs) == 0)
+        if sums is not None:
+            # unit factors count each sample's pairs as anchor and as partner
+            as_anchor, as_partner, n_events = sums
+            assert as_anchor.tolist() == np.bincount(pairs.i, minlength=t.size).tolist()
+            assert as_partner.tolist() == np.bincount(pairs.j, minlength=t.size).tolist()
+            assert n_events == pairs.n_events
 
 
 class TestLikelihood:
@@ -175,10 +185,13 @@ class TestTimeRank:
         assert wide < tight
 
     def test_no_pairs_warns(self):
-        batch = manual_batch([1, 2], [0, 0], k=3)
-        with pytest.warns(RuntimeWarning):
-            value, grad = time_rank_loss(np.array([0.3, 0.4]), batch)
-        assert value == 0.0 and np.all(grad == 0.0)
+        # all censored, and an empty batch
+        for bins, events in (([1, 2], [0, 0]), ([], [])):
+            batch = manual_batch(bins, events, k=3)
+            with pytest.warns(RuntimeWarning, match="no comparable pairs"):
+                value, grad = time_rank_loss(np.full(len(bins), 0.3), batch)
+            assert value == 0.0 and grad.shape == (len(bins),)
+            assert np.all(grad == 0.0)
 
     def test_fd_on_risks(self, rng):
         _, _, batch = random_batch(rng, 16, k_bins=5)

@@ -354,36 +354,45 @@ class TestGridForms:
                 m_tdauc(scores, times, events, t_grid)
 
 
+def two_groups(times_a, events_a, times_b, events_b):
+    """Group a's rows, then group b's, with the mask of group a."""
+    group = np.arange(len(times_a) + len(times_b)) < len(times_a)
+    return (np.concatenate([times_a, times_b]),
+            np.concatenate([events_a, events_b]).astype(np.int64), group)
+
+
 class TestLogRank:
     def test_frozen_alternating_case(self):
         # two interleaved all-event groups; exact value worked out by hand
-        stat = log_rank([1.0, 3.0, 5.0], [1, 1, 1], [2.0, 4.0, 6.0], [1, 1, 1])
+        stat = log_rank([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1] * 6,
+                        [True, False, True, False, True, False])
         assert stat == pytest.approx(529.0 / 1091.0, abs=1e-12)
 
     def test_identical_groups_score_zero(self):
         t = [1.0, 2.0, 3.0]
         e = [1, 1, 1]
-        assert log_rank(t, e, t, e) == pytest.approx(0.0)
+        assert log_rank(*two_groups(t, e, t, e)) == pytest.approx(0.0)
 
     def test_no_events_returns_zero(self):
-        assert log_rank([1.0, 2.0], [0, 0], [3.0], [0]) == 0.0
+        assert log_rank([1.0, 2.0, 3.0], [0, 0, 0], [True, True, False]) == 0.0
 
     def test_single_sample_risk_sets_skip_variance(self):
         # last knot has one subject at risk; its variance term must vanish
-        stat = log_rank([1.0], [1], [2.0], [1])
+        stat = log_rank([1.0, 2.0], [1, 1], [True, False])
         assert math.isfinite(stat)
 
     def test_strong_separation_grows_the_statistic(self, rng):
         a = rng.exponential(1.0, 200) + 1e-3
         b = rng.exponential(5.0, 200) + 1e-3
         ones = np.ones(200, dtype=int)
-        strong = log_rank(a, ones, b, ones)
-        weak = log_rank(a[:100], ones[:100], a[100:], ones[100:])
+        strong = log_rank(*two_groups(a, ones, b, ones))
+        weak = log_rank(*two_groups(a[:100], ones[:100], a[100:], ones[100:]))
         assert strong > 50 > weak
 
     def test_rejects_empty_group(self):
-        with pytest.raises(ValueError):
-            log_rank([], [], [1.0], [1])
+        for group in ([True, True, True], [False, False, False]):
+            with pytest.raises(ValueError, match="both groups must be non-empty"):
+                log_rank([1.0, 2.0, 3.0], [1, 0, 1], group)
 
     @staticmethod
     def tie_heavy_groups(rng, case):
@@ -405,28 +414,33 @@ class TestLogRank:
         return times[0], events[0], times[1], events[1]
 
     def test_tables_equal_the_reference(self):
-        # shuffled groups, then the same groups sorted by time, as the
-        # cutoff search passes them
+        # the same rows shuffled, then in time order as the cutoff search
+        # passes them, each with its mask
         rng = np.random.default_rng(13)
         for case in range(400):
             ta, ea, tb, eb = self.tie_heavy_groups(rng, case)
             expect = reference_log_rank_tables(ta, ea, tb, eb)
-            assert _log_rank_tables(ta, ea, tb, eb) == expect, case
-            oa, ob = np.argsort(ta), np.argsort(tb)
-            assert _log_rank_tables(ta[oa], ea[oa], tb[ob], eb[ob]) == expect, case
+            t, e, group = two_groups(ta, ea, tb, eb)
+            shuffled = rng.permutation(t.size)
+            got = _log_rank_tables(t[shuffled], e[shuffled], group[shuffled])
+            assert got == expect, case
+            order = np.argsort(t, kind="stable")
+            assert _log_rank_tables(t[order], e[order], group[order]) == expect, case
 
-    @pytest.mark.parametrize("args, names", [
-        (([1.0, 2.0], [1], [3.0], [1]), "times_a and events_a"),
-        (([1.0], [1], [3.0, 4.0], [1, 0, 1]), "times_b and events_b"),
-        (([[1.0, 2.0]], [[1, 1]], [3.0], [1]), "times_a and events_a"),
-    ])
-    def test_rejects_mismatched_arguments(self, args, names):
-        with pytest.raises(ValueError, match=names):
+    @pytest.mark.parametrize("args", [
+        ([1.0, 2.0], [1], [True, False]),
+        ([1.0, 2.0], [1, 0], [True, False, True]),
+        ([[1.0, 2.0]], [[1, 1]], [[True, False]]),
+    ], ids=["short-events", "long-group", "2-d"])
+    def test_rejects_mismatched_arguments(self, args):
+        with pytest.raises(ValueError, match="times, events and group"):
             log_rank(*args)
 
     def test_rejects_nan_times(self):
-        with pytest.raises(ValueError, match="NaN"):
-            log_rank([1.0, math.nan], [1, 1], [2.0], [1])
+        # out of order, and in last place after sorted rows
+        for times in ([1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                log_rank(times, [1, 1, 1], [True, False, True])
 
 
 class TestCutoff:

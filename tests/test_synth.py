@@ -1,5 +1,7 @@
 """Generator ground truth, censoring calibration, and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -113,8 +115,9 @@ class TestValidation:
             SynthConfig(risk_model="cubic")
         with pytest.raises(ValueError):
             SynthConfig(baseline="gamma")
-        with pytest.raises(ValueError):
-            SynthConfig(weibull_shape=0.0)
+        for shape in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="weibull_shape"):
+                SynthConfig(weibull_shape=shape)
         with pytest.raises(ValueError):
             SynthConfig(target_censor_rate=1.0)
         with pytest.raises(ValueError):
