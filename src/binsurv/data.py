@@ -104,6 +104,28 @@ class TimeGrid:
         return self.t_min_prime + edges * self.span
 
 
+def check_paired(names: str, *arrays) -> None:
+    """Raise ValueError naming the arguments unless all are 1-d of one length."""
+    shapes = [np.shape(a) for a in arrays]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise ValueError(f"{names} must be 1-d arrays of one length, got shapes "
+                         + ", ".join(map(str, shapes)))
+
+
+def check_outcomes(times, events):
+    """``times`` and ``events`` as 1-d float64 and int64 arrays of one length;
+    ValueError unless every time is finite and > 0 and every event is exactly
+    0 or 1, read before the int cast (0.5 is rejected, not truncated to 0)."""
+    t = np.asarray(times, dtype=np.float64)
+    e = np.asarray(events)
+    check_paired("times and events", t, e)
+    if t.size and not (t.min() > 0.0 and t.max() < np.inf):  # NaN fails both
+        raise ValueError("times must be finite and strictly positive")
+    if np.count_nonzero(e) != np.count_nonzero(e == 1):  # a nonzero event other than 1
+        raise ValueError("events must be 0 or 1")
+    return t, e.astype(np.int64, copy=False)
+
+
 @dataclass(eq=False)
 class SurvivalDataset:
     """Column-oriented survival data: features (n, d), times (n,), events (n,)."""
@@ -115,20 +137,14 @@ class SurvivalDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.events = np.asarray(self.events, dtype=np.int64)
+        self.times, self.events = check_outcomes(self.times, self.events)
         self.feature_names = tuple(self.feature_names)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        n = self.features.shape[0]
-        if self.times.shape != (n,) or self.events.shape != (n,):
+        if self.features.shape[0] != self.times.size:
             raise ValueError("features, times and events must agree on length")
         if len(self.feature_names) != self.features.shape[1]:
             raise ValueError("feature_names must match the feature count")
-        if not np.all(np.isfinite(self.times)) or np.any(self.times <= 0):
-            raise ValueError("times must be finite and strictly positive")
-        if not np.all((self.events == 0) | (self.events == 1)):
-            raise ValueError("events must be 0 or 1")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -305,10 +321,11 @@ def load_csv(path, time_column: str = "time",
         else:
             rejected = table.shape != (len(lines), len(header))
             if not rejected:
-                times = np.ascontiguousarray(table[:, t_idx])
-                events = table[:, e_idx]
-                rejected = not (np.all(np.isfinite(times) & (times > 0))
-                                and np.all((events == 0) | (events == 1)))
+                try:
+                    times, events = check_outcomes(
+                        np.ascontiguousarray(table[:, t_idx]), table[:, e_idx])
+                except ValueError:
+                    rejected = True
     if rejected:
         _raise_first_bad_row(path, text, header, t_idx, e_idx)
         # every row passed float(): numpy refused a spelling float() reads,
@@ -325,7 +342,7 @@ def load_csv(path, time_column: str = "time",
             f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
             f"in column '{feature_names[col]}'"
         )
-    return SurvivalDataset(features, times, events.astype(np.int64), feature_names)
+    return SurvivalDataset(features, times, events, feature_names)
 
 
 def _raise_first_bad_row(path, text: str, header, t_idx: int, e_idx: int) -> None:

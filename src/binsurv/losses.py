@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BinnedBatch, bin_midpoints
-from .metrics import has_comparable_pair
 from .model import predict_risk
 
 LIKELIHOOD_FLOOR = 1e-12
@@ -108,10 +107,11 @@ def _pair_sums(batch: BinnedBatch, anchor: np.ndarray, partner: np.ndarray):
     one prefix sum, and two binary searches: O(B log B) for vectors.
     """
     t = np.asarray(batch.t_norm, dtype=np.float64)
-    if not has_comparable_pair(t, batch.events):
-        return None
     order = np.argsort(t, kind="stable")
     t_sorted = t[order]
+    # a pair exists exactly when some event is earlier than the latest time
+    if t.size == 0 or not (t[batch.events == 1] < t_sorted[-1]).any():
+        return None
     # suffix[m] = sum of the sorted partners from position m, prefix[m] of
     # the sorted anchors before it; both are zero at their open end
     suffix = np.zeros((t.size + 1,) + partner.shape[1:])

@@ -1,9 +1,11 @@
 """Censoring-aware evaluation metrics.
 
-All metrics work on raw observed times.  Inverse-probability-of-censoring
-weights come from a Kaplan-Meier fit of the censoring distribution evaluated
-at left limits (the weight at t uses the step value just before t).  The
-metrics that rank risk scores reject a NaN or infinite score.
+All metrics read raw observed times through :func:`~binsurv.data.check_outcomes`,
+so each rejects a time that is not finite and > 0, an event other than 0 or 1
+and times and events of unequal lengths; those that rank risk scores also
+reject a NaN or infinite score.  Inverse-probability-of-censoring weights come
+from the censoring curve ``kaplan_meier(times, 1 - events)`` at left limits
+(the weight at t uses the step value just before t).
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, TimeGrid, assign_bin, normalize_time
+from .data import (SurvivalDataset, TimeGrid, assign_bin, check_outcomes, check_paired,
+                   normalize_time)
 from .model import ModelParams, apply_head, forward, predict_risk, predict_survival
-
-KM_TARGETS = ("event", "censoring")
 
 
 class UndefinedMetricError(ValueError):
@@ -48,25 +49,20 @@ class KMCurve:
         return out
 
 
-def kaplan_meier(times, events, target: str = "event") -> KMCurve:
-    """Kaplan-Meier estimate of the event or the censoring distribution.
+def kaplan_meier(times, events) -> KMCurve:
+    """Kaplan-Meier estimate of the distribution of the rows flagged 1.
 
-    With ``target='censoring'`` the indicator is flipped, so censorings count
-    as the terminal occurrences and events drop out of the risk set.
+    ``kaplan_meier(times, events)`` is the event curve.  The censoring curve
+    is ``kaplan_meier(times, 1 - events)``: censorings count as the terminal
+    occurrences and events drop out of the risk set.
     """
-    if target not in KM_TARGETS:
-        raise ValueError(f"target must be one of {KM_TARGETS}")
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
+    t, e = check_outcomes(times, events)
     if t.size == 0:
         raise ValueError("kaplan_meier needs at least one sample")
-    hit = e == 1 if target == "event" else e == 0
-
     order = np.argsort(t, kind="mergesort")
     t_sorted = t[order]
-    hit_sorted = hit[order]
     knots, start = np.unique(t_sorted, return_index=True)
-    d = np.add.reduceat(hit_sorted.astype(np.int64), start)
+    d = np.add.reduceat(e[order], start)
     n_at_risk = t_sorted.size - start
     factors = 1.0 - d / n_at_risk
     survival = np.cumprod(factors)
@@ -79,9 +75,9 @@ def c_index(scores, times, events) -> float:
     A pair is concordant when the shorter-lived sample scores strictly
     higher; tied scores earn half credit.  Pairs are counted, not visited:
     a sort by time, a merge count of later-and-lower-scored samples, and a
-    sort of (score, time) ranks for the tied scores, in O(n log n).  The
-    counts are exact integers, so the result does not depend on the order
-    of summation.
+    sort of (score, time) ranks for the tied scores, the time ranks counted
+    along the time-sorted rows, in O(n log n).  The counts are exact
+    integers, so the result does not depend on the order of summation.
     """
     s, t, e = _scored(scores, times, events)
     # time order; same-time samples by score, so none is later and lower
@@ -92,7 +88,7 @@ def c_index(scores, times, events) -> float:
         raise UndefinedMetricError("no comparable pairs for the concordance index")
     lower = _later_lower_count(s, is_event)
     n = t.size
-    t_rank = np.unique(t, return_inverse=True)[1]
+    t_rank = np.cumsum(np.concatenate(([False], t[1:] != t[:-1])))
     s_rank = np.unique(s, return_inverse=True)[1]
     key = s_rank * n + t_rank
     sorted_key = np.sort(key)
@@ -111,8 +107,8 @@ def _comparable_pair_count(t, is_event) -> int:
 def has_comparable_pair(times, events) -> bool:
     """Whether some event precedes a later time, so :func:`c_index` is
     defined: exactly when some event is earlier than the latest time."""
-    t = np.asarray(times, dtype=np.float64)
-    return t.size > 0 and bool(np.any(t[np.asarray(events) == 1] < t.max()))
+    t, e = check_outcomes(times, events)
+    return t.size > 0 and bool((t[e == 1] < t.max()).any())
 
 
 def _later_lower_count(s, is_event) -> int:
@@ -159,12 +155,11 @@ def brier_score_t(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("evaluation grid must be strictly increasing")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
+    t, e = check_outcomes(times, events)
     n = t.size
     if p.shape[0] != n:
         raise ValueError(f"pmfs must have one row per time, got {p.shape[0]} for {n}")
-    censoring = kaplan_meier(t, e, target="censoring")
+    censoring = kaplan_meier(t, 1 - e)
     g_i = censoring.survival_before(t)
     is_event = e == 1
     g_stars = censoring.survival_before(t_grid).tolist()
@@ -241,13 +236,13 @@ def _tdauc_curve(scores, times, events, t_grid):
     """(times, values, mean) of TDAUC over the grid points that have cases
     and controls, those t with earliest event time <= t < latest time; the
     mean is the mean TDAUC."""
-    tm = np.asarray(times, dtype=np.float64)
-    first_event = tm[np.asarray(events, dtype=np.int64) == 1].min(initial=np.inf)
+    s, tm, e = _scored(scores, times, events)
+    first_event = tm[e == 1].min(initial=np.inf)
     t_grid = np.asarray(t_grid, dtype=np.float64)
     ts = t_grid[(first_event <= t_grid) & (t_grid < tm.max(initial=-np.inf))]
     if ts.size == 0:
         raise UndefinedMetricError("no evaluable time points for mean TDAUC")
-    values = tdauc(scores, times, events, ts)
+    values = tdauc(s, tm, e, ts)
     return ts, values, float(np.mean(values))
 
 
@@ -256,33 +251,24 @@ def m_tdauc(scores, times, events, t_grid) -> float:
     return _tdauc_curve(scores, times, events, t_grid)[2]
 
 
-def _check_paired(names: str, *arrays: np.ndarray) -> None:
-    """Raise ValueError naming the arguments unless all are 1-d of one length."""
-    if any(a.ndim != 1 for a in arrays) or len({a.size for a in arrays}) > 1:
-        shapes = ", ".join(str(a.shape) for a in arrays)
-        raise ValueError(f"{names} must be 1-d arrays of one length, got shapes {shapes}")
-
-
 def _scored(scores, times, events):
-    """``scores``, ``times`` and ``events`` as float64, float64 and int64
-    arrays, 1-d and of one length, with every score finite."""
+    """Finite float64 ``scores`` of the rows' length, then ``times`` and
+    ``events`` as :func:`~binsurv.data.check_outcomes` returns them."""
+    check_paired("scores, times and events", scores, times, events)
     s = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
-    _check_paired("scores, times and events", s, t, e)
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    return s, t, e
+    return (s, *check_outcomes(times, events))
 
 
 def _log_rank_tables(times, events, group):
     """Observed/expected/variance pieces of the two-group log-rank statistic.
 
     ``group`` is a boolean mask of the group-a rows; the rest form group b.
-    The rows are sorted by time only when they do not come that way (a NaN
-    time fails the check and sorts last).  Running counts of events, group-a
-    rows and group-a events, read at the edges of that order's tie blocks,
-    give each block's counts; the knots are the blocks that hold an event.
+    The rows are sorted by time only when they do not come that way.  Running
+    counts of events (0 or 1, so counted as they are), group-a rows and
+    group-a events, read at the edges of that order's tie blocks, give each
+    block's counts; the knots are the blocks that hold an event.
     At a knot, n1 is group a's size less its rows in earlier blocks, n2
     likewise for group b, and d1, d2 are the block's events in each group.
     The counts are sums over whole tie blocks, so the order of rows inside a
@@ -290,27 +276,23 @@ def _log_rank_tables(times, events, group):
     those of a binary search per knot, so the five values match it bit for
     bit, in a few O(n) passes.
     """
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
+    check_paired("times, events and group", times, events, group)
+    t, e = check_outcomes(times, events)
     in_a = np.asarray(group, dtype=bool)
-    _check_paired("times, events and group", t, e, in_a)
     n = t.size
     n_a = int(np.count_nonzero(in_a))
     if n_a == 0 or n_a == n:
         raise ValueError("both groups must be non-empty")
-    if not np.all(t[1:] >= t[:-1]):
+    if not (t[1:] >= t[:-1]).all():
         order = np.argsort(t, kind="stable")
         t, e, in_a = t[order], e[order], in_a[order]
-        if np.isnan(t[-1]):  # NaN sorts last
-            raise ValueError("times must not be NaN")
-    hit = e == 1
     edge = np.empty(n + 1, dtype=bool)
     edge[0] = edge[-1] = True
     np.not_equal(t[1:], t[:-1], out=edge[1:-1])
     edge = np.flatnonzero(edge)  # block b holds sorted rows edge[b]:edge[b + 1]
     before = np.empty(n + 1, dtype=np.int64)  # before[i]: flagged rows ahead of row i
     before[0] = 0
-    np.cumsum(hit, out=before[1:])
+    np.cumsum(e, out=before[1:])
     hits = before[edge]
     d = hits[1:] - hits[:-1]
     knot = np.flatnonzero(d != 0)
@@ -321,7 +303,7 @@ def _log_rank_tables(times, events, group):
     np.cumsum(in_a, out=before[1:])
     n1 = n_a - before[start]
     n2 = (n - n_a) - (start - before[start])
-    np.cumsum(hit & in_a, out=before[1:])
+    np.cumsum(e & in_a, out=before[1:])
     d1 = before[stop] - before[start]
     d2 = (d - d1).astype(np.float64)
     d1 = d1.astype(np.float64)

@@ -179,10 +179,10 @@ def reference_brier_curve(pmfs, times, events, t_grid, grid):
         raise ValueError("ibs needs a non-empty evaluation grid")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("evaluation grid must be strictly increasing")
-    censoring = kaplan_meier(times, events, target="censoring")
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     t = np.asarray(times, dtype=np.float64)
     e = np.asarray(events, dtype=np.int64)
+    censoring = kaplan_meier(t, 1 - e)
     n = t.size
     curve = []
     for t_star in t_grid:

@@ -1,7 +1,10 @@
 """Config parsing and the five CLI subcommands, run in-process."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import binsurv
 from binsurv.cli import main
 from binsurv.config import (
     ConfigError, ExperimentConfig, build_config, parse_config_file,
@@ -21,6 +25,8 @@ from binsurv.model import (
     ModelConfig, apply_head, forward, load_checkpoint, predict_risk,
 )
 from binsurv.training import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args):
@@ -136,8 +142,7 @@ class TestConfigModule:
         assert lines == cfg.resolved_lines()  # stable across calls
 
     def test_readme_config_table_lists_every_key(self):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        section = readme.read_text(encoding="utf-8").split("\n## Config\n", 1)[1]
+        section = README.read_text(encoding="utf-8").split("\n## Config\n", 1)[1]
         section = section.split("\n## ", 1)[0]
         keys = set()
         for line in section.splitlines():
@@ -876,3 +881,34 @@ class TestAblateCommand:
                     "--out", str(tmp_path / "x"),
                     "--rows", "rank+time_rank"])
         assert code == 2
+
+
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                           re.DOTALL)
+
+
+@pytest.fixture(scope="module")
+def readme_dir(tmp_path_factory):
+    """A directory holding the `run/` that a 2-epoch `binsurv train` of a
+    300-row `synth` cohort writes, as the README's second block expects."""
+    here = tmp_path_factory.mktemp("readme")
+    cohort = here / "cohort.csv"
+    assert run(["synth", "--n", "300", "--censor-rate", "0.4", "--out", str(cohort)]) == 0
+    assert run(["train", "--data", str(cohort), "--out", str(here / "run"),
+                "--set", "epochs=2"]) == 0
+    return here
+
+
+def test_readme_has_two_python_blocks():
+    assert len(README_BLOCKS) == 2
+
+
+@pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+def test_readme_python_block_runs_on_its_own(readme_dir, block):
+    # a fresh interpreter, so the block runs on its own imports only
+    src = str(Path(binsurv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", README_BLOCKS[block]],
+                            cwd=readme_dir, env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr

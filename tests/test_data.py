@@ -582,6 +582,12 @@ class TestDatasetValidation:
             SurvivalDataset(features=np.zeros((2, 1)), times=np.ones(2),
                             events=np.array([0, 2]), feature_names=("a",))
 
+    def test_rejects_fractional_events(self):
+        # read before the int cast, so they are not truncated to 0 and 1
+        with pytest.raises(ValueError, match="events must be 0 or 1"):
+            SurvivalDataset(features=np.zeros((2, 1)), times=np.ones(2),
+                            events=np.array([0.5, 1.7]), feature_names=("a",))
+
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError):
             SurvivalDataset(features=np.zeros((2, 1)),

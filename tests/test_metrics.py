@@ -35,13 +35,13 @@ class TestKaplanMeier:
         assert np.allclose(km.survival, [2 / 3, 2 / 3, 0.0])
 
     def test_censoring_target_flips_the_indicator(self):
-        km = kaplan_meier([1.0, 2.0, 3.0], [1, 0, 1], target="censoring")
+        km = kaplan_meier([1.0, 2.0, 3.0], 1 - np.array([1, 0, 1]))
         # the event at t=1 leaves silently; the censoring at t=2 sees a
         # risk set of two
         assert np.allclose(km.survival, [1.0, 0.5, 0.5])
 
     def test_no_target_occurrences_stays_at_one(self):
-        km = kaplan_meier([1.0, 2.0], [1, 1], target="censoring")
+        km = kaplan_meier([1.0, 2.0], 1 - np.array([1, 1]))
         assert np.all(km.survival == 1.0)
 
     def test_survival_at_is_right_continuous(self):
@@ -59,16 +59,14 @@ class TestKaplanMeier:
 
     def test_matches_slow_oracle(self, rng):
         ds = random_dataset(rng, 80, censor_frac=0.4)
-        km = kaplan_meier(ds.times, ds.events, target="censoring")
+        km = kaplan_meier(ds.times, 1 - ds.events)
         for q in np.linspace(0.1, 12.0, 17):
             expect = slow_km_survival_before(ds.times.tolist(),
                                              ds.events.tolist(), q, flip=True)
             assert float(km.survival_before(q)) == pytest.approx(expect)
 
-    def test_rejects_bad_target_and_empty(self):
-        with pytest.raises(ValueError):
-            kaplan_meier([1.0], [1], target="hazard")
-        with pytest.raises(ValueError):
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one sample"):
             kaplan_meier([], [])
 
 
@@ -91,6 +89,37 @@ class TestHasComparablePair:
         assert has_comparable_pair(t, e) is (len(comparable_pairs(t, e)) > 0)
 
 
+# every metric entry point as a function of four rows' outcomes alone
+OUTCOME_SCORES = [0.1, 0.9, 0.3, 0.4]
+OUTCOME_PMFS = np.full((4, 10), 0.1)
+OUTCOME_GRID = TimeGrid(10, 1.0, 4.0)
+OUTCOME_METRICS = {
+    "c_index": lambda t, e: c_index(OUTCOME_SCORES, t, e),
+    "tdauc": lambda t, e: tdauc(OUTCOME_SCORES, t, e, [2.5]),
+    "m_tdauc": lambda t, e: m_tdauc(OUTCOME_SCORES, t, e, [2.5]),
+    "select_cutoff": lambda t, e: select_cutoff(OUTCOME_SCORES, t, e),
+    "hazard_ratio": lambda t, e: hazard_ratio(OUTCOME_SCORES, t, e, 0.5),
+    "log_rank": lambda t, e: log_rank(t, e, [True, False, True, False]),
+    "kaplan_meier": kaplan_meier,
+    "brier_score_t": lambda t, e: brier_score_t(OUTCOME_PMFS, t, e, [2.5], OUTCOME_GRID),
+    "ibs": lambda t, e: ibs(OUTCOME_PMFS, t, e, [2.5], OUTCOME_GRID),
+    "has_comparable_pair": has_comparable_pair,
+}
+TIME_MESSAGE = "times must be finite and strictly positive"
+EVENT_MESSAGE = "events must be 0 or 1"
+BAD_OUTCOMES = {
+    "time-nan": ([1.0, 2.0, math.nan, 4.0], [1, 1, 0, 1], TIME_MESSAGE),
+    "time-inf": ([1.0, 2.0, math.inf, 4.0], [1, 1, 0, 1], TIME_MESSAGE),
+    "time-neg-inf": ([1.0, 2.0, -math.inf, 4.0], [1, 1, 0, 1], TIME_MESSAGE),
+    "time-zero": ([1.0, 2.0, 0.0, 4.0], [1, 1, 0, 1], TIME_MESSAGE),
+    "time-negative": ([1.0, 2.0, -1.0, 4.0], [1, 1, 0, 1], TIME_MESSAGE),
+    "event-half": ([1.0, 2.0, 3.0, 4.0], [1, 1, 0.5, 1], EVENT_MESSAGE),
+    "event-two": ([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 1], EVENT_MESSAGE),
+    "event-negative": ([1.0, 2.0, 3.0, 4.0], [1, 1, -1, 1], EVENT_MESSAGE),
+    "events-short": ([1.0, 2.0, 3.0, 4.0], [1, 1, 0], "must be 1-d arrays of one length"),
+}
+
+
 class TestScoreCheck:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("metric", [
@@ -103,6 +132,14 @@ class TestScoreCheck:
         scores = [0.1, 0.9, value, 0.4]
         with pytest.raises(ValueError, match="scores must be finite"):
             metric(scores, [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
+
+    @pytest.mark.parametrize("bad", BAD_OUTCOMES)
+    @pytest.mark.parametrize("metric", OUTCOME_METRICS)
+    def test_bad_outcomes_rejected(self, metric, bad):
+        times, events, message = BAD_OUTCOMES[bad]
+        OUTCOME_METRICS[metric]([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])  # valid rows score
+        with pytest.raises(ValueError, match=message):
+            OUTCOME_METRICS[metric](times, events)
 
 
 class TestCIndex:
@@ -149,7 +186,7 @@ class TestCIndex:
             t = rng.uniform(0.5, 5.0, n)
             s = rng.standard_normal(n)
             if levels is not None:
-                t = np.round(t * levels / 5.0)
+                t = np.round(t * levels / 5.0) + 1.0  # times stay > 0
                 s = np.round(s * levels / 3.0)
             e = (rng.random(n) < 0.7).astype(int)
             expect = oracle(s, t, e)
@@ -313,7 +350,7 @@ class TestCensoringWeights:
     @settings(max_examples=300, deadline=None)
     def test_positive_at_event_rows_and_observed_times(self, cohort, quarters):
         times, events = cohort
-        censoring = kaplan_meier(times, events, "censoring")
+        censoring = kaplan_meier(times, 1 - events)
         assert np.all(censoring.survival_before(times[events == 1]) > 0.0)
         t_stars = np.asarray(quarters) / 4.0
         observed = t_stars[t_stars < times.max()]  # some row has t > t*
@@ -403,7 +440,8 @@ class TestLogRank:
         sizes = rng.integers(1, 40, size=2)
         if case % 7 == 0:
             sizes[case % 2] = 1
-        times = [np.round(rng.exponential(2.0, n) + 0.05, case % 4) for n in sizes]
+        # shifted after rounding, so a time rounded to 0 stays > 0
+        times = [np.round(rng.exponential(2.0, n) + 0.05, case % 4) + 1.0 for n in sizes]
         events = [(rng.random(n) < rng.uniform(0.2, 0.9)).astype(np.int64)
                   for n in sizes]
         if case % 5 == 0:
@@ -439,7 +477,7 @@ class TestLogRank:
     def test_rejects_nan_times(self):
         # out of order, and in last place after sorted rows
         for times in ([1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
-            with pytest.raises(ValueError, match="NaN"):
+            with pytest.raises(ValueError, match="times must be finite and strictly positive"):
                 log_rank(times, [1, 1, 1], [True, False, True])
 
 
@@ -492,7 +530,7 @@ class TestCutoff:
         for case in range(60):
             n = int(rng.integers(6, 80))
             scores = np.round(rng.normal(size=n), 1)
-            times = np.round(rng.exponential(2.0, n) + 0.05, case % 3)
+            times = np.round(rng.exponential(2.0, n) + 0.05, case % 3) + 1.0  # > 0
             events = (rng.random(n) < 0.6).astype(np.int64)
             frac = (0.0, 0.1, 0.25, 0.5)[case % 4]
             expect = reference_select_cutoff(scores, times, events, frac)
