@@ -33,7 +33,7 @@ from .model import (
     save_checkpoint,
 )
 from .svgplot import line_plot_svg
-from .synth import SynthConfig, generate
+from .synth import BASELINES, RISK_MODELS, SynthConfig, generate
 from .training import TrainConfig, fit, write_history_csv
 
 log = logging.getLogger(__name__)
@@ -197,22 +197,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _match_features(test: SurvivalDataset, names) -> SurvivalDataset:
-    """Put the held-out feature columns in the checkpoint's order, by name."""
-    missing = [n for n in names if n not in test.feature_names]
-    extra = [n for n in test.feature_names if n not in names]
-    if missing or extra:
-        parts = [f"{label} {', '.join(repr(n) for n in cols)}"
-                 for label, cols in (("missing", missing), ("extra", extra)) if cols]
-        raise ConfigError("test data columns do not match the checkpoint's "
-                          "features: " + "; ".join(parts))
-    if list(test.feature_names) == list(names):
-        return test
-    order = [test.feature_names.index(n) for n in names]
-    return SurvivalDataset(np.ascontiguousarray(test.features[:, order]),
-                           test.times, test.events, names)
-
-
 def cmd_evaluate(args) -> int:
     # a ValueError means the file exists but is not a model file this
     # version reads
@@ -222,11 +206,10 @@ def cmd_evaluate(args) -> int:
     if grid.k_bins != model.params.config.k_bins:
         raise ConfigError(f"grid has {grid.k_bins} bins but the checkpoint was "
                           f"trained with {model.params.config.k_bins}")
-    test_raw = _match_features(
-        load_csv(args.data, args.time_col or model.time_col,
-                 args.event_col or model.event_col),
-        model.feature_names)
-    test = apply_scaler(test_raw, model.scaler)
+    test_raw = load_csv(args.data, args.time_col or model.time_col,
+                        args.event_col or model.event_col)
+    with config_errors():
+        test = model.prepare(test_raw)
     try:
         report = evaluate_model(model.params, test, grid, cutoff=model.cutoff)
     except UndefinedMetricError as exc:
@@ -372,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("synth", help="generate a synthetic survival dataset")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--features", type=int, default=10)
-    p.add_argument("--risk-model", choices=("linear", "quadratic"), default="linear")
-    p.add_argument("--baseline", choices=("exponential", "weibull"),
-                   default="exponential")
-    p.add_argument("--weibull-shape", type=float, default=1.5)
-    p.add_argument("--censor-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    synth = SynthConfig()
+    p.add_argument("--n", type=int, default=synth.n_samples)
+    p.add_argument("--features", type=int, default=synth.n_features)
+    p.add_argument("--risk-model", choices=RISK_MODELS, default=synth.risk_model)
+    p.add_argument("--baseline", choices=BASELINES, default=synth.baseline)
+    p.add_argument("--weibull-shape", type=float, default=synth.weibull_shape)
+    p.add_argument("--censor-rate", type=float, default=synth.target_censor_rate)
+    p.add_argument("--seed", type=int, default=synth.seed)
     p.add_argument("--out", default="synthetic.csv")
     p.set_defaults(func=cmd_synth)
     return parser

@@ -262,9 +262,10 @@ def load_csv(path, time_column: str = "time",
     whitespace and may be quoted, and an empty or repeated name is an error.
     Every non-time, non-event column is a numeric feature.  Cells are
     decimal floats (``nan``/``inf`` spellings included), optionally quoted
-    and padded with whitespace; lines end in LF, CRLF or CR, and a blank
-    line is an error.  Times must be finite and > 0, events 0 or 1, and
-    features finite.  Time, event and at least one feature are distinct columns.
+    and padded with whitespace; lines end in LF, CRLF or CR (read as LF by
+    universal newlines), and a blank line is an error.  Times must be finite
+    and > 0, events 0 or 1, and features finite.  Time, event and at least
+    one feature are distinct columns.
 
     numpy's C parser reads the data lines in one call.  Only when it or a
     vectorised check rejects the file does :func:`_raise_first_bad_row`
@@ -280,7 +281,7 @@ def load_csv(path, time_column: str = "time",
     """
     if time_column == event_column:
         raise CsvFormatError(f"{path}: '{time_column}' is both the time and event column")
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise CsvFormatError(f"{path}: empty file")
@@ -303,10 +304,7 @@ def load_csv(path, time_column: str = "time",
     feat_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
     feature_names = [header[i] for i in feat_idx]
 
-    if "\r" in text:  # loadtxt takes LF-split lines and rejects a bare CR
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    else:
-        lines = text.split("\n")
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # after the final line break
     numpy_error = None
@@ -374,11 +372,13 @@ def _raise_first_bad_row(path, text: str, header, t_idx: int, e_idx: int) -> Non
         t = values[t_idx]
         if not math.isfinite(t) or t <= 0:
             raise CsvFormatError(
-                f"{path}: row {row_no}: time must be finite and > 0, got {row[t_idx]!r}"
+                f"{path}: row {row_no}: time must be finite and > 0 "
+                f"in column '{header[t_idx]}', got {row[t_idx]!r}"
             )
         if values[e_idx] not in (0.0, 1.0):
             raise CsvFormatError(
-                f"{path}: row {row_no}: event must be 0 or 1, got {row[e_idx]!r}"
+                f"{path}: row {row_no}: event must be 0 or 1 "
+                f"in column '{header[e_idx]}', got {row[e_idx]!r}"
             )
 
 

@@ -5,6 +5,9 @@ each block is Linear -> BatchNorm -> ReLU -> Dropout wrapped in an identity
 skip.  Everything runs in float64 and gradients are computed analytically,
 including the flow through train-mode batch statistics and dropout masks, so
 they can be checked against central finite differences.
+
+A :class:`TrainedModel` owns the step from raw held-out rows to scored ones:
+it matches the feature columns by name and applies its stored scaler.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import (
-    MIN_K_BINS, FeatureScaler, bin_midpoints, read_json_object, require_json_number,
+    MIN_K_BINS, FeatureScaler, SurvivalDataset, apply_scaler, bin_midpoints,
+    read_json_object, require_json_number,
 )
 
 BN_EPS = 1e-5
@@ -46,17 +50,10 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Named tensor store; running BatchNorm statistics are not trainable."""
+    """Named tensor store; :func:`backward` names the trainable tensors."""
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
-
-    @staticmethod
-    def is_trainable(name: str) -> bool:
-        return not name.endswith((".mean", ".var"))
-
-    def trainable_names(self) -> list[str]:
-        return [n for n in self.tensors if self.is_trainable(n)]
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
@@ -92,7 +89,6 @@ class _BlockCache:
     xhat: np.ndarray       # normalized pre-activation
     inv_std: np.ndarray    # 1/sqrt(batch var + eps)
     mask: np.ndarray       # relu gate (scale*xhat + shift > 0) and dropout keep
-    keep: float            # 1 - dropout rate; 1.0 means no dropout
 
 
 @dataclass(eq=False)
@@ -168,9 +164,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
                 mask &= dropout_keep[b]
                 y *= mask
                 y /= keep
-            cache.blocks.append(_BlockCache(
-                x=h, xhat=z, inv_std=inv_std, mask=mask, keep=keep,
-            ))
+            cache.blocks.append(_BlockCache(x=h, xhat=z, inv_std=inv_std, mask=mask))
             # h is cached for backward, so the residual sum goes into y
             y += h
             h = y
@@ -188,7 +182,8 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
 
 def backward(params: ModelParams, cache: ForwardCache,
              grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of sum(grad_logits * logits) w.r.t. every trainable tensor.
+    """Exact gradients of sum(grad_logits * logits) w.r.t. every trainable
+    tensor, that is all but the running BatchNorm statistics.
 
     Per block, one n x hidden_dim buffer carries the gradient from the
     dropout output down to the block's pre-activation, and the residual
@@ -205,13 +200,14 @@ def backward(params: ModelParams, cache: ForwardCache,
     grads["output.w"] = cache.h_final.T @ g
     grads["output.b"] = g.sum(axis=0)
     dh = g @ t["output.w"].T
+    keep = 1.0 - cfg.dropout_rate
 
     for b in range(cfg.n_blocks - 1, -1, -1):
         blk = cache.blocks[b]
         # gradient reaching the residual branch, through dropout and ReLU
         dz = dh * blk.mask
-        if blk.keep < 1.0:
-            dz /= blk.keep
+        if keep < 1.0:
+            dz /= keep
         tmp = dz * blk.xhat
         grads[f"block{b}.bn.scale"] = tmp.sum(axis=0)
         grads[f"block{b}.bn.shift"] = dz.sum(axis=0)
@@ -260,24 +256,19 @@ def head_backward(pmf: np.ndarray, grad_pmf: np.ndarray) -> np.ndarray:
 
 
 def predict_risk(pmf: np.ndarray):
-    """Risk score 1 - sum_k p_k * midpoint_k, confined to [1/2k, (2k-1)/2k]."""
+    """Risk score 1 - sum_k p_k * midpoint_k over the last axis, confined to
+    [1/2k, (2k-1)/2k]."""
     p = np.asarray(pmf, dtype=np.float64)
-    squeeze = p.ndim == 1
-    p = np.atleast_2d(p)
-    mids = bin_midpoints(p.shape[1])
-    risk = 1.0 - p @ mids
-    return float(risk[0]) if squeeze else risk
+    return 1.0 - p @ bin_midpoints(p.shape[-1])
 
 
 def predict_survival(pmf: np.ndarray, k: int):
-    """Probability of surviving past bin ``k``: 1 - cdf(k), clamped to [0, 1]."""
+    """Probability of surviving past bin ``k``: 1 - cdf(k) over the last
+    axis, clamped to [0, 1]."""
     p = np.asarray(pmf, dtype=np.float64)
-    squeeze = p.ndim == 1
-    p = np.atleast_2d(p)
-    if not 1 <= k <= p.shape[1]:
-        raise ValueError(f"bin index {k} outside 1..{p.shape[1]}")
-    s = np.clip(1.0 - p[:, :k].sum(axis=1), 0.0, 1.0)
-    return float(s[0]) if squeeze else s
+    if not 1 <= k <= p.shape[-1]:
+        raise ValueError(f"bin index {k} outside 1..{p.shape[-1]}")
+    return np.clip(1.0 - p[..., :k].sum(axis=-1), 0.0, 1.0)
 
 
 CHECKPOINT_FORMAT = "binsurv-checkpoint"
@@ -296,6 +287,24 @@ class TrainedModel:
     time_col: str
     event_col: str
     cutoff: float | None        # log-rank cutoff on the training risks, if defined
+
+    def prepare(self, raw: SurvivalDataset) -> SurvivalDataset:
+        """``raw`` (not written) with its feature columns put in this model's
+        order by name and scaled by the stored scaler; ValueError names every
+        missing and every extra column."""
+        names = self.feature_names
+        missing = [n for n in names if n not in raw.feature_names]
+        extra = [n for n in raw.feature_names if n not in names]
+        if missing or extra:
+            parts = [f"{label} {', '.join(repr(n) for n in cols)}"
+                     for label, cols in (("missing", missing), ("extra", extra)) if cols]
+            raise ValueError("test data columns do not match the checkpoint's "
+                             "features: " + "; ".join(parts))
+        if list(raw.feature_names) != names:
+            order = [raw.feature_names.index(n) for n in names]
+            raw = SurvivalDataset(np.ascontiguousarray(raw.features[:, order]),
+                                  raw.times, raw.events, names)
+        return apply_scaler(raw, self.scaler)
 
 
 def save_checkpoint(path, model: TrainedModel) -> None:

@@ -57,12 +57,11 @@ def cosine_lr(epoch: int, total_epochs: int, lr_init: float) -> float:
 
 def sgd_step(params: ModelParams, grads: dict[str, np.ndarray],
              lr: float) -> ModelParams:
-    """In-place plain SGD update: w <- w - lr*g.
-
-    Running BatchNorm statistics are untouched.  Non-finite gradients abort
-    with the offending tensor named.
-    """
-    for name in params.trainable_names():
+    """In-place plain SGD update w <- w - lr*g of exactly the tensors that
+    ``grads`` (from :func:`backward`) names, so the running BatchNorm
+    statistics are untouched.  Tensors are visited in storage order; the
+    first non-finite gradient aborts with its tensor named."""
+    for name in filter(grads.__contains__, params.tensors):
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in tensor '{name}'")

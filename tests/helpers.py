@@ -81,10 +81,11 @@ def composite_grads(params: ModelParams, x, batch, weights: LossWeights, seed):
     return value, backward(params, cache, grad_logits)
 
 
-def fd_param_grads(loss_fn, params: ModelParams, h: float = 1e-5):
-    """Central finite differences over every trainable tensor entry."""
+def fd_param_grads(loss_fn, params: ModelParams, names, h: float = 1e-5):
+    """Central finite differences over every entry of the tensors in
+    ``names``, the ones ``backward`` returns gradients for."""
     grads = {}
-    for name in params.trainable_names():
+    for name in names:
         w = params.tensors[name]
         g = np.zeros_like(w)
         it = np.nditer(w, flags=["multi_index"])
@@ -505,12 +506,14 @@ def reference_load_csv(path, time_column: str = "time",
             t = values[t_idx]
             if not math.isfinite(t) or t <= 0:
                 raise CsvFormatError(
-                    f"{path}: row {row_no}: time must be finite and > 0, got {row[t_idx]!r}"
+                    f"{path}: row {row_no}: time must be finite and > 0 "
+                    f"in column '{header[t_idx]}', got {row[t_idx]!r}"
                 )
             e = values[e_idx]
             if e not in (0.0, 1.0):
                 raise CsvFormatError(
-                    f"{path}: row {row_no}: event must be 0 or 1, got {row[e_idx]!r}"
+                    f"{path}: row {row_no}: event must be 0 or 1 "
+                    f"in column '{header[e_idx]}', got {row[e_idx]!r}"
                 )
             rows.append([values[i] for i in feat_idx])
             times.append(t)

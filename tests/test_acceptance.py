@@ -40,8 +40,8 @@ from helpers import (
 @pytest.mark.parametrize("head", ["cat"])
 def test_a01_full_loss_gradients_match_finite_differences(head, rng):
     # the entire analytic chain (loss -> softmax head -> residual net with
-    # batch norm and dropout) against central differences on every trainable
-    # entry
+    # batch norm and dropout) against central differences on every entry of
+    # every tensor backward differentiates
     config = ModelConfig(input_dim=4, hidden_dim=8, n_blocks=2,
                          dropout_rate=0.2, k_bins=5)
     ds, _, batch = random_batch(rng, 16, k_bins=5, n_features=4,
@@ -51,7 +51,7 @@ def test_a01_full_loss_gradients_match_finite_differences(head, rng):
     _, analytic = composite_grads(params, ds.features, batch, weights, seed=3)
     numeric = fd_param_grads(
         lambda p: composite_value(p, ds.features, batch, weights, seed=3),
-        params, h=1e-5,
+        params, analytic, h=1e-5,
     )
     err = max_rel_err(analytic, numeric, floor=GRAD_FLOOR)
     assert err <= 1e-4, f"{head}: max relative error {err:.3e}"

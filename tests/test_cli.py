@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import binsurv
-from binsurv.cli import main
+from binsurv.cli import build_parser, main
 from binsurv.config import (
     ConfigError, ExperimentConfig, build_config, parse_config_file,
 )
@@ -24,6 +24,7 @@ from binsurv.losses import LossWeights
 from binsurv.model import (
     ModelConfig, apply_head, forward, load_checkpoint, predict_risk,
 )
+from binsurv.synth import SynthConfig
 from binsurv.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -160,6 +161,14 @@ class TestSynthCommand:
         assert sidecar["seed"] == 11
         assert len(sidecar["oracle_risks"]) == 400
         assert 0.5 < sidecar["bayes_c_index"] <= 1.0
+
+    def test_parser_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["synth"])
+        dest = {"n_samples": "n", "n_features": "features",
+                "target_censor_rate": "censor_rate"}
+        for field in fields(SynthConfig):
+            assert getattr(args, dest.get(field.name, field.name)) == field.default, \
+                field.name
 
     def test_bad_arguments_exit_two(self, tmp_path):
         assert run(["synth", "--n", "1", "--out",

@@ -221,6 +221,18 @@ class TestCsvIO:
         with pytest.raises(CsvFormatError, match="row 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("status,days,message", [
+        ("0.5", "3.0", "event must be 0 or 1 in column 'status', got '0.5'"),
+        ("1", "0", "time must be finite and > 0 in column 'days', got '0'"),
+    ], ids=["event", "time"])
+    def test_bad_outcome_names_its_column(self, tmp_path, status, days, message):
+        path = self.write(tmp_path, f"x1,days,status\n0.2,{days},{status}\n")
+        expected = f"{path}: row 1: {message}"
+        for reader in (load_csv, reference_load_csv):
+            with pytest.raises(CsvFormatError) as info:
+                reader(path, "days", "status")
+            assert str(info.value) == expected, reader.__name__
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_nonfinite_feature_names_row_and_column(self, tmp_path, cell):
         path = self.write(

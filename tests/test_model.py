@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binsurv.data import FeatureScaler
+from binsurv.data import FeatureScaler, SurvivalDataset, apply_scaler
 from binsurv.model import (
-    ModelConfig, TrainedModel, apply_head, backward, forward, head_backward,
-    init_params, load_checkpoint, predict_risk, predict_survival, save_checkpoint,
+    ModelConfig, TrainedModel, _tensor_shapes, apply_head, backward, forward,
+    head_backward, init_params, load_checkpoint, predict_risk, predict_survival,
+    save_checkpoint,
 )
 from helpers import (
     fd_input_grad, reference_apply_head, reference_backward, reference_forward,
@@ -22,6 +23,11 @@ from helpers import (
 def small_config(k_bins=5, dropout=0.0):
     return ModelConfig(input_dim=4, hidden_dim=8, n_blocks=2,
                        dropout_rate=dropout, k_bins=k_bins)
+
+
+def differentiated(config):
+    """Every tensor name of the layout but the running BatchNorm statistics."""
+    return {n for n in _tensor_shapes(config) if not n.endswith((".mean", ".var"))}
 
 
 def trained(params, cutoff=0.25):
@@ -60,11 +66,14 @@ class TestInit:
         assert np.array_equal(a.tensors["input.w"], b.tensors["input.w"])
         assert not np.array_equal(a.tensors["input.w"], c.tensors["input.w"])
 
-    def test_running_stats_not_trainable(self):
-        p = init_params(small_config(), seed=0)
-        names = p.trainable_names()
-        assert all(".mean" not in n and ".var" not in n for n in names)
-        assert "block0.bn.scale" in names
+    def test_running_stats_not_trainable(self, rng):
+        # backward names what SGD updates: every tensor but the running stats
+        cfg = small_config(dropout=0.2)
+        p = init_params(cfg, seed=0)
+        _, cache = forward(p, rng.standard_normal((6, 4)), mode="train", seed=1)
+        grads = backward(p, cache, rng.standard_normal((6, cfg.k_bins)))
+        assert set(grads) == differentiated(cfg)
+        assert "block0.bn.scale" in grads and "block0.bn.mean" not in grads
 
 
 class TestHeads:
@@ -125,6 +134,19 @@ class TestRisk:
         assert predict_survival(pmf, 1)[0] == pytest.approx(0.8)
         assert predict_survival(pmf, 2)[0] == pytest.approx(0.5)
         assert predict_survival(pmf, 3)[0] == pytest.approx(0.0)
+
+    def test_one_row_equals_its_row_of_a_batch(self, rng):
+        k = 7
+        pmfs = apply_head(3.0 * rng.standard_normal((20, k)))
+        risks = predict_risk(pmfs)
+        for i, row in enumerate(pmfs):
+            assert np.ndim(predict_risk(row)) == 0
+            # a dot product against one row of a matrix-vector product:
+            # BLAS may sum them in different orders
+            assert predict_risk(row) == pytest.approx(risks[i], rel=1e-15)
+            for bin_k in range(1, k + 1):
+                assert predict_survival(row, bin_k) == pytest.approx(
+                    predict_survival(pmfs, bin_k)[i], rel=1e-15, abs=1e-16)
 
     def test_survival_clipped_to_unit_interval(self):
         # float round-off in the cdf must not leak outside [0, 1]
@@ -194,7 +216,7 @@ class TestBackward:
         _, analytic = self.loss_and_grads(p, x, c)
         h = 1e-5
         worst = 0.0
-        for name in p.trainable_names():
+        for name in analytic:
             w = p.tensors[name]
             it = np.nditer(w, flags=["multi_index"])
             for _ in it:
@@ -310,7 +332,7 @@ class TestReferencePasses:
             grads = backward(p, cache, grad_logits)
             ref_grads = reference_backward(ref, ref_cache, grad_logits)
             assert grads.keys() == ref_grads.keys()
-            assert set(grads) == set(p.trainable_names())
+            assert set(grads) == differentiated(cfg)
             for name, grad in grads.items():
                 assert np.array_equal(grad, ref_grads[name]), name
             assert np.array_equal(grad_logits, g_before)
@@ -332,7 +354,7 @@ class TestReferencePasses:
             assert np.array_equal(logits, ref_logits)
             grads = backward(p, cache, c)
             ref_grads = reference_backward(ref, ref_cache, c)
-            for name in p.trainable_names():
+            for name in grads:
                 assert np.array_equal(grads[name], ref_grads[name]), name
                 p.tensors[name] -= 0.05 * grads[name]
                 ref.tensors[name] -= 0.05 * ref_grads[name]
@@ -445,6 +467,52 @@ class TestCheckpoint:
         path.write_text('{"kind": "other"}', encoding="utf-8")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+class TestPrepare:
+    """TrainedModel.prepare: held-out columns matched by name, then scaled."""
+
+    model = trained(init_params(small_config(), seed=0))
+
+    def raw(self, rng, names):
+        n = 9
+        return SurvivalDataset(rng.standard_normal((n, len(names))),
+                               rng.uniform(0.5, 3.0, n), rng.integers(0, 2, n),
+                               names)
+
+    def reversed_copy(self, raw):
+        return SurvivalDataset(raw.features[:, ::-1], raw.times, raw.events,
+                               raw.feature_names[::-1])
+
+    def assert_same_bytes(self, a, b):
+        assert a.feature_names == b.feature_names
+        for field in ("features", "times", "events"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+    def test_column_order_does_not_change_the_bytes(self, rng):
+        raw = self.raw(rng, self.model.feature_names)
+        self.assert_same_bytes(self.model.prepare(self.reversed_copy(raw)),
+                               self.model.prepare(raw))
+
+    def test_result_is_apply_scaler_of_the_matched_rows(self, rng):
+        raw = self.raw(rng, self.model.feature_names)
+        self.assert_same_bytes(self.model.prepare(self.reversed_copy(raw)),
+                               apply_scaler(raw, self.model.scaler))
+
+    def test_missing_and_extra_columns_named(self, rng):
+        with pytest.raises(ValueError) as info:
+            self.model.prepare(self.raw(rng, ["y1", "x2", "y3", "x4"]))
+        assert str(info.value) == ("test data columns do not match the "
+                                   "checkpoint's features: missing 'x1', 'x3'; "
+                                   "extra 'y1', 'y3'")
+
+    def test_input_is_not_written(self, rng):
+        raw = self.reversed_copy(self.raw(rng, self.model.feature_names))
+        before = [a.copy() for a in (raw.features, raw.times, raw.events)]
+        out = self.model.prepare(raw)
+        for field, copy in zip(("features", "times", "events"), before):
+            assert getattr(raw, field).tobytes() == copy.tobytes(), field
+            assert not np.shares_memory(getattr(out, field), getattr(raw, field))
 
 
 class TestConfigValidation:

@@ -8,7 +8,7 @@ import pytest
 
 from binsurv.data import bin_dataset, build_time_grid
 from binsurv.losses import LossWeights
-from binsurv.model import ModelConfig, init_params
+from binsurv.model import ModelConfig, backward, forward, init_params
 from binsurv import training
 from binsurv.training import (
     TrainConfig, cosine_lr, fit, sgd_step, train_epoch, validation_c_index,
@@ -75,10 +75,23 @@ class TestSgdStep:
         cfg = ModelConfig(input_dim=2, hidden_dim=4, n_blocks=1, k_bins=3,
                           dropout_rate=0.0)
         p = init_params(cfg, seed=0)
-        before = p.tensors["block0.bn.var"].copy()
-        g = {n: np.ones_like(p.tensors[n]) for n in p.trainable_names()}
-        sgd_step(p, g, lr=0.5)
-        assert np.array_equal(p.tensors["block0.bn.var"], before)
+        _, cache = forward(p, rng.standard_normal((5, 2)), mode="train")
+        grads = backward(p, cache, rng.standard_normal((5, 3)))
+        before = p.copy()
+        sgd_step(p, grads, lr=0.5)
+        for name in ("block0.bn.mean", "block0.bn.var"):
+            assert p.tensors[name].tobytes() == before.tensors[name].tobytes()
+        for name, g in grads.items():
+            assert np.array_equal(p.tensors[name], before.tensors[name] - 0.5 * g)
+
+    def test_updates_only_the_given_tensors(self):
+        p = self.one_tensor_params(1.0)
+        before = p.copy()
+        sgd_step(p, {"output.b": np.ones(3)}, lr=0.25)
+        assert np.array_equal(p.tensors["output.b"], before.tensors["output.b"] - 0.25)
+        for name, tensor in p.tensors.items():
+            if name != "output.b":
+                assert tensor.tobytes() == before.tensors[name].tobytes(), name
 
 
 class TestSnapshot:
