@@ -277,7 +277,7 @@ def cmd_ablate(args) -> int:
     _require_comparable_pair(cfg, "test_csv", run.test)
     out = _start_outputs(cfg, run.grid)
 
-    lines = ["mle,rank,time_rank,calibration,c_index,ibs,m_tdauc"]
+    lines = [",".join(_ABLATION_COMPONENTS + ("c_index", "ibs", "m_tdauc"))]
     for index, (row, weights) in enumerate(zip(rows, row_weights), start=1):
         row_dir = out / f"row_{index}_{'_'.join(row)}"
         params, _ = _train_once(run, cfg, weights, row_dir)

@@ -214,10 +214,7 @@ def normalize_time(t, grid: TimeGrid):
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError("times must be finite and strictly positive")
     upper = (grid.k_bins - 1) / grid.k_bins
-    out = np.clip((arr - grid.t_min_prime) / grid.span, 0.0, upper)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return np.clip((arr - grid.t_min_prime) / grid.span, 0.0, upper)
 
 
 def assign_bin(t_norm, k_bins: int):
@@ -226,10 +223,7 @@ def assign_bin(t_norm, k_bins: int):
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("normalized time must lie in [0, 1)")
     k = np.floor(arr * k_bins + _BIN_EDGE_TOL).astype(np.int64) + 1
-    k = np.minimum(k, k_bins)
-    if arr.ndim == 0:
-        return int(k)
-    return k
+    return np.minimum(k, k_bins)
 
 
 def bin_midpoints(k_bins: int) -> np.ndarray:
@@ -319,9 +313,11 @@ def load_csv(path, time_column: str = "time",
         else:
             rejected = table.shape != (len(lines), len(header))
             if not rejected:
-                try:
-                    times, events = check_outcomes(
-                        np.ascontiguousarray(table[:, t_idx]), table[:, e_idx])
+                try:  # the outcome check, before any feature is read
+                    dataset = SurvivalDataset(
+                        np.ascontiguousarray(table[:, feat_idx]),
+                        np.ascontiguousarray(table[:, t_idx]), table[:, e_idx],
+                        feature_names)
                 except ValueError:
                     rejected = True
     if rejected:
@@ -331,7 +327,7 @@ def load_csv(path, time_column: str = "time",
         raise CsvFormatError(
             f"{path}: {numpy_error or 'line break inside a quoted cell'}")
 
-    features = np.ascontiguousarray(table[:, feat_idx])
+    features = dataset.features
     # one vectorised pass instead of a per-cell check
     nonfinite = np.argwhere(~np.isfinite(features))
     if nonfinite.size:
@@ -340,7 +336,7 @@ def load_csv(path, time_column: str = "time",
             f"{path}: row {row + 1}: non-finite value {float(features[row, col])!r} "
             f"in column '{feature_names[col]}'"
         )
-    return SurvivalDataset(features, times, events, feature_names)
+    return dataset
 
 
 def _raise_first_bad_row(path, text: str, header, t_idx: int, e_idx: int) -> None:

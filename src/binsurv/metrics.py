@@ -35,18 +35,15 @@ class KMCurve:
     def survival_at(self, t):
         """S(t), right-continuous."""
         idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="right") - 1
-        return self._lookup(idx, t)
+        return self._lookup(idx)
 
     def survival_before(self, t):
         """Left limit S(t-): the step value just before t, used for weights."""
         idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="left") - 1
-        return self._lookup(idx, t)
+        return self._lookup(idx)
 
-    def _lookup(self, idx, t):
-        out = np.where(idx < 0, 1.0, self.survival[np.maximum(idx, 0)])
-        if np.asarray(t).ndim == 0:
-            return float(out)
-        return out
+    def _lookup(self, idx):
+        return np.where(idx < 0, 1.0, self.survival[np.maximum(idx, 0)])
 
 
 def kaplan_meier(times, events) -> KMCurve:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,17 @@ from binsurv.model import (
 )
 
 GRAD_FLOOR = 1e-4  # relative-error denominator floor for near-zero gradients
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_python_blocks() -> list[str]:
+    """The source of every ```python block of README.md, in order.
+
+    CI runs the first one with ``PYTHONPATH=src:tests``, so the package
+    namespace it documents runs on every push.
+    """
+    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                      re.DOTALL)
 
 
 def random_dataset(rng, n, n_features=3, censor_frac=0.3, censored_low=False):

@@ -1,5 +1,7 @@
 """Config parsing and the five CLI subcommands, run in-process."""
 
+import ast
+import inspect
 import json
 import os
 import re
@@ -27,7 +29,7 @@ from binsurv.model import (
 from binsurv.synth import SynthConfig
 from binsurv.training import TrainConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from helpers import README, readme_python_blocks
 
 
 def run(args):
@@ -892,8 +894,7 @@ class TestAblateCommand:
         assert code == 2
 
 
-README_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
-                           re.DOTALL)
+README_BLOCKS = readme_python_blocks()
 
 
 @pytest.fixture(scope="module")
@@ -910,6 +911,22 @@ def readme_dir(tmp_path_factory):
 
 def test_readme_has_two_python_blocks():
     assert len(README_BLOCKS) == 2
+
+
+def test_package_exports_exactly_what_readme_imports():
+    # the package namespace is README's API: every name its Python blocks
+    # import from `binsurv`, and nothing else besides the submodules
+    imported = {alias.name
+                for block in README_BLOCKS
+                for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "binsurv"
+                for alias in node.names}
+    exported = {name for name, value in vars(binsurv).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert imported == exported
+    for name in imported:
+        assert getattr(binsurv, name).__module__.startswith("binsurv.")
+    assert isinstance(binsurv.__version__, str)
 
 
 @pytest.mark.parametrize("block", range(len(README_BLOCKS)))

@@ -138,6 +138,19 @@ class TestAssignBin:
         assert np.allclose(bin_midpoints(4), [0.125, 0.375, 0.625, 0.875])
 
 
+def test_scalar_normalize_and_bin_are_the_array_calls():
+    # one return type: a scalar comes back as a numpy value equal to
+    # element 0 of the same call on a one-element array
+    grid = build_time_grid(make_dataset([2.0, 6.0], [1, 1]), 10)
+    for t in (1e-9, 2.0, 4.5, 6.0, grid.t_max_1, 1e12):
+        t_norm = normalize_time(t, grid)
+        assert isinstance(t_norm, (np.generic, np.ndarray))
+        assert t_norm == normalize_time(np.array([t]), grid)[0]
+        k = assign_bin(float(t_norm), grid.k_bins)
+        assert isinstance(k, (np.generic, np.ndarray))
+        assert k == assign_bin(np.array([float(t_norm)]), grid.k_bins)[0]
+
+
 class TestBinDataset:
     def test_events_never_reach_reserved_bin(self, rng):
         ds = random_dataset(rng, 400, censor_frac=0.4)

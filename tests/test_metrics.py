@@ -69,6 +69,16 @@ class TestKaplanMeier:
         with pytest.raises(ValueError, match="at least one sample"):
             kaplan_meier([], [])
 
+    def test_scalar_lookup_is_the_array_lookup(self):
+        # one return type: a scalar time comes back as a numpy value equal
+        # to element 0 of the same lookup on a one-element array
+        km = kaplan_meier([1.0, 2.0, 3.0], [1, 0, 1])
+        for lookup in (km.survival_at, km.survival_before):
+            for t in (0.5, 1.0, 2.0, 2.5, 3.0, 99.0):
+                value = lookup(t)
+                assert isinstance(value, (np.generic, np.ndarray))
+                assert value == lookup(np.array([t]))[0]
+
 
 # (time, event) rows on a coarse time set, so ties are common
 ROWS = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
