@@ -21,7 +21,7 @@ from .config import (
 from .data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
     TimeGrid, apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid,
-    save_grid, split_dataset, write_csv,
+    require_json_number, save_grid, split_dataset, write_csv,
 )
 from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
@@ -148,6 +148,27 @@ def _oracle_sidecar(csv_path) -> Path:
     return csv_path.with_suffix(csv_path.suffix + ".oracle.json")
 
 
+def _oracle_c_index(cfg: ExperimentConfig) -> float | None:
+    """The ``bayes_c_index`` of the `synth` sidecar next to data=, or None
+    when there is none; a sidecar that is not a JSON object holding a
+    finite number there raises ConfigError naming the file and the key."""
+    sidecar = _oracle_sidecar(cfg.data) if cfg.data else None
+    if sidecar is None or not sidecar.exists():
+        return None
+    with config_errors():
+        try:
+            oracle = json.loads(sidecar.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{sidecar}: not JSON: {exc}") from None
+        if not isinstance(oracle, dict):
+            raise ValueError(f"{sidecar}: not a JSON object")
+        value = oracle.get("bayes_c_index")
+        require_json_number(sidecar, "bayes_c_index", value)
+        if not -np.inf < value < np.inf:
+            raise ValueError(f"{sidecar}: bayes_c_index must be finite, got {value!r}")
+    return value
+
+
 def _train_once(run: _Setup, cfg: ExperimentConfig, weights: LossWeights,
                 out_dir: Path):
     """Shared train-and-persist path used by both `train` and `ablate`."""
@@ -271,6 +292,7 @@ def cmd_ablate(args) -> int:
     cfg = _collect_config(args)
     rows = _parse_rows(args.rows)
     row_weights = [_row_weights(cfg, row) for row in rows]
+    oracle_c = _oracle_c_index(cfg)
     run = _setup(cfg)
     if run.test is None:
         raise ConfigError("ablate needs a test split (single-CSV mode or test_csv=)")
@@ -288,10 +310,8 @@ def cmd_ablate(args) -> int:
         print(f"ablate [{'+'.join(row)}]: C-index {report.c_index:.4f}, "
               f"IBS {report.ibs:.4f}, mTDAUC {report.m_tdauc:.4f}")
     (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sidecar = _oracle_sidecar(cfg.data) if cfg.data else None
-    if sidecar is not None and sidecar.exists():
-        oracle = json.loads(sidecar.read_text(encoding="utf-8"))
-        print(f"ablate: oracle C-index {oracle['bayes_c_index']:.4f} (whole cohort)")
+    if oracle_c is not None:
+        print(f"ablate: oracle C-index {oracle_c:.4f} (whole cohort)")
     print(f"ablate: summary written to {out / 'ablation.csv'}")
     return 0
 

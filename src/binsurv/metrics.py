@@ -258,20 +258,85 @@ def _scored(scores, times, events):
     return (s, *check_outcomes(times, events))
 
 
+# (times, events, _TimeBlocks) of the last rows _time_blocks built tables for,
+# replaced whole; keyed by value, so every caller in the process may share it
+_last_blocks = None
+
+
+@dataclass(frozen=True, eq=False)
+class _TimeBlocks:
+    """What the log-rank tables of a fixed set of rows share for any group.
+
+    The knots are the tie blocks, in time order, that hold an event.
+    """
+
+    order: np.ndarray | None  # time order of the rows; None when they come in it
+    start: np.ndarray         # first time-ordered row of each knot's block
+    at_risk: np.ndarray       # nt: rows at or after each knot, int64
+    event_rows: np.ndarray    # the time-ordered rows with an event
+    d: np.ndarray             # events at each knot, float64
+    nt: np.ndarray            # at_risk as float64
+    m: int                    # knots whose risk set holds more than one row
+    nt_less_d: np.ndarray     # (nt - d)[:m]
+    nt_less_1: np.ndarray     # (nt - 1.0)[:m]
+
+
+def _time_blocks(t, e) -> _TimeBlocks:
+    """The group-free tables of checked rows ``t``, ``e``.
+
+    Rows that do not come in time order are sorted, stably.  Running counts
+    of events (0 or 1, so counted as they are), read at the edges of that
+    order's tie blocks, give each block's events.  The tables of the last
+    rows seen are kept with private copies of ``t`` and ``e``; they are
+    reused only for rows equal to those copies, so an array edited in place
+    between calls is read afresh.
+    """
+    global _last_blocks
+    last = _last_blocks
+    if last is not None and np.array_equal(last[0], t) and np.array_equal(last[1], e):
+        return last[2]
+    key = (t.copy(), e.copy())
+    n = t.size
+    order = None
+    if not (t[1:] >= t[:-1]).all():
+        order = np.argsort(t, kind="stable")
+        t, e = t[order], e[order]
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(t[1:], t[:-1], out=edge[1:-1])
+    edge = np.flatnonzero(edge)  # block b holds sorted rows edge[b]:edge[b + 1]
+    before = np.empty(n + 1, dtype=np.int64)  # before[i]: events ahead of row i
+    before[0] = 0
+    np.cumsum(e, out=before[1:])
+    hits = before[edge]
+    d = hits[1:] - hits[:-1]
+    knot = np.flatnonzero(d != 0)
+    start = edge[knot]
+    at_risk = n - start
+    d = d[knot].astype(np.float64)
+    nt = at_risk.astype(np.float64)
+    # nt falls along the knots, so the risk sets of more than one row lead
+    m = int(np.count_nonzero(nt > 1))
+    blocks = _TimeBlocks(order, start, at_risk, np.flatnonzero(e), d, nt, m,
+                         nt[:m] - d[:m], nt[:m] - 1.0)
+    _last_blocks = (*key, blocks)
+    return blocks
+
+
 def _log_rank_tables(times, events, group):
     """Observed/expected/variance pieces of the two-group log-rank statistic.
 
     ``group`` is a boolean mask of the group-a rows; the rest form group b.
-    The rows are sorted by time only when they do not come that way.  Running
-    counts of events (0 or 1, so counted as they are), group-a rows and
-    group-a events, read at the edges of that order's tie blocks, give each
-    block's counts; the knots are the blocks that hold an event.
-    At a knot, n1 is group a's size less its rows in earlier blocks, n2
-    likewise for group b, and d1, d2 are the block's events in each group.
-    The counts are sums over whole tie blocks, so the order of rows inside a
-    block does not change them.  Knots, counts and the float expressions are
-    those of a binary search per knot, so the five values match it bit for
-    bit, in a few O(n) passes.
+    The time order, the knots, their events d and risk sets nt come from
+    :func:`_time_blocks`, which keeps them for the last rows it saw, so a
+    cutoff search scoring many groups on the same rows builds them once.
+    Each call does only its group's work: one running count of the mask
+    gives n1 at each knot, group a's size less its rows in earlier blocks;
+    n2 = nt - n1; and O1 counts group a's rows among the event rows.  The
+    counts are sums over whole tie blocks, so the order of rows inside a
+    block does not change them.  Knots, counts and the float expressions
+    are those of a binary search per knot, so the five values match it bit
+    for bit.
     """
     check_paired("times, events and group", times, events, group)
     t, e = check_outcomes(times, events)
@@ -280,38 +345,20 @@ def _log_rank_tables(times, events, group):
     n_a = int(np.count_nonzero(in_a))
     if n_a == 0 or n_a == n:
         raise ValueError("both groups must be non-empty")
-    if not (t[1:] >= t[:-1]).all():
-        order = np.argsort(t, kind="stable")
-        t, e, in_a = t[order], e[order], in_a[order]
-    edge = np.empty(n + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(t[1:], t[:-1], out=edge[1:-1])
-    edge = np.flatnonzero(edge)  # block b holds sorted rows edge[b]:edge[b + 1]
-    before = np.empty(n + 1, dtype=np.int64)  # before[i]: flagged rows ahead of row i
+    b = _time_blocks(t, e)
+    if b.order is not None:
+        in_a = in_a[b.order]
+    before = np.empty(n + 1, dtype=np.int64)  # before[i]: group-a rows ahead of row i
     before[0] = 0
-    np.cumsum(e, out=before[1:])
-    hits = before[edge]
-    d = hits[1:] - hits[:-1]
-    knot = np.flatnonzero(d != 0)
-    if knot.size == 0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    d = d[knot]
-    start, stop = edge[knot], edge[knot + 1]
     np.cumsum(in_a, out=before[1:])
-    n1 = n_a - before[start]
-    n2 = (n - n_a) - (start - before[start])
-    np.cumsum(e & in_a, out=before[1:])
-    d1 = before[stop] - before[start]
-    d2 = (d - d1).astype(np.float64)
-    d1 = d1.astype(np.float64)
-    nt = (n - start).astype(np.float64)
-    d = d.astype(np.float64)
-    e1 = float((d * n1 / nt).sum())
-    # nt falls along the knots, so the risk sets of more than one row lead
-    m = np.count_nonzero(nt > 1)
-    dm, n1, n2, nt = d[:m], n1[:m], n2[:m], nt[:m]
-    v = float((dm * (n1 / nt) * (n2 / nt) * (nt - dm) / (nt - 1.0)).sum())
-    return float(d1.sum()), e1, float(d2.sum()), float(d.sum() - e1), v
+    n1 = n_a - before[b.start]
+    n2 = b.at_risk - n1
+    o1 = int(np.count_nonzero(in_a[b.event_rows]))  # group a's events
+    e1 = float((b.d * n1 / b.nt).sum())
+    m, nt = b.m, b.nt[:b.m]
+    v = float((b.d[:m] * (n1[:m] / nt) * (n2[:m] / nt) * b.nt_less_d / b.nt_less_1).sum())
+    n_events = b.event_rows.size
+    return float(o1), e1, float(n_events - o1), float(n_events - e1), v
 
 
 def log_rank(times, events, group) -> float:
@@ -333,9 +380,12 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
 
     The high group only shrinks as the candidates ascend, so the admissible
     ones form one range, found by one ``searchsorted`` over the sorted
-    scores.  The rows are put in time order once, so ``log_rank`` reads
-    them without sorting: one call per admissible candidate, with the high
-    rows as its group, O(m n) for m of them and n rows.
+    scores.  The rows are put in time order once, and ``log_rank`` is called
+    once per admissible candidate with the high rows as its group.  Every
+    call sees the same rows, so the time-order tables are built by the
+    first call and reused by the rest (see :func:`_log_rank_tables`), and
+    each call does only its group's O(n) work: O(m n) for m candidates and
+    n rows.
     """
     s, t, e = _scored(scores, times, events)
     if not 0.0 <= min_group_frac <= 0.5:

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -433,6 +434,29 @@ def test_repeated_ablation_row_is_named(data_csv, tmp_path, capsys, rows, messag
                 "--rows", rows])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ('{"seed": 0}', "bayes_c_index must be a number, got None"),
+    ('{"bayes_c_index": "0.8"}', "bayes_c_index must be a number, got '0.8'"),
+    ('{"bayes_c_index": NaN}', "bayes_c_index must be finite, got nan"),
+    ('{"bayes_c_index": true}', "bayes_c_index must be a number, got True"),
+    ("[0.8]", "not a JSON object"),
+    ("{", "not JSON: "),
+], ids=["missing", "string", "nan", "bool", "list", "not-json"])
+def test_bad_oracle_sidecar_exits_two_before_training(data_csv, tmp_path, capsys,
+                                                      sidecar, message):
+    # the sidecar is read before the first row trains, so nothing is written
+    data = tmp_path / "cohort.csv"
+    shutil.copyfile(data_csv, data)
+    path = tmp_path / "cohort.csv.oracle.json"
+    path.write_text(sidecar, encoding="utf-8")
+    out = tmp_path / "o"
+    code = run(["ablate", "--data", str(data), "--out", str(out), *FAST,
+                "--rows", "mle"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
     assert not out.exists()
 
 

@@ -408,6 +408,22 @@ def two_groups(times_a, events_a, times_b, events_b):
             np.concatenate([events_a, events_b]).astype(np.int64), group)
 
 
+def reference_tables(times, events, group):
+    """``reference_log_rank_tables`` of the ``group`` rows against the rest."""
+    return reference_log_rank_tables(times[group], events[group],
+                                     times[~group], events[~group])
+
+
+def reference_log_rank(times, events, group):
+    o1, e1, _o2, _e2, v = reference_tables(times, events, group)
+    return 0.0 if v == 0.0 else (o1 - e1) ** 2 / v
+
+
+def reference_hazard_ratio(scores, times, events, cutoff):
+    o_h, e_h, o_l, e_l, _v = reference_tables(times, events, scores > cutoff)
+    return (o_h / e_h) / (o_l / e_l)
+
+
 class TestLogRank:
     def test_frozen_alternating_case(self):
         # two interleaved all-event groups; exact value worked out by hand
@@ -491,6 +507,51 @@ class TestLogRank:
                 log_rank(times, [1, 1, 1], [True, False, True])
 
 
+class TestTimeBlockCache:
+    """``log_rank`` keeps the time-order tables of the last rows it saw; they
+    are reused only for rows equal to those, whatever array holds them."""
+
+    @staticmethod
+    def sorted_rows(rng, n):
+        times = np.sort(np.round(rng.exponential(2.0, n) + 0.05, 1) + 1.0)
+        return times, (rng.random(n) < 0.6).astype(np.int64)
+
+    def test_in_place_edits_are_read(self, rng):
+        times, events = self.sorted_rows(rng, 200)
+        group = rng.random(200) < 0.5
+        first = log_rank(times, events, group)
+        assert first == reference_log_rank(times, events, group)
+        events[::3] = 1 - events[::3]
+        flipped = log_rank(times, events, group)
+        assert flipped == reference_log_rank(times, events, group) != first
+        times[50:150] = times[50]  # one long tie block, still in time order
+        tied = log_rank(times, events, group)
+        assert tied == reference_log_rank(times, events, group) != flipped
+
+    def test_alternating_row_sets_match_the_reference(self, rng):
+        # one pair of arrays holds rows A, then B (shuffled), then A again,
+        # as a caller reusing its buffers would
+        n = 150
+        ta, ea = self.sorted_rows(rng, n)
+        shuffled = rng.permutation(n)
+        tb, eb = (rows[shuffled] for rows in self.sorted_rows(rng, n))
+        sa, sb = np.round(rng.normal(size=n), 1), rng.normal(size=n)
+        times, events = ta.copy(), ea.copy()
+        assert select_cutoff(sa, times, events) == reference_select_cutoff(sa, ta, ea)
+        times[:], events[:] = tb, eb
+        assert (hazard_ratio(sb, times, events, 0.0)
+                == reference_hazard_ratio(sb, tb, eb, 0.0))
+        times[:], events[:] = ta, ea
+        assert log_rank(times, events, sa > 0.0) == reference_log_rank(ta, ea, sa > 0.0)
+
+    def test_one_sided_group_is_rejected_on_a_cache_hit(self, rng):
+        times, events = self.sorted_rows(rng, 100)
+        log_rank(times, events, rng.random(100) < 0.5)
+        for group in (np.ones(100, dtype=bool), np.zeros(100, dtype=bool)):
+            with pytest.raises(ValueError, match="both groups must be non-empty"):
+                log_rank(times, events, group)
+
+
 class TestCutoff:
     def test_picks_the_separating_gap(self):
         scores = np.array([1.0, 1.1, 9.0, 9.1])
@@ -549,6 +610,19 @@ class TestCutoff:
                     select_cutoff(scores, times, events, frac)
             else:
                 assert select_cutoff(scores, times, events, frac) == expect, case
+
+    def test_matches_the_brute_force_scan_on_a_larger_cohort(self):
+        # one seeded cohort of a few hundred rows, with tie-free times and
+        # then with the same times rounded into tie blocks
+        rng = np.random.default_rng(34)
+        n = 400
+        scores = rng.normal(size=n)
+        exact = rng.exponential(2.0, n) + 0.05
+        events = (rng.random(n) < 0.6).astype(np.int64)
+        assert np.unique(exact).size == n
+        for times in (exact, np.round(exact, 1) + 1.0):
+            expect = reference_select_cutoff(scores, times, events)
+            assert select_cutoff(scores, times, events) == expect
 
     def test_bitwise_equal_statistics_keep_the_smaller_cutoff(self):
         # the groups at 1.5 and 3.5 are mirror images, so both candidates
