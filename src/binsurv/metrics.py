@@ -3,7 +3,8 @@
 All metrics read raw observed times through :func:`~binsurv.data.check_outcomes`,
 so each rejects a time that is not finite and > 0, an event other than 0 or 1
 and times and events of unequal lengths; those that rank risk scores also
-reject a NaN or infinite score.  Inverse-probability-of-censoring weights come
+reject a NaN or infinite score.  An evaluation grid must be non-empty, finite
+and strictly increasing.  Inverse-probability-of-censoring weights come
 from the censoring curve ``kaplan_meier(times, 1 - events)`` at left limits
 (the weight at t uses the step value just before t).
 """
@@ -133,6 +134,17 @@ def _later_lower_count(s, is_event) -> int:
     return total
 
 
+def _checked_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float64 array, which must be a non-empty, finite and
+    strictly increasing list of evaluation times."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    if (t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all()
+            or np.any(np.diff(t_grid) <= 0)):
+        raise ValueError("the evaluation grid must be a non-empty, finite and "
+                         f"strictly increasing list of times, got {t_grid.tolist()!r}")
+    return t_grid
+
+
 def brier_score_t(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
     """Censoring-weighted squared error of survival predictions at each t*
     of a strictly increasing grid ``t_grid``.
@@ -146,11 +158,7 @@ def brier_score_t(pmfs, times, events, t_grid, grid: TimeGrid) -> np.ndarray:
     where every row still at risk is censored, so G(t_i-) > 0 for an event
     row i, and G(t*-) = 0 only when no row is still under observation.
     """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size == 0:
-        raise ValueError("ibs needs a non-empty evaluation grid")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("evaluation grid must be strictly increasing")
+    t_grid = _checked_grid(t_grid)
     p = np.atleast_2d(np.asarray(pmfs, dtype=np.float64))
     t, e = check_outcomes(times, events)
     n = t.size
@@ -206,12 +214,13 @@ def tdauc(scores, times, events, t_grid) -> np.ndarray:
     One sort puts the scores in tie blocks, and a ``bincount`` per time
     counts the cases and controls in each.
     """
+    t_grid = _checked_grid(t_grid)
     s, tm, e = _scored(scores, times, events)
     is_event = e == 1
     distinct = np.unique(s)
     block = np.searchsorted(distinct, s)  # tie block of each row
     values = []
-    for t in np.asarray(t_grid, dtype=np.float64).tolist():
+    for t in t_grid.tolist():
         cases = (tm <= t) & is_event
         controls = tm > t
         n_cases = int(cases.sum())
@@ -233,9 +242,9 @@ def _tdauc_curve(scores, times, events, t_grid):
     """(times, values, mean) of TDAUC over the grid points that have cases
     and controls, those t with earliest event time <= t < latest time; the
     mean is the mean TDAUC."""
+    t_grid = _checked_grid(t_grid)
     s, tm, e = _scored(scores, times, events)
     first_event = tm[e == 1].min(initial=np.inf)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
     ts = t_grid[(first_event <= t_grid) & (t_grid < tm.max(initial=-np.inf))]
     if ts.size == 0:
         raise UndefinedMetricError("no evaluable time points for mean TDAUC")

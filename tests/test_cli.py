@@ -375,6 +375,18 @@ def test_rejected_run_writes_nothing(data_csv, tmp_path, capsys, command, data,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (ZERO_WEIGHTS, "at least one of alpha, beta and gamma must be positive"),
+    (["--set", "calib_bins=5"], "unknown config key 'calib_bins'"),
+], ids=["zero-weights", "calib_bins"])
+def test_rejected_train_setting_is_named(data_csv, tmp_path, capsys, extra, message):
+    out = tmp_path / "o"
+    code = run(["train", "--data", str(data_csv), "--out", str(out), *FAST, *extra])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["prepare", "train", "ablate"])
 def test_one_column_for_time_and_event_exits_two(data_csv, tmp_path, capsys,
                                                  command):
@@ -591,6 +603,20 @@ class TestEvaluateCommand:
                     str(checkpoint or run_dir / "checkpoint.json"),
                     "--grid", str(run_dir / "grid.json"),
                     "--data", str(data), "--out", str(out)])
+
+    def test_half_event_row_is_named(self, run_dir, tmp_path, capsys):
+        header, first, *rest = (run_dir / "test.csv").read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("event")] = "0.5"
+        data = tmp_path / "test_half_event.csv"
+        data.write_text("\n".join([header, ",".join(cells), *rest]) + "\n",
+                        encoding="utf-8")
+        out = tmp_path / "e"
+        assert self.evaluate(run_dir, data, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: row 1: event must be 0 or 1 in column 'event', "
+            "got '0.5'\n")
+        assert not out.exists()
 
     def test_columns_matched_by_name(self, run_dir, tmp_path):
         header, *rows = (run_dir / "test.csv").read_text().splitlines()

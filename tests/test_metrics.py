@@ -101,6 +101,7 @@ class TestHasComparablePair:
 
 # every metric entry point as a function of four rows' outcomes alone
 OUTCOME_SCORES = [0.1, 0.9, 0.3, 0.4]
+OUTCOME_TIMES, OUTCOME_EVENTS = [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1]
 OUTCOME_PMFS = np.full((4, 10), 0.1)
 OUTCOME_GRID = TimeGrid(10, 1.0, 4.0)
 OUTCOME_METRICS = {
@@ -147,7 +148,7 @@ class TestScoreCheck:
     @pytest.mark.parametrize("metric", OUTCOME_METRICS)
     def test_bad_outcomes_rejected(self, metric, bad):
         times, events, message = BAD_OUTCOMES[bad]
-        OUTCOME_METRICS[metric]([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])  # valid rows score
+        OUTCOME_METRICS[metric](OUTCOME_TIMES, OUTCOME_EVENTS)  # valid rows score
         with pytest.raises(ValueError, match=message):
             OUTCOME_METRICS[metric](times, events)
 
@@ -327,6 +328,31 @@ class TestTdauc:
             m_tdauc([1.0, 2.0], [1.0, 2.0], [1, 1], [5.0, 6.0])
 
 
+class TestEvaluationGrid:
+    """Every metric scored on an evaluation grid checks the grid alike."""
+
+    METRICS = {
+        "brier_score_t": lambda g: brier_score_t(OUTCOME_PMFS, OUTCOME_TIMES,
+                                                 OUTCOME_EVENTS, g, OUTCOME_GRID),
+        "ibs": lambda g: ibs(OUTCOME_PMFS, OUTCOME_TIMES, OUTCOME_EVENTS, g,
+                             OUTCOME_GRID),
+        "tdauc": lambda g: tdauc(OUTCOME_SCORES, OUTCOME_TIMES, OUTCOME_EVENTS, g),
+        "m_tdauc": lambda g: m_tdauc(OUTCOME_SCORES, OUTCOME_TIMES, OUTCOME_EVENTS, g),
+    }
+
+    @pytest.mark.parametrize("t_grid", [
+        [2.0, math.nan, 3.0], [2.0, math.inf], [-math.inf, 2.0], [3.0, 2.0],
+        [2.0, 2.0], [],
+    ], ids=["nan", "inf", "neg-inf", "descending", "repeated", "empty"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_bad_grid_is_named(self, metric, t_grid):
+        self.METRICS[metric]([2.0, 3.0])  # the rows score on a valid grid
+        with pytest.raises(ValueError, match="^the evaluation grid must be a "
+                           "non-empty, finite and strictly increasing list of "
+                           r"times, got \["):
+            self.METRICS[metric](t_grid)
+
+
 @st.composite
 def tied_cohorts(draw):
     """1-30 times on a 1-12 lattice, so many tie, and 0/1 event flags."""
@@ -391,10 +417,10 @@ class TestGridForms:
             with pytest.raises(UndefinedMetricError) as info:
                 tdauc(scores, times, events, t_grid)
             assert str(info.value) == first_error
-        got = tdauc(scores, times, events, [t for t, _ in defined])
-        assert got.tolist() == [value for _, value in defined]
-        # the mean runs over exactly the times the oracle defines
         if defined:
+            got = tdauc(scores, times, events, [t for t, _ in defined])
+            assert got.tolist() == [value for _, value in defined]
+            # the mean runs over exactly the times the oracle defines
             assert m_tdauc(scores, times, events, t_grid) == float(np.mean(got))
         else:
             with pytest.raises(UndefinedMetricError):
