@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,9 +63,9 @@ def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every tensor of the model, in storage order."""
     h, k = config.hidden_dim, config.k_bins
     shapes = {"input.w": (config.input_dim, h), "input.b": (h,)}
-    for b in range(config.n_blocks):
+    for b in range(config.n_blocks):  # no linear bias: batch norm would cancel it
         shapes[f"block{b}.linear.w"] = (h, h)
-        for part in ("linear.b", "bn.scale", "bn.shift", "bn.mean", "bn.var"):
+        for part in ("bn.scale", "bn.shift", "bn.mean", "bn.var"):
             shapes[f"block{b}.{part}"] = (h,)
     return {**shapes, "output.w": (h, k), "output.b": (k,)}
 
@@ -137,7 +137,6 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
 
     for b in range(cfg.n_blocks):
         z = h @ t[f"block{b}.linear.w"]
-        z += t[f"block{b}.linear.b"]
         if train:
             mean = z.mean(axis=0)
             z -= mean
@@ -224,7 +223,6 @@ def backward(params: ModelParams, cache: ForwardCache,
         dz *= blk.inv_std / m
         del tmp  # freed before the matmuls below allocate
         grads[f"block{b}.linear.w"] = blk.x.T @ dz
-        grads[f"block{b}.linear.b"] = dz.sum(axis=0)
         dh += dz @ t[f"block{b}.linear.w"].T
 
     grads["input.w"] = cache.x0.T @ dh
@@ -272,8 +270,7 @@ def predict_survival(pmf: np.ndarray, k: int):
 
 
 CHECKPOINT_FORMAT = "binsurv-checkpoint"
-CHECKPOINT_VERSION = 1
-CHECKPOINT_HEAD = "cat"  # the softmax head; format v1 names it in the config
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +320,6 @@ def save_checkpoint(path, model: TrainedModel) -> None:
             "hidden_dim": params.config.hidden_dim,
             "n_blocks": params.config.n_blocks,
             "dropout_rate": params.config.dropout_rate,
-            "head": CHECKPOINT_HEAD,
             "k_bins": params.config.k_bins,
         },
         "tensors": {
@@ -348,24 +344,23 @@ def load_checkpoint(path) -> TrainedModel:
     """Inverse of :func:`save_checkpoint`; keys it no longer writes
     (``updates``, ``meta.seed``) are ignored.
 
-    A body that format v1 does not write raises ValueError naming the file
+    A body that format v2 does not write raises ValueError naming the file
     and the key: the tensors must have exactly the names and shapes
     :func:`_tensor_shapes` lays out for the stored config, and finite values.
+    Format v1, which stored a bias before each batch norm, is rejected.
     """
     payload = read_json_object(path, CHECKPOINT_FORMAT, "binsurv checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    version = payload.get("version")
+    if version == 1:
+        raise ValueError(f"{path}: checkpoint format v1 is no longer read; "
+                         "retrain with this version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     try:
         config, entries, meta = payload["config"], payload["tensors"], payload["meta"]
         for key, value in (("config", config), ("tensors", entries), ("meta", meta)):
             if not isinstance(value, dict):
                 raise ValueError(f"{path}: {key} must be an object")
-        # format v1 names a head; any other than the softmax head (for
-        # example the suffix-sum head 'mtlr') maps its outputs differently
-        head = config.pop("head", CHECKPOINT_HEAD)
-        if head != CHECKPOINT_HEAD:
-            raise ValueError(f"{path}: unsupported head {head!r} "
-                             f"(only {CHECKPOINT_HEAD!r} is supported)")
         names = [f.name for f in fields(ModelConfig)]
         unknown = [key for key in config if key not in names]
         if unknown:
@@ -374,11 +369,15 @@ def load_checkpoint(path) -> TrainedModel:
         for name, value in values.items():
             require_json_number(path, name, value, integer=name != "dropout_rate")
         cfg = ModelConfig(**values)
-        layout = _tensor_shapes(cfg)
+        # laid out only as far as the stored tensors reach, so a huge n_blocks
+        # costs no memory: its first len(entries) + 1 names already miss one
+        layout = _tensor_shapes(replace(cfg, n_blocks=min(cfg.n_blocks, len(entries))))
         for name in (*layout, *entries):
             if (name in layout) != (name in entries):
                 state = "missing" if name in layout else "unexpected"
-                raise ValueError(f"{path}: {state} tensor {name!r}")
+                raise ValueError(f"{path}: {state} tensor {name!r} (n_blocks "
+                                 f"{cfg.n_blocks} lays out {4 + 5 * cfg.n_blocks} "
+                                 f"tensors, the file stores {len(entries)})")
         tensors = {name: _stored_tensor(path, name, entry, layout[name])
                    for name, entry in entries.items()}
     except KeyError as exc:

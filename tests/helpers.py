@@ -576,7 +576,7 @@ def reference_forward(params: ModelParams, x, mode: str = "train", seed=None):
     keep = 1.0 - cfg.dropout_rate
 
     for b in range(cfg.n_blocks):
-        z = h @ t[f"block{b}.linear.w"] + t[f"block{b}.linear.b"]
+        z = h @ t[f"block{b}.linear.w"]
         if train:
             mean = z.mean(axis=0)
             var = z.var(axis=0)
@@ -644,7 +644,6 @@ def reference_backward(params: ModelParams, cache: ReferenceForwardCache,
             - blk.xhat * (dxhat * blk.xhat).sum(axis=0)
         )
         grads[f"block{b}.linear.w"] = blk.x.T @ dz
-        grads[f"block{b}.linear.b"] = dz.sum(axis=0)
         dh = dh + dz @ t[f"block{b}.linear.w"].T
 
     grads["input.w"] = cache.x0.T @ dh

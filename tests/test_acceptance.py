@@ -55,6 +55,10 @@ def test_a01_full_loss_gradients_match_finite_differences(head, rng):
     )
     err = max_rel_err(analytic, numeric, floor=GRAD_FLOOR)
     assert err <= 1e-4, f"{head}: max relative error {err:.3e}"
+    # a tensor the objective does not depend on would never train
+    largest = {name: np.abs(g).max() for name, g in numeric.items()}
+    dead = [name for name, v in largest.items() if v < 1e-6 * max(largest.values())]
+    assert not dead, f"{head}: the loss does not depend on {dead}"
 
 
 def test_a02_heads_emit_valid_probability_distributions(rng):

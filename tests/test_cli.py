@@ -682,28 +682,34 @@ class TestEvaluateCommand:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
-    def test_format_v1_checkpoint_still_evaluates(self, run_dir, tmp_path):
-        # format v1 lays out the config in this order and names the head
+    def test_format_v1_checkpoint_is_rejected(self, run_dir, tmp_path, capsys):
+        # format v1 names the head and stores a bias before each batch norm
         payload = json.loads((run_dir / "checkpoint.json").read_text())
-        cfg = payload["config"]
-        payload["config"] = {
+        cfg, tensors = payload["config"], {}
+        for name, entry in payload["tensors"].items():
+            tensors[name] = entry
+            if name.endswith(".linear.w"):
+                width = entry["shape"][1]
+                tensors[name[:-1] + "b"] = {"shape": [width], "data": [0.0] * width}
+        payload.update(version=1, tensors=tensors, config={
             "input_dim": cfg["input_dim"], "hidden_dim": cfg["hidden_dim"],
             "n_blocks": cfg["n_blocks"], "dropout_rate": cfg["dropout_rate"],
             "head": "cat", "k_bins": cfg["k_bins"],
-        }
+        })
         v1 = tmp_path / "v1.json"
         v1.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-        assert v1.read_bytes() == (run_dir / "checkpoint.json").read_bytes()
         assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "e",
-                             checkpoint=v1) == 0
-        assert (tmp_path / "e" / "report.csv").exists()
+                             checkpoint=v1) == 2
+        assert (f"{v1}: checkpoint format v1 is no longer read; retrain with "
+                "this version") in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("which, edit, message", [
         ("checkpoint", lambda p: {"format": "x"}, "not a binsurv checkpoint"),
-        ("checkpoint", lambda p: {**p, "version": 2},
-         "unsupported checkpoint version 2"),
+        ("checkpoint", lambda p: {**p, "version": 3},
+         "unsupported checkpoint version 3"),
         ("checkpoint", lambda p: {**p, "config": {**p["config"], "head": "mtlr"}},
-         "unsupported head 'mtlr'"),
+         "unknown config key 'head'"),
         ("checkpoint", lambda p: {**p, "config": {**p["config"], "width": 8}},
          "unknown config key 'width'"),
         ("checkpoint", lambda p: {k: v for k, v in p.items() if k != "tensors"},

@@ -462,6 +462,26 @@ class TestCheckpoint:
         for name, tensor in p.tensors.items():
             assert np.array_equal(back.tensors[name], tensor), name
 
+    def test_huge_n_blocks_is_rejected_before_its_layout_is_built(self, tmp_path):
+        # 200 000 blocks would lay out a million tensor names before the
+        # file's 14 tensors were compared with them
+        path = tmp_path / "model.json"
+        save_checkpoint(path, trained(init_params(small_config(), seed=4)))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["config"]["n_blocks"] = 200_000
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+        assert str(info.value) == (f"{path}: missing tensor 'block2.linear.w' "
+                                   "(n_blocks 200000 lays out 1000004 tensors, "
+                                   "the file stores 14)")
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "other"}', encoding="utf-8")
@@ -516,17 +536,6 @@ class TestPrepare:
 
 
 class TestConfigValidation:
-    def test_rejects_unknown_head(self, tmp_path):
-        # format v1 files name their head; only the softmax head 'cat' loads
-        path = tmp_path / "model.json"
-        save_checkpoint(path, trained(init_params(small_config(), seed=0)))
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["config"]["head"] == "cat"
-        payload["config"]["head"] = "mtlr"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported head 'mtlr'"):
-            load_checkpoint(path)
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ModelConfig(input_dim=0)
