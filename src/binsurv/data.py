@@ -417,11 +417,14 @@ def split_dataset(dataset: SurvivalDataset, ratios, seed: int):
     return tuple(dataset.subset(p) for p in parts)
 
 
+GRID_VERSION = 1
+
+
 def save_grid(grid: TimeGrid, path) -> None:
     """Persist the three grid numbers as JSON (floats round-trip via repr)."""
     payload = {
         "format": "binsurv-grid",
-        "version": 1,
+        "version": GRID_VERSION,
         "k_bins": grid.k_bins,
         "t_min": grid.t_min,
         "t_max": grid.t_max,
@@ -444,23 +447,31 @@ def require_json_number(path, key: str, value, integer: bool = False) -> None:
         raise ValueError(f"{path}: {key} is too large for float64")
 
 
-def read_json_object(path, file_format: str, kind: str) -> dict:
-    """The JSON object in file ``path`` tagged ``format: file_format``; any
-    other file content raises ValueError naming the file."""
+def read_json_object(path, file_format: str, kind: str, version: int) -> dict:
+    """The JSON object in file ``path`` tagged ``format: file_format`` and the
+    JSON integer ``version``; other content raises ValueError naming the
+    file, and an earlier version is named as no longer read."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != file_format:
-        raise ValueError(f"{path}: not a {kind}")
+        raise ValueError(f"{path}: not a binsurv {kind}")
+    stored = payload.get("version")
+    require_json_number(path, "version", stored, integer=True)
+    if 1 <= stored < version:
+        raise ValueError(f"{path}: {kind} format v{stored} is no longer read; "
+                         "retrain with this version")
+    if stored != version:
+        raise ValueError(f"{path}: unsupported {kind} version {stored}")
     return payload
 
 
 def load_grid(path) -> TimeGrid:
     """Inverse of :func:`save_grid`; a file that also lists the derived
     constants, as older versions wrote, loads to the same grid."""
-    payload = read_json_object(path, "binsurv-grid", "binsurv grid file")
+    payload = read_json_object(path, "binsurv-grid", "grid file", GRID_VERSION)
     try:
         k_bins, t_min, t_max = (payload[key] for key in ("k_bins", "t_min", "t_max"))
     except KeyError as exc:

@@ -3,8 +3,8 @@
 All metrics read raw observed times through :func:`~binsurv.data.check_outcomes`,
 so each rejects a time that is not finite and > 0, an event other than 0 or 1
 and times and events of unequal lengths; those that rank risk scores also
-reject a NaN or infinite score.  An evaluation grid must be non-empty, finite
-and strictly increasing.  Inverse-probability-of-censoring weights come
+reject a NaN or infinite score.  An evaluation grid must be non-empty, finite,
+positive and strictly increasing.  Inverse-probability-of-censoring weights come
 from the censoring curve ``kaplan_meier(times, 1 - events)`` at left limits
 (the weight at t uses the step value just before t).
 """
@@ -135,13 +135,13 @@ def _later_lower_count(s, is_event) -> int:
 
 
 def _checked_grid(t_grid) -> np.ndarray:
-    """``t_grid`` as a float64 array, which must be a non-empty, finite and
-    strictly increasing list of evaluation times."""
+    """``t_grid`` as a float64 array, which must be a non-empty, finite,
+    positive and strictly increasing list of evaluation times."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if (t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all()
-            or np.any(np.diff(t_grid) <= 0)):
-        raise ValueError("the evaluation grid must be a non-empty, finite and "
-                         f"strictly increasing list of times, got {t_grid.tolist()!r}")
+            or t_grid[0] <= 0.0 or np.any(np.diff(t_grid) <= 0)):
+        raise ValueError("the evaluation grid must be a non-empty, finite, positive "
+                         f"and strictly increasing list of times, got {t_grid.tolist()!r}")
     return t_grid
 
 
@@ -279,7 +279,7 @@ class _TimeBlocks:
     The knots are the tie blocks, in time order, that hold an event.
     """
 
-    order: np.ndarray | None  # time order of the rows; None when they come in it
+    order: np.ndarray         # stable time order of the rows
     start: np.ndarray         # first time-ordered row of each knot's block
     at_risk: np.ndarray       # nt: rows at or after each knot, int64
     event_rows: np.ndarray    # the time-ordered rows with an event
@@ -290,26 +290,25 @@ class _TimeBlocks:
     nt_less_1: np.ndarray     # (nt - 1.0)[:m]
 
 
-def _time_blocks(t, e) -> _TimeBlocks:
-    """The group-free tables of checked rows ``t``, ``e``.
+def _time_blocks(times, events) -> _TimeBlocks:
+    """The group-free tables of the rows ``times``, ``events``.
 
-    Rows that do not come in time order are sorted, stably.  Running counts
-    of events (0 or 1, so counted as they are), read at the edges of that
-    order's tie blocks, give each block's events.  The tables of the last
-    rows seen are kept with private copies of ``t`` and ``e``; they are
-    reused only for rows equal to those copies, so an array edited in place
-    between calls is read afresh.
+    The tables of the last rows seen are kept with private copies of those
+    rows as :func:`~binsurv.data.check_outcomes` returned them, and are
+    reused only for rows equal to the copies, so an array edited in place
+    between calls is read afresh.  Other rows are checked and sorted by time,
+    stably; running counts of events (0 or 1, so counted as they are), read
+    at the edges of that order's tie blocks, give each block's events.
     """
     global _last_blocks
     last = _last_blocks
-    if last is not None and np.array_equal(last[0], t) and np.array_equal(last[1], e):
+    if last is not None and np.array_equal(last[0], times) and np.array_equal(last[1], events):
         return last[2]
+    t, e = check_outcomes(times, events)
     key = (t.copy(), e.copy())
     n = t.size
-    order = None
-    if not (t[1:] >= t[:-1]).all():
-        order = np.argsort(t, kind="stable")
-        t, e = t[order], e[order]
+    order = np.argsort(t, kind="stable")
+    t, e = t[order], e[order]
     edge = np.empty(n + 1, dtype=bool)
     edge[0] = edge[-1] = True
     np.not_equal(t[1:], t[:-1], out=edge[1:-1])
@@ -337,26 +336,23 @@ def _log_rank_tables(times, events, group):
 
     ``group`` is a boolean mask of the group-a rows; the rest form group b.
     The time order, the knots, their events d and risk sets nt come from
-    :func:`_time_blocks`, which keeps them for the last rows it saw, so a
-    cutoff search scoring many groups on the same rows builds them once.
-    Each call does only its group's work: one running count of the mask
-    gives n1 at each knot, group a's size less its rows in earlier blocks;
-    n2 = nt - n1; and O1 counts group a's rows among the event rows.  The
-    counts are sums over whole tie blocks, so the order of rows inside a
-    block does not change them.  Knots, counts and the float expressions
-    are those of a binary search per knot, so the five values match it bit
-    for bit.
+    :func:`_time_blocks`, which checks and sorts each set of rows once, when
+    it builds their tables, and keeps those of the last rows it saw.  Each
+    call does only its group's work: it gathers the mask into that order;
+    one running count of it gives n1 at each knot, group a's size less its
+    rows in earlier blocks; n2 = nt - n1; and O1 counts group a's rows among
+    the event rows.  The counts are sums over whole tie blocks, so the order
+    of rows inside a block does not change them.  Knots, counts and the
+    float expressions are those of a binary search per knot, so the five
+    values match it bit for bit.
     """
     check_paired("times, events and group", times, events, group)
-    t, e = check_outcomes(times, events)
-    in_a = np.asarray(group, dtype=bool)
-    n = t.size
+    b = _time_blocks(times, events)
+    in_a = np.asarray(group, dtype=bool)[b.order]
+    n = in_a.size
     n_a = int(np.count_nonzero(in_a))
     if n_a == 0 or n_a == n:
         raise ValueError("both groups must be non-empty")
-    b = _time_blocks(t, e)
-    if b.order is not None:
-        in_a = in_a[b.order]
     before = np.empty(n + 1, dtype=np.int64)  # before[i]: group-a rows ahead of row i
     before[0] = 0
     np.cumsum(in_a, out=before[1:])
@@ -372,8 +368,7 @@ def _log_rank_tables(times, events, group):
 
 def log_rank(times, events, group) -> float:
     """Two-group log-rank chi-square statistic (O - E)^2 / V of the ``group``
-    rows against the rest.  Rows that come sorted by time are not sorted.
-    """
+    rows against the rest."""
     o1, e1, _o2, _e2, v = _log_rank_tables(times, events, group)
     if v == 0.0:
         return 0.0
@@ -389,12 +384,11 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
 
     The high group only shrinks as the candidates ascend, so the admissible
     ones form one range, found by one ``searchsorted`` over the sorted
-    scores.  The rows are put in time order once, and ``log_rank`` is called
-    once per admissible candidate with the high rows as its group.  Every
-    call sees the same rows, so the time-order tables are built by the
-    first call and reused by the rest (see :func:`_log_rank_tables`), and
-    each call does only its group's O(n) work: O(m n) for m candidates and
-    n rows.
+    scores.  ``log_rank`` is called once per admissible candidate with the
+    high rows as its group.  Every call sees the same rows, so the first
+    call checks them, sorts them by time and builds their tables, the rest
+    reuse those (see :func:`_log_rank_tables`), and each call does only its
+    group's O(n) work: O(m n) for m candidates and n rows.
     """
     s, t, e = _scored(scores, times, events)
     if not 0.0 <= min_group_frac <= 0.5:
@@ -410,8 +404,6 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
     n_high = n - np.searchsorted(np.sort(s), candidates, side="right")
     first = np.count_nonzero(n_high > n - min_count)
     stop = np.count_nonzero(n_high >= min_count)
-    order = np.argsort(t, kind="stable")
-    s, t, e = s[order], t[order], e[order]
     best_cut = None
     best_stat = -np.inf
     for cut in candidates[first:stop]:

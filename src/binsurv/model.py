@@ -349,13 +349,7 @@ def load_checkpoint(path) -> TrainedModel:
     :func:`_tensor_shapes` lays out for the stored config, and finite values.
     Format v1, which stored a bias before each batch norm, is rejected.
     """
-    payload = read_json_object(path, CHECKPOINT_FORMAT, "binsurv checkpoint")
-    version = payload.get("version")
-    if version == 1:
-        raise ValueError(f"{path}: checkpoint format v1 is no longer read; "
-                         "retrain with this version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    payload = read_json_object(path, CHECKPOINT_FORMAT, "checkpoint", CHECKPOINT_VERSION)
     try:
         config, entries, meta = payload["config"], payload["tensors"], payload["meta"]
         for key, value in (("config", config), ("tensors", entries), ("meta", meta)):

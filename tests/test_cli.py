@@ -786,6 +786,18 @@ class TestEvaluateCommand:
         ("checkpoint", lambda p: edit_tensors(p, first_value=10 ** 400),
          "tensor 'input.w' is too large for float64"),
         ("grid", lambda p: {**p, "t_max": 10 ** 400}, "t_max is too large for float64"),
+        ("checkpoint", lambda p: {**p, "version": True},
+         "version must be an integer, got True"),
+        ("checkpoint", lambda p: {**p, "version": 2.0},
+         "version must be an integer, got 2.0"),
+        ("checkpoint", lambda p: {**p, "version": "2"},
+         "version must be an integer, got '2'"),
+        ("checkpoint", lambda p: {k: v for k, v in p.items() if k != "version"},
+         "version must be an integer, got None"),
+        ("grid", lambda p: {**p, "version": 7}, "unsupported grid file version 7"),
+        ("grid", lambda p: {**p, "version": True}, "version must be an integer, got True"),
+        ("grid", lambda p: {k: v for k, v in p.items() if k != "version"},
+         "version must be an integer, got None"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
             "extra-config-key", "no-tensors", "missing-tensor",
             "reshaped-tensor", "null-value", "nan-value", "extra-tensor",
@@ -800,7 +812,9 @@ class TestEvaluateCommand:
             "checkpoint-not-json", "int-config", "int-tensors", "int-time_col",
             "null-event_col", "no-meta", "int-meta", "no-time_col",
             "no-event_col", "no-cutoff", "huge-scaler_mean",
-            "huge-cutoff", "huge-tensor-value", "grid-huge-t_max"])
+            "huge-cutoff", "huge-tensor-value", "grid-huge-t_max",
+            "bool-version", "float-version", "string-version", "no-version",
+            "grid-version", "grid-bool-version", "grid-no-version"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binsurv.data import TimeGrid, bin_dataset, build_time_grid
+import binsurv.metrics
+from binsurv.data import TimeGrid, bin_dataset, build_time_grid, check_outcomes
 from binsurv.metrics import (
     UndefinedMetricError, _log_rank_tables, brier_score_t, c_index, default_eval_times,
     evaluate_model, has_comparable_pair, hazard_ratio, ibs, kaplan_meier,
@@ -342,13 +343,15 @@ class TestEvaluationGrid:
 
     @pytest.mark.parametrize("t_grid", [
         [2.0, math.nan, 3.0], [2.0, math.inf], [-math.inf, 2.0], [3.0, 2.0],
-        [2.0, 2.0], [],
-    ], ids=["nan", "inf", "neg-inf", "descending", "repeated", "empty"])
+        [2.0, 2.0], [], [-1.0, 2.0], [0.0, 2.0],
+    ], ids=["nan", "inf", "neg-inf", "descending", "repeated", "empty", "negative",
+            "zero"])
     @pytest.mark.parametrize("metric", METRICS)
     def test_bad_grid_is_named(self, metric, t_grid):
         self.METRICS[metric]([2.0, 3.0])  # the rows score on a valid grid
         with pytest.raises(ValueError, match="^the evaluation grid must be a "
-                           "non-empty, finite and strictly increasing list of "
+                           "non-empty, finite, positive and strictly increasing "
+                           "list of "
                            r"times, got \["):
             self.METRICS[metric](t_grid)
 
@@ -553,6 +556,31 @@ class TestTimeBlockCache:
         times[50:150] = times[50]  # one long tie block, still in time order
         tied = log_rank(times, events, group)
         assert tied == reference_log_rank(times, events, group) != flipped
+        assert log_rank(times, events, group) == tied  # a cache hit
+        times[7] = math.nan
+        with pytest.raises(ValueError, match="times must be finite and strictly positive"):
+            log_rank(times, events, group)
+        times[7] = times[8]
+        assert log_rank(times, events, group) == tied
+        events[7] = 2
+        with pytest.raises(ValueError, match="events must be 0 or 1"):
+            log_rank(times, events, group)
+
+    def test_a_cutoff_search_checks_its_rows_at_most_twice(self, rng, monkeypatch):
+        # once as scored rows, once when the first log_rank call builds the
+        # tables; the other calls reuse them
+        calls = []
+
+        def counted(times, events):
+            calls.append(1)
+            return check_outcomes(times, events)
+
+        monkeypatch.setattr(binsurv.metrics, "check_outcomes", counted)
+        n = 200
+        times = rng.exponential(2.0, n) + 0.05  # freshly drawn, so not cached
+        events = (rng.random(n) < 0.6).astype(np.int64)
+        select_cutoff(rng.normal(size=n), times, events)
+        assert len(calls) <= 2
 
     def test_alternating_row_sets_match_the_reference(self, rng):
         # one pair of arrays holds rows A, then B (shuffled), then A again,
@@ -649,6 +677,9 @@ class TestCutoff:
         for times in (exact, np.round(exact, 1) + 1.0):
             expect = reference_select_cutoff(scores, times, events)
             assert select_cutoff(scores, times, events) == expect
+            # the same rows in time order and shuffled
+            for rows in (np.argsort(times, kind="stable"), rng.permutation(n)):
+                assert select_cutoff(scores[rows], times[rows], events[rows]) == expect
 
     def test_bitwise_equal_statistics_keep_the_smaller_cutoff(self):
         # the groups at 1.5 and 3.5 are mirror images, so both candidates
