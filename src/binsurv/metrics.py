@@ -30,21 +30,22 @@ class UndefinedMetricError(ValueError):
 class KMCurve:
     """Product-limit estimate: right-continuous step function over knots."""
 
-    times: np.ndarray      # ascending unique observed times
+    times: np.ndarray      # ascending observed times that hold a flagged row
     survival: np.ndarray   # S(t) at and after each knot
 
     def survival_at(self, t):
         """S(t), right-continuous."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="right") - 1
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="right")
         return self._lookup(idx)
 
     def survival_before(self, t):
         """Left limit S(t-): the step value just before t, used for weights."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="left") - 1
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="left")
         return self._lookup(idx)
 
     def _lookup(self, idx):
-        return np.where(idx < 0, 1.0, self.survival[np.maximum(idx, 0)])
+        """S after the first ``idx`` knots: 1.0 before any, and on no knots."""
+        return np.concatenate(([1.0], self.survival))[idx]
 
 
 def kaplan_meier(times, events) -> KMCurve:
@@ -52,19 +53,13 @@ def kaplan_meier(times, events) -> KMCurve:
 
     ``kaplan_meier(times, events)`` is the event curve.  The censoring curve
     is ``kaplan_meier(times, 1 - events)``: censorings count as the terminal
-    occurrences and events drop out of the risk set.
+    occurrences and events drop out of the risk set.  Its knots, the times
+    that hold a flagged row, and their d and nt are :func:`_time_blocks`'s.
     """
-    t, e = check_outcomes(times, events)
-    if t.size == 0:
+    b = _time_blocks(times, events)
+    if b.order.size == 0:
         raise ValueError("kaplan_meier needs at least one sample")
-    order = np.argsort(t, kind="mergesort")
-    t_sorted = t[order]
-    knots, start = np.unique(t_sorted, return_index=True)
-    d = np.add.reduceat(e[order], start)
-    n_at_risk = t_sorted.size - start
-    factors = 1.0 - d / n_at_risk
-    survival = np.cumprod(factors)
-    return KMCurve(times=knots, survival=survival)
+    return KMCurve(times=b.times, survival=np.cumprod(1.0 - b.d / b.nt))
 
 
 def c_index(scores, times, events) -> float:
@@ -217,8 +212,7 @@ def tdauc(scores, times, events, t_grid) -> np.ndarray:
     t_grid = _checked_grid(t_grid)
     s, tm, e = _scored(scores, times, events)
     is_event = e == 1
-    distinct = np.unique(s)
-    block = np.searchsorted(distinct, s)  # tie block of each row
+    distinct, block = np.unique(s, return_inverse=True)  # tie block of each row
     values = []
     for t in t_grid.tolist():
         cases = (tm <= t) & is_event
@@ -274,13 +268,15 @@ _last_blocks = None
 
 @dataclass(frozen=True, eq=False)
 class _TimeBlocks:
-    """What the log-rank tables of a fixed set of rows share for any group.
+    """The time-order tables of a fixed set of rows: what the log-rank tables
+    share for any group, and the whole of the rows' Kaplan-Meier curve.
 
     The knots are the tie blocks, in time order, that hold an event.
     """
 
     order: np.ndarray         # stable time order of the rows
     start: np.ndarray         # first time-ordered row of each knot's block
+    times: np.ndarray         # the time of each knot
     at_risk: np.ndarray       # nt: rows at or after each knot, int64
     event_rows: np.ndarray    # the time-ordered rows with an event
     d: np.ndarray             # events at each knot, float64
@@ -291,7 +287,8 @@ class _TimeBlocks:
 
 
 def _time_blocks(times, events) -> _TimeBlocks:
-    """The group-free tables of the rows ``times``, ``events``.
+    """The group-free tables of the rows ``times``, ``events``, read by
+    :func:`_log_rank_tables` and :func:`kaplan_meier` alike.
 
     The tables of the last rows seen are kept with private copies of those
     rows as :func:`~binsurv.data.check_outcomes` returned them, and are
@@ -325,8 +322,8 @@ def _time_blocks(times, events) -> _TimeBlocks:
     nt = at_risk.astype(np.float64)
     # nt falls along the knots, so the risk sets of more than one row lead
     m = int(np.count_nonzero(nt > 1))
-    blocks = _TimeBlocks(order, start, at_risk, np.flatnonzero(e), d, nt, m,
-                         nt[:m] - d[:m], nt[:m] - 1.0)
+    blocks = _TimeBlocks(order, start, t[start], at_risk, np.flatnonzero(e), d, nt,
+                         m, nt[:m] - d[:m], nt[:m] - 1.0)
     _last_blocks = (*key, blocks)
     return blocks
 
@@ -337,7 +334,8 @@ def _log_rank_tables(times, events, group):
     ``group`` is a boolean mask of the group-a rows; the rest form group b.
     The time order, the knots, their events d and risk sets nt come from
     :func:`_time_blocks`, which checks and sorts each set of rows once, when
-    it builds their tables, and keeps those of the last rows it saw.  Each
+    it builds their tables, and keeps those of the last rows it saw;
+    :func:`kaplan_meier` reads the same tables.  Each
     call does only its group's work: it gathers the mask into that order;
     one running count of it gives n1 at each knot, group a's size less its
     rows in earlier blocks; n2 = nt - n1; and O1 counts group a's rows among

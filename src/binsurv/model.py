@@ -341,8 +341,8 @@ def save_checkpoint(path, model: TrainedModel) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Inverse of :func:`save_checkpoint`; keys it no longer writes
-    (``updates``, ``meta.seed``) are ignored.
+    """Inverse of :func:`save_checkpoint`; unknown top-level and ``meta`` keys
+    are ignored, and an unknown ``config`` key is rejected.
 
     A body that format v2 does not write raises ValueError naming the file
     and the key: the tensors must have exactly the names and shapes

@@ -130,10 +130,20 @@ def fd_input_grad(value_fn, x, h: float = 1e-6):
 
 def slow_km_survival_before(times, events, t_query, flip=False):
     """Independent product-limit left-limit: plain python loops."""
+    return _slow_km(times, events, lambda knot: knot < t_query, flip)
+
+
+def slow_km_survival_at(times, events, t_query, flip=False):
+    """The right-continuous twin of :func:`slow_km_survival_before`."""
+    return _slow_km(times, events, lambda knot: knot <= t_query, flip)
+
+
+def _slow_km(times, events, reached, flip):
+    """Product of the KM factors of the times that ``reached`` accepts."""
     pairs = sorted(zip(times, events))
     surv = 1.0
     for knot in sorted(set(times)):
-        if knot >= t_query:
+        if not reached(knot):
             break
         at_risk = sum(1 for tt, _ in pairs if tt >= knot)
         hits = sum(1 for tt, ee in pairs

@@ -665,7 +665,8 @@ class TestEvaluateCommand:
         assert "checkpoint meta has no 'feature_names'" in capsys.readouterr().err
 
     def test_checkpoint_with_unread_keys_evaluates_the_same(self, run_dir, tmp_path):
-        # earlier versions also wrote an update counter and meta.seed
+        # unknown top-level and meta keys, here an update counter and a seed,
+        # are ignored
         payload = json.loads((run_dir / "checkpoint.json").read_text())
         meta = payload["meta"]
         older = {"format": payload["format"], "version": payload["version"],

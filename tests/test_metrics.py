@@ -21,8 +21,34 @@ from binsurv.model import (
 from helpers import (
     brute_c_index, brute_tdauc, comparable_pairs, pair_count_c_index, random_dataset,
     random_pmfs, reference_brier_curve, reference_log_rank_tables,
-    reference_select_cutoff, reference_tdauc, slow_brier, slow_km_survival_before,
+    reference_select_cutoff, reference_tdauc, slow_brier, slow_km_survival_at,
+    slow_km_survival_before,
 )
+
+
+# (time, event) rows on a coarse time set, so ties are common
+ROWS = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                          st.integers(0, 1)), max_size=12)
+
+# before, on, between and after the knots of [1.0, 2.0, 3.0]
+KM_PROBES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 99.0)
+
+
+def assert_km_lookups(km, at, before):
+    """``km`` reads ``at`` and ``before`` at each of KM_PROBES."""
+    assert km.survival_at(np.array(KM_PROBES)).tolist() == pytest.approx(at)
+    assert km.survival_before(np.array(KM_PROBES)).tolist() == pytest.approx(before)
+
+
+def assert_km_is_the_slow_oracles(km, times, events, probes, flip):
+    """``km``'s lookups at ``probes`` equal the slow oracles' on the rows
+    ``times``, ``events``: the factors and their products are the oracles',
+    so the values are equal, not close."""
+    rows = (list(times), list(events))
+    assert km.survival_before(probes).tolist() == [
+        slow_km_survival_before(*rows, q, flip) for q in probes]
+    assert km.survival_at(probes).tolist() == [
+        slow_km_survival_at(*rows, q, flip) for q in probes]
 
 
 class TestKaplanMeier:
@@ -33,17 +59,20 @@ class TestKaplanMeier:
     def test_censoring_mid_stream(self):
         km = kaplan_meier([1.0, 2.0, 3.0], [1, 0, 1])
         # censored sample leaves the risk set without a drop
-        assert np.allclose(km.survival, [2 / 3, 2 / 3, 0.0])
+        assert_km_lookups(km, at=[1.0, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 0.0, 0.0],
+                          before=[1.0, 1.0, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 0.0])
 
     def test_censoring_target_flips_the_indicator(self):
         km = kaplan_meier([1.0, 2.0, 3.0], 1 - np.array([1, 0, 1]))
         # the event at t=1 leaves silently; the censoring at t=2 sees a
         # risk set of two
-        assert np.allclose(km.survival, [1.0, 0.5, 0.5])
+        assert_km_lookups(km, at=[1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5],
+                          before=[1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
 
     def test_no_target_occurrences_stays_at_one(self):
         km = kaplan_meier([1.0, 2.0], 1 - np.array([1, 1]))
-        assert np.all(km.survival == 1.0)
+        assert km.times.size == 0
+        assert_km_lookups(km, at=[1.0] * 7, before=[1.0] * 7)
 
     def test_survival_at_is_right_continuous(self):
         km = kaplan_meier([1.0, 2.0, 3.0], [1, 1, 1])
@@ -70,6 +99,24 @@ class TestKaplanMeier:
         with pytest.raises(ValueError, match="at least one sample"):
             kaplan_meier([], [])
 
+    @given(ROWS, st.booleans())
+    @example([(1.0, 0), (2.0, 0)], False)          # no flagged row
+    @example([(1.0, 1), (2.0, 1)], True)           # no flagged row, flipped
+    @example([(1.0, 1), (1.0, 0), (2.0, 1)], True)  # a tie of both kinds
+    @settings(max_examples=200, deadline=None)
+    def test_lookups_match_the_slow_oracles(self, rows, flip):
+        # at every row time, between them and beyond them
+        times = [r[0] for r in rows]
+        events = np.array([r[1] for r in rows], dtype=np.int64)
+        flagged = 1 - events if flip else events
+        if not rows:
+            with pytest.raises(ValueError, match="at least one sample"):
+                kaplan_meier(times, flagged)
+            return
+        probes = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5]
+        assert_km_is_the_slow_oracles(kaplan_meier(times, flagged), times, events,
+                                      probes, flip)
+
     def test_scalar_lookup_is_the_array_lookup(self):
         # one return type: a scalar time comes back as a numpy value equal
         # to element 0 of the same lookup on a one-element array
@@ -79,11 +126,6 @@ class TestKaplanMeier:
                 value = lookup(t)
                 assert isinstance(value, (np.generic, np.ndarray))
                 assert value == lookup(np.array([t]))[0]
-
-
-# (time, event) rows on a coarse time set, so ties are common
-ROWS = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
-                          st.integers(0, 1)), max_size=12)
 
 
 class TestHasComparablePair:
@@ -597,6 +639,35 @@ class TestTimeBlockCache:
                 == reference_hazard_ratio(sb, tb, eb, 0.0))
         times[:], events[:] = ta, ea
         assert log_rank(times, events, sa > 0.0) == reference_log_rank(ta, ea, sa > 0.0)
+
+    def test_kaplan_meier_shares_the_tables(self, rng, monkeypatch):
+        # log_rank, the censoring curve, then the cutoff search on one pair of
+        # arrays, edited in place between calls: each reads its own rows
+        n = 200
+        times = np.round(rng.exponential(2.0, n) + 0.05, 1) + 1.0
+        events = (rng.random(n) < 0.6).astype(np.int64)
+        group = rng.random(n) < 0.5
+        scores = np.round(rng.normal(size=n), 1)
+        probes = np.unique(np.concatenate([times, times + 0.05, [0.5, 99.0]]))
+        assert log_rank(times, events, group) == reference_log_rank(times, events, group)
+        assert_km_is_the_slow_oracles(kaplan_meier(times, 1 - events), times, events,
+                                      probes, flip=True)
+        assert (select_cutoff(scores, times, events)
+                == reference_select_cutoff(scores, times, events))
+        events[::4] = 1 - events[::4]
+        assert_km_is_the_slow_oracles(kaplan_meier(times, 1 - events), times, events,
+                                      probes, flip=True)
+        times[::5] = times[1]  # a long tie block
+        assert log_rank(times, events, group) == reference_log_rank(times, events, group)
+        # the event curve of the same rows reads the log-rank tables unchecked
+        calls = []
+        monkeypatch.setattr(binsurv.metrics, "check_outcomes",
+                            lambda *rows: calls.append(1) or check_outcomes(*rows))
+        assert_km_is_the_slow_oracles(kaplan_meier(times, events), times, events,
+                                      probes, flip=False)
+        assert calls == []
+        assert (select_cutoff(scores, times, events)
+                == reference_select_cutoff(scores, times, events))
 
     def test_one_sided_group_is_rejected_on_a_cache_hit(self, rng):
         times, events = self.sorted_rows(rng, 100)

@@ -425,7 +425,8 @@ class TestCheckpoint:
         assert load_checkpoint(path).cutoff is None
 
     def test_older_files_load_and_resave_without_unread_keys(self, tmp_path):
-        # earlier writers also stored an update counter and the run's seed
+        # unknown top-level and meta keys (an update counter, a seed) are
+        # ignored, and a resave drops them
         path = tmp_path / "model.json"
         save_checkpoint(path, trained(init_params(small_config(), seed=4)))
         payload = json.loads(path.read_text(encoding="utf-8"))
