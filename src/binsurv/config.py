@@ -123,6 +123,8 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
                 value = float(text)
             else:
                 value = text
+        except ConfigError:  # _parse_split's own message names the fault
+            raise
         except ValueError:
             raise ConfigError(f"bad value for '{key}': {text!r}") from None
         setattr(cfg, key, value)

@@ -54,7 +54,8 @@ def kaplan_meier(times, events) -> KMCurve:
     ``kaplan_meier(times, events)`` is the event curve.  The censoring curve
     is ``kaplan_meier(times, 1 - events)``: censorings count as the terminal
     occurrences and events drop out of the risk set.  Its knots, the times
-    that hold a flagged row, and their d and nt are :func:`_time_blocks`'s.
+    that hold a flagged row, and their d and nt are those of the tables
+    :func:`_time_blocks` builds for this call.
     """
     b = _time_blocks(times, events)
     if b.order.size == 0:
@@ -261,9 +262,9 @@ def _scored(scores, times, events):
     return (s, *check_outcomes(times, events))
 
 
-# (times, events, _TimeBlocks) of the last rows _time_blocks built tables for,
-# replaced whole; keyed by value, so every caller in the process may share it
-_last_blocks = None
+# (times, events, _TimeBlocks) of the rows a running select_cutoff searches,
+# read only by calls given those very arrays; None whenever no search runs
+_search = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,19 +291,11 @@ def _time_blocks(times, events) -> _TimeBlocks:
     """The group-free tables of the rows ``times``, ``events``, read by
     :func:`_log_rank_tables` and :func:`kaplan_meier` alike.
 
-    The tables of the last rows seen are kept with private copies of those
-    rows as :func:`~binsurv.data.check_outcomes` returned them, and are
-    reused only for rows equal to the copies, so an array edited in place
-    between calls is read afresh.  Other rows are checked and sorted by time,
-    stably; running counts of events (0 or 1, so counted as they are), read
-    at the edges of that order's tie blocks, give each block's events.
+    The rows are checked and sorted by time, stably; running counts of
+    events (0 or 1, so counted as they are), read at the edges of that
+    order's tie blocks, give each block's events.
     """
-    global _last_blocks
-    last = _last_blocks
-    if last is not None and np.array_equal(last[0], times) and np.array_equal(last[1], events):
-        return last[2]
     t, e = check_outcomes(times, events)
-    key = (t.copy(), e.copy())
     n = t.size
     order = np.argsort(t, kind="stable")
     t, e = t[order], e[order]
@@ -322,10 +315,8 @@ def _time_blocks(times, events) -> _TimeBlocks:
     nt = at_risk.astype(np.float64)
     # nt falls along the knots, so the risk sets of more than one row lead
     m = int(np.count_nonzero(nt > 1))
-    blocks = _TimeBlocks(order, start, t[start], at_risk, np.flatnonzero(e), d, nt,
-                         m, nt[:m] - d[:m], nt[:m] - 1.0)
-    _last_blocks = (*key, blocks)
-    return blocks
+    return _TimeBlocks(order, start, t[start], at_risk, np.flatnonzero(e), d, nt,
+                       m, nt[:m] - d[:m], nt[:m] - 1.0)
 
 
 def _log_rank_tables(times, events, group):
@@ -333,10 +324,9 @@ def _log_rank_tables(times, events, group):
 
     ``group`` is a boolean mask of the group-a rows; the rest form group b.
     The time order, the knots, their events d and risk sets nt come from
-    :func:`_time_blocks`, which checks and sorts each set of rows once, when
-    it builds their tables, and keeps those of the last rows it saw;
-    :func:`kaplan_meier` reads the same tables.  Each
-    call does only its group's work: it gathers the mask into that order;
+    :func:`_time_blocks`: those :func:`select_cutoff` built for the very
+    arrays ``times`` and ``events`` while it searches them, else built for
+    this call.  The group's work follows: the mask is gathered into that order;
     one running count of it gives n1 at each knot, group a's size less its
     rows in earlier blocks; n2 = nt - n1; and O1 counts group a's rows among
     the event rows.  The counts are sums over whole tie blocks, so the order
@@ -345,7 +335,11 @@ def _log_rank_tables(times, events, group):
     values match it bit for bit.
     """
     check_paired("times, events and group", times, events, group)
-    b = _time_blocks(times, events)
+    search = _search  # read once: another thread's search may end meanwhile
+    if search is not None and search[0] is times and search[1] is events:
+        b = search[2]
+    else:
+        b = _time_blocks(times, events)
     in_a = np.asarray(group, dtype=bool)[b.order]
     n = in_a.size
     n_a = int(np.count_nonzero(in_a))
@@ -383,11 +377,11 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
     The high group only shrinks as the candidates ascend, so the admissible
     ones form one range, found by one ``searchsorted`` over the sorted
     scores.  ``log_rank`` is called once per admissible candidate with the
-    high rows as its group.  Every call sees the same rows, so the first
-    call checks them, sorts them by time and builds their tables, the rest
-    reuse those (see :func:`_log_rank_tables`), and each call does only its
-    group's O(n) work: O(m n) for m candidates and n rows.
+    high rows as its group.  The search builds its rows' tables once and
+    publishes them for its own calls (see :func:`_log_rank_tables`), so each
+    call does only its group's O(n) work: O(m n) for m candidates and n rows.
     """
+    global _search
     s, t, e = _scored(scores, times, events)
     if not 0.0 <= min_group_frac <= 0.5:
         raise ValueError(f"min_group_frac must be a finite value in [0, 0.5], "
@@ -402,18 +396,16 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
     n_high = n - np.searchsorted(np.sort(s), candidates, side="right")
     first = np.count_nonzero(n_high > n - min_count)
     stop = np.count_nonzero(n_high >= min_count)
-    best_cut = None
-    best_stat = -np.inf
-    for cut in candidates[first:stop]:
-        stat = log_rank(t, e, s > cut)
-        if stat > best_stat:
-            best_stat = stat
-            best_cut = float(cut)
-    if best_cut is None:
+    if first >= stop:
         raise UndefinedMetricError(
             "no cutoff keeps both groups above the minimum group size"
         )
-    return best_cut
+    _search = (t, e, _time_blocks(t, e))
+    try:
+        stats = [log_rank(t, e, s > cut) for cut in candidates[first:stop]]
+    finally:
+        _search = None
+    return float(candidates[first + int(np.argmax(stats))])  # the first maximum
 
 
 def hazard_ratio(scores, times, events, cutoff: float) -> float:

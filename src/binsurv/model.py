@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -315,13 +315,7 @@ def save_checkpoint(path, model: TrainedModel) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "input_dim": params.config.input_dim,
-            "hidden_dim": params.config.hidden_dim,
-            "n_blocks": params.config.n_blocks,
-            "dropout_rate": params.config.dropout_rate,
-            "k_bins": params.config.k_bins,
-        },
+        "config": asdict(params.config),
         "tensors": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in params.tensors.items()

@@ -11,12 +11,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLOR = "#1f6fb2"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, n)
-
-
 def line_plot_svg(path, x, series, title: str, xlabel: str, ylabel: str) -> None:
     """Write a one-line plot of ``series``, a (label, values) pair over ``x``."""
     label, ys = series
@@ -56,12 +50,12 @@ def line_plot_svg(path, x, series, title: str, xlabel: str, ylabel: str) -> None
                  f'stroke="{axis_color}"/>')
     parts.append(f'<line x1="{x0}" y1="{_MARGIN_T}" x2="{x0}" y2="{y0}" '
                  f'stroke="{axis_color}"/>')
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5):
         parts.append(f'<line x1="{px(tx):.2f}" y1="{y0}" x2="{px(tx):.2f}" '
                      f'y2="{y0 + 5}" stroke="{axis_color}"/>')
         parts.append(f'<text x="{px(tx):.2f}" y="{y0 + 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{tx:.3g}</text>')
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5):
         parts.append(f'<line x1="{x0 - 5}" y1="{py(ty):.2f}" x2="{x0}" '
                      f'y2="{py(ty):.2f}" stroke="{axis_color}"/>')
         parts.append(f'<text x="{x0 - 8}" y="{py(ty) + 4:.2f}" text-anchor="end" '

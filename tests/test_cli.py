@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import binsurv
+import binsurv.cli
 from binsurv.cli import build_parser, main
 from binsurv.config import (
     ConfigError, ExperimentConfig, build_config, parse_config_file,
@@ -24,6 +25,7 @@ from binsurv.data import (
     SurvivalDataset, load_csv, load_grid, write_csv,
 )
 from binsurv.losses import LossWeights
+from binsurv.metrics import UndefinedMetricError
 from binsurv.model import (
     ModelConfig, apply_head, forward, load_checkpoint, predict_risk,
 )
@@ -57,12 +59,15 @@ def run_dir(data_csv, tmp_path_factory):
     return out
 
 
-def edit_tensors(payload, drop=None, narrow=None, first_value=(), add=None):
+def edit_tensors(payload, drop=None, narrow=None, first_value=(), add=None,
+                 short=None):
     """A copy of a checkpoint payload with one tensor edit applied."""
     payload = json.loads(json.dumps(payload))
     tensors = payload["tensors"]
     if drop:
         del tensors[drop]
+    if short:  # one value fewer than the shape holds
+        del tensors[short]["data"][-1]
     if narrow:  # one output column fewer, data cut to match
         rows, cols = tensors[narrow]["shape"]
         tensors[narrow] = {"shape": [rows, cols - 1],
@@ -293,6 +298,28 @@ class TestTrainCommand:
         assert run([*args, "--seed", "-1"]) == 2
         assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
 
+    def test_no_training_cutoff_is_stored_as_null(self, data_csv, tmp_path,
+                                                 monkeypatch, caplog):
+        def undefined(*args, **kwargs):
+            raise UndefinedMetricError("no cutoff keeps both groups above the "
+                                       "minimum group size")
+
+        monkeypatch.setattr(binsurv.cli, "select_cutoff", undefined)
+        out = tmp_path / "o"
+        with caplog.at_level("WARNING", logger="binsurv"):
+            assert run(["train", "--data", str(data_csv), "--out", str(out), *FAST,
+                        "--set", "epochs=2"]) == 0
+        assert ("no training cutoff stored: no cutoff keeps both groups above the "
+                "minimum group size") in caplog.messages
+        payload = json.loads((out / "checkpoint.json").read_text(encoding="utf-8"))
+        assert payload["meta"]["cutoff"] is None
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.json"),
+                    "--grid", str(out / "grid.json"), "--data", str(out / "test.csv"),
+                    "--out", str(tmp_path / "e")]) == 0
+        header, row = (tmp_path / "e" / "report.csv").read_text().splitlines()
+        report = dict(zip(header.split(","), row.split(",")))
+        assert (report["cutoff_source"], report["cutoff"]) == ("none", "nan")
+
     def test_no_data_source_exits_two(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "o")]) == 2
 
@@ -375,13 +402,23 @@ def test_rejected_run_writes_nothing(data_csv, tmp_path, capsys, command, data,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra, message", [
-    (ZERO_WEIGHTS, "at least one of alpha, beta and gamma must be positive"),
-    (["--set", "calib_bins=5"], "unknown config key 'calib_bins'"),
-], ids=["zero-weights", "calib_bins"])
-def test_rejected_train_setting_is_named(data_csv, tmp_path, capsys, extra, message):
+@pytest.mark.parametrize("command, extra, message", [
+    ("train", ZERO_WEIGHTS, "at least one of alpha, beta and gamma must be positive"),
+    ("train", ["--set", "calib_bins=5"], "unknown config key 'calib_bins'"),
+    ("train", ["--set", "epochs"], "--set expects KEY=VALUE, got 'epochs'"),
+    ("train", ["--set", "split=a,b,c"], "split must be numeric, got 'a,b,c'"),
+    ("train", ["--set", "split=0.5,0.5"],
+     "split must be three comma-separated ratios, got '0.5,0.5'"),
+    ("ablate-presplit", [], "ablate needs a test split (single-CSV mode or test_csv=)"),
+], ids=["zero-weights", "calib_bins", "set-without-value", "non-numeric-split",
+        "two-part-split", "ablate-without-test_csv"])
+def test_rejected_train_setting_is_named(data_csv, tmp_path, capsys, command, extra,
+                                         message):
     out = tmp_path / "o"
-    code = run(["train", "--data", str(data_csv), "--out", str(out), *FAST, *extra])
+    source = {"ablate-presplit": ["ablate", "--set", f"train_csv={data_csv}",
+                                  "--set", f"val_csv={data_csv}"],
+              }.get(command, [command, "--data", str(data_csv)])
+    code = run([*source, "--out", str(out), *FAST, *extra])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -719,6 +756,8 @@ class TestEvaluateCommand:
          "missing tensor 'block0.bn.var'"),
         ("checkpoint", lambda p: edit_tensors(p, narrow="output.w"),
          "tensor 'output.w' must be a [8, 10] array"),
+        ("checkpoint", lambda p: edit_tensors(p, short="input.b"),
+         "tensor 'input.b' must be a [8] array"),
         ("checkpoint", lambda p: edit_tensors(p, first_value=None),
          "tensor 'input.w' has a non-finite value"),
         ("checkpoint", lambda p: edit_tensors(p, first_value=float("nan")),
@@ -801,7 +840,7 @@ class TestEvaluateCommand:
          "version must be an integer, got None"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
             "extra-config-key", "no-tensors", "missing-tensor",
-            "reshaped-tensor", "null-value", "nan-value", "extra-tensor",
+            "reshaped-tensor", "short-tensor", "null-value", "nan-value", "extra-tensor",
             "float-hidden_dim", "string-dropout_rate", "bool-n_blocks",
             "string-input_dim", "float-k_bins",
             "string-cutoff", "nan-cutoff", "int-feature_names",

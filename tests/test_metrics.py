@@ -579,8 +579,10 @@ class TestLogRank:
 
 
 class TestTimeBlockCache:
-    """``log_rank`` keeps the time-order tables of the last rows it saw; they
-    are reused only for rows equal to those, whatever array holds them."""
+    """Only a running ``select_cutoff`` keeps time-order tables: it builds its
+    rows' tables once and hands them to its own ``log_rank`` calls, which
+    must be given those very arrays.  Every other call builds its own, so an
+    array edited in place between calls is always read afresh."""
 
     @staticmethod
     def sorted_rows(rng, n):
@@ -640,7 +642,7 @@ class TestTimeBlockCache:
         times[:], events[:] = ta, ea
         assert log_rank(times, events, sa > 0.0) == reference_log_rank(ta, ea, sa > 0.0)
 
-    def test_kaplan_meier_shares_the_tables(self, rng, monkeypatch):
+    def test_kaplan_meier_shares_the_tables(self, rng):
         # log_rank, the censoring curve, then the cutoff search on one pair of
         # arrays, edited in place between calls: each reads its own rows
         n = 200
@@ -659,13 +661,8 @@ class TestTimeBlockCache:
                                       probes, flip=True)
         times[::5] = times[1]  # a long tie block
         assert log_rank(times, events, group) == reference_log_rank(times, events, group)
-        # the event curve of the same rows reads the log-rank tables unchecked
-        calls = []
-        monkeypatch.setattr(binsurv.metrics, "check_outcomes",
-                            lambda *rows: calls.append(1) or check_outcomes(*rows))
         assert_km_is_the_slow_oracles(kaplan_meier(times, events), times, events,
                                       probes, flip=False)
-        assert calls == []
         assert (select_cutoff(scores, times, events)
                 == reference_select_cutoff(scores, times, events))
 
@@ -675,6 +672,65 @@ class TestTimeBlockCache:
         for group in (np.ones(100, dtype=bool), np.zeros(100, dtype=bool)):
             with pytest.raises(ValueError, match="both groups must be non-empty"):
                 log_rank(times, events, group)
+
+    @staticmethod
+    def cohort(rng, n=200):
+        times = np.round(rng.exponential(2.0, n) + 0.05, 1) + 1.0
+        events = (rng.random(n) < 0.6).astype(np.int64)
+        return np.round(rng.normal(size=n), 1), times, events
+
+    def test_a_cutoff_search_builds_its_tables_once(self, rng, monkeypatch):
+        builds = []
+        build = binsurv.metrics._time_blocks
+        monkeypatch.setattr(binsurv.metrics, "_time_blocks",
+                            lambda *rows: builds.append(1) or build(*rows))
+        scores, times, events = self.cohort(rng)
+        assert (select_cutoff(scores, times, events)
+                == reference_select_cutoff(scores, times, events))
+        assert len(builds) == 1
+        assert binsurv.metrics._search is None
+
+    def test_the_search_binding_is_cleared_when_log_rank_raises(self, rng, monkeypatch):
+        calls = []
+        real = binsurv.metrics.log_rank
+
+        def failing(times, events, group):
+            calls.append(binsurv.metrics._search)
+            if len(calls) == 3:
+                raise RuntimeError("third call")
+            return real(times, events, group)
+
+        monkeypatch.setattr(binsurv.metrics, "log_rank", failing)
+        with pytest.raises(RuntimeError, match="third call"):
+            select_cutoff(*self.cohort(rng))
+        assert len(calls) == 3 and all(search is not None for search in calls)
+        assert binsurv.metrics._search is None
+
+    def test_a_call_inside_the_search_on_other_arrays_builds_its_own(self, rng,
+                                                                      monkeypatch):
+        # equal copies, and copies with every event flipped: the search's
+        # tables would give the flipped rows a wrong statistic
+        scores, times, events = self.cohort(rng)
+        group = rng.random(times.size) < 0.5
+        real = binsurv.metrics.log_rank
+        nested = []
+
+        def with_a_nested_call(t, e, high):
+            if not nested:
+                assert binsurv.metrics._search is not None
+                for copy_e in (e.copy(), 1 - e):
+                    copy_t = t.copy()
+                    nested.append((real(copy_t, copy_e, group),
+                                   reference_log_rank(copy_t, copy_e, group)))
+            return real(t, e, high)
+
+        monkeypatch.setattr(binsurv.metrics, "log_rank", with_a_nested_call)
+        assert (select_cutoff(scores, times, events)
+                == reference_select_cutoff(scores, times, events))
+        assert len(nested) == 2
+        assert nested[0][0] != nested[1][0]
+        for got, expect in nested:
+            assert got == expect
 
 
 class TestCutoff:
