@@ -7,7 +7,6 @@ validation failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import dataclass, replace
@@ -21,12 +20,14 @@ from .config import (
 from .data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
     TimeGrid, apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid,
-    require_json_number, save_grid, split_dataset, write_csv,
+    read_json_object, require_json_number, save_grid, split_dataset, write_csv,
+    write_json_object, write_table,
 )
 from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
-    UndefinedMetricError, c_index, evaluate_model, has_comparable_pair,
-    select_cutoff, write_curve_csv, write_report_csv,
+    UndefinedMetricError, c_index, default_eval_times, evaluable_tdauc_times,
+    evaluate_model, has_comparable_pair, select_cutoff, write_curve_csv,
+    write_report_csv,
 )
 from .model import (
     ModelConfig, TrainedModel, apply_head, forward, load_checkpoint, predict_risk,
@@ -42,6 +43,8 @@ log = logging.getLogger(__name__)
 DEFAULT_ABLATION_ROWS = ("mle, rank, time_rank, mle+rank, mle+time_rank, "
                          "mle+time_rank+calibration")
 _ABLATION_COMPONENTS = ("mle", "rank", "time_rank", "calibration")
+ORACLE_FORMAT = "binsurv-oracle"
+ORACLE_VERSION = 1
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,16 +87,20 @@ class _Setup:
     weights: LossWeights
 
 
-def _require_comparable_pair(cfg: ExperimentConfig, key: str,
-                             dataset: SurvivalDataset) -> None:
-    """Reject a split the C-index cannot score, naming the file ``key`` of
-    the config, or in single-file mode the split's part of data=."""
-    if has_comparable_pair(dataset.times, dataset.events):
-        return
+def _require_scorable(cfg: ExperimentConfig, key: str, dataset: SurvivalDataset,
+                      grid: TimeGrid | None = None) -> None:
+    """Reject a split the C-index cannot score, or with ``grid`` one with no
+    time of its evaluation grid for the mean TDAUC, naming the file ``key``
+    of the config, or in single-file mode the split's part of data=."""
     label = (f"the {key.removesuffix('_csv')} split of data={cfg.data}"
              if cfg.data else f"{key}={getattr(cfg, key)}")
-    raise ConfigError(f"{label} has no comparable pair (an event followed "
-                      "by a later time), so its C-index is undefined")
+    if not has_comparable_pair(dataset.times, dataset.events):
+        raise ConfigError(f"{label} has no comparable pair (an event followed "
+                          "by a later time), so its C-index is undefined")
+    if grid is not None and not evaluable_tdauc_times(
+            dataset.times, dataset.events, default_eval_times(grid)).size:
+        raise ConfigError(f"{label} has no evaluation time for the mean TDAUC (a grid "
+                          "time at or after its first event and before its last time)")
 
 
 def _setup(cfg: ExperimentConfig) -> _Setup:
@@ -115,7 +122,7 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
     else:
         raise ConfigError("provide either data= or train_csv= and val_csv=")
     train, val, test = raw
-    _require_comparable_pair(cfg, "val_csv", val)
+    _require_scorable(cfg, "val_csv", val)
     with config_errors():
         grid = build_time_grid(train, cfg.k_bins)
     scaler = FeatureScaler.fit(train.features)
@@ -150,18 +157,13 @@ def _oracle_sidecar(csv_path) -> Path:
 
 def _oracle_c_index(cfg: ExperimentConfig) -> float | None:
     """The ``bayes_c_index`` of the `synth` sidecar next to data=, or None
-    when there is none; a sidecar that is not a JSON object holding a
+    when there is none; a sidecar that is not a tagged oracle file holding a
     finite number there raises ConfigError naming the file and the key."""
     sidecar = _oracle_sidecar(cfg.data) if cfg.data else None
     if sidecar is None or not sidecar.exists():
         return None
     with config_errors():
-        try:
-            oracle = json.loads(sidecar.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{sidecar}: not JSON: {exc}") from None
-        if not isinstance(oracle, dict):
-            raise ValueError(f"{sidecar}: not a JSON object")
+        oracle = read_json_object(sidecar, ORACLE_FORMAT, "oracle file", ORACLE_VERSION)
         value = oracle.get("bayes_c_index")
         require_json_number(sidecar, "bayes_c_index", value)
         if not -np.inf < value < np.inf:
@@ -296,20 +298,20 @@ def cmd_ablate(args) -> int:
     run = _setup(cfg)
     if run.test is None:
         raise ConfigError("ablate needs a test split (single-CSV mode or test_csv=)")
-    _require_comparable_pair(cfg, "test_csv", run.test)
+    _require_scorable(cfg, "test_csv", run.test, run.grid)
     out = _start_outputs(cfg, run.grid)
 
-    lines = [",".join(_ABLATION_COMPONENTS + ("c_index", "ibs", "m_tdauc"))]
+    table = []
     for index, (row, weights) in enumerate(zip(rows, row_weights), start=1):
         row_dir = out / f"row_{index}_{'_'.join(row)}"
         params, _ = _train_once(run, cfg, weights, row_dir)
         report = evaluate_model(params, run.test, run.grid)
-        flags = [str(int(c in row)) for c in _ABLATION_COMPONENTS]
-        lines.append(",".join(flags + [repr(report.c_index), repr(report.ibs),
-                                       repr(report.m_tdauc)]))
+        table.append([int(c in row) for c in _ABLATION_COMPONENTS]
+                     + [report.c_index, report.ibs, report.m_tdauc])
         print(f"ablate [{'+'.join(row)}]: C-index {report.c_index:.4f}, "
               f"IBS {report.ibs:.4f}, mTDAUC {report.m_tdauc:.4f}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(out / "ablation.csv",
+                _ABLATION_COMPONENTS + ("c_index", "ibs", "m_tdauc"), table)
     if oracle_c is not None:
         print(f"ablate: oracle C-index {oracle_c:.4f} (whole cohort)")
     print(f"ablate: summary written to {out / 'ablation.csv'}")
@@ -317,7 +319,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    # a rejected setting, or a censor rate the cohort cannot reach, exits 2
+    # a bad setting, an unreachable censor rate or no comparable pair exits 2
     with config_errors():
         synth_cfg = SynthConfig(
             n_samples=args.n, n_features=args.features,
@@ -326,17 +328,14 @@ def cmd_synth(args) -> int:
             target_censor_rate=args.censor_rate, seed=args.seed,
         )
         dataset, risks = generate(synth_cfg)
+        ceiling = c_index(risks, dataset.times, dataset.events)
     out_csv = Path(args.out)
     if out_csv.parent != Path(""):
         out_csv.parent.mkdir(parents=True, exist_ok=True)
     write_csv(dataset, out_csv)
-    ceiling = c_index(risks, dataset.times, dataset.events)
-    sidecar = {"seed": synth_cfg.seed, "bayes_c_index": ceiling,
-               "oracle_risks": risks.tolist()}
     sidecar_path = _oracle_sidecar(out_csv)
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
-        fh.write("\n")
+    write_json_object(sidecar_path, ORACLE_FORMAT, ORACLE_VERSION, {
+        "seed": synth_cfg.seed, "bayes_c_index": ceiling, "oracle_risks": risks.tolist()})
     censored = float(np.mean(dataset.events == 0))
     print(f"synth: {len(dataset)} samples, censored fraction {censored:.3f}, "
           f"oracle C-index {ceiling:.4f}; wrote {out_csv} and {sidecar_path}")

@@ -417,21 +417,33 @@ def split_dataset(dataset: SurvivalDataset, ratios, seed: int):
     return tuple(dataset.subset(p) for p in parts)
 
 
+def write_table(path, header, rows) -> None:
+    """Write a result table in comma-separated lines ending in LF: strings
+    and integers as they are, any other cell as ``repr(float(cell))``, which
+    reads back to the same double (a numpy scalar prints as a plain float),
+    so reruns of a job write the same bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(str(cell) if isinstance(cell, (str, int, np.integer))
+                              else repr(float(cell)) for cell in row) + "\n")
+
+
+def write_json_object(path, file_format: str, version: int, body: dict,
+                      indent: int | None = None) -> None:
+    """``body`` as one JSON object led by its ``format`` and ``version`` tags,
+    the file :func:`read_json_object` reads; floats round-trip via repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format": file_format, "version": version, **body}, fh, indent=indent)
+        fh.write("\n")
+
+
 GRID_VERSION = 1
 
 
 def save_grid(grid: TimeGrid, path) -> None:
     """Persist the three grid numbers as JSON (floats round-trip via repr)."""
-    payload = {
-        "format": "binsurv-grid",
-        "version": GRID_VERSION,
-        "k_bins": grid.k_bins,
-        "t_min": grid.t_min,
-        "t_max": grid.t_max,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json_object(path, "binsurv-grid", GRID_VERSION, {
+        "k_bins": grid.k_bins, "t_min": grid.t_min, "t_max": grid.t_max}, indent=2)
 
 
 def require_json_number(path, key: str, value, integer: bool = False) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (SurvivalDataset, TimeGrid, assign_bin, check_outcomes, check_paired,
-                   normalize_time)
+                   normalize_time, write_table)
 from .model import ModelParams, apply_head, forward, predict_risk, predict_survival
 
 
@@ -233,14 +233,20 @@ def tdauc(scores, times, events, t_grid) -> np.ndarray:
     return np.asarray(values)
 
 
-def _tdauc_curve(scores, times, events, t_grid):
-    """(times, values, mean) of TDAUC over the grid points that have cases
-    and controls, those t with earliest event time <= t < latest time; the
-    mean is the mean TDAUC."""
+def evaluable_tdauc_times(times, events, t_grid) -> np.ndarray:
+    """The points of ``t_grid`` at which TDAUC has cases and controls, those
+    t with earliest event time <= t < latest time; possibly none."""
     t_grid = _checked_grid(t_grid)
-    s, tm, e = _scored(scores, times, events)
+    tm, e = check_outcomes(times, events)
     first_event = tm[e == 1].min(initial=np.inf)
-    ts = t_grid[(first_event <= t_grid) & (t_grid < tm.max(initial=-np.inf))]
+    return t_grid[(first_event <= t_grid) & (t_grid < tm.max(initial=-np.inf))]
+
+
+def _tdauc_curve(scores, times, events, t_grid):
+    """(times, values, mean) of TDAUC over the grid points
+    :func:`evaluable_tdauc_times` keeps; the mean is the mean TDAUC."""
+    s, tm, e = _scored(scores, times, events)
+    ts = evaluable_tdauc_times(tm, e, t_grid)
     if ts.size == 0:
         raise UndefinedMetricError("no evaluable time points for mean TDAUC")
     values = tdauc(s, tm, e, ts)
@@ -497,16 +503,9 @@ def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("c_index,ibs,m_tdauc,hazard_ratio,cutoff,cutoff_source\n")
-        fh.write(",".join([
-            repr(report.c_index), repr(report.ibs), repr(report.m_tdauc),
-            repr(report.hazard_ratio), repr(report.cutoff), report.cutoff_source,
-        ]) + "\n")
+    names = ("c_index", "ibs", "m_tdauc", "hazard_ratio", "cutoff", "cutoff_source")
+    write_table(path, names, [[getattr(report, name) for name in names]])
 
 
 def write_curve_csv(path, times, values, value_name: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"time,{value_name}\n")
-        for t, v in zip(times, values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    write_table(path, ("time", value_name), zip(times, values))

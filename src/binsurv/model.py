@@ -12,7 +12,6 @@ it matches the feature columns by name and applies its stored scaler.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .data import (
     MIN_K_BINS, FeatureScaler, SurvivalDataset, apply_scaler, bin_midpoints,
-    read_json_object, require_json_number,
+    read_json_object, require_json_number, write_json_object,
 )
 
 BN_EPS = 1e-5
@@ -312,9 +311,7 @@ def save_checkpoint(path, model: TrainedModel) -> None:
     the same training job.
     """
     params = model.params
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    write_json_object(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "config": asdict(params.config),
         "tensors": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
@@ -328,10 +325,7 @@ def save_checkpoint(path, model: TrainedModel) -> None:
             "event_col": model.event_col,
             "cutoff": model.cutoff,
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(path) -> TrainedModel:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import BinnedBatch, SurvivalDataset
+from .data import BinnedBatch, SurvivalDataset, write_table
 from .losses import LossWeights, combined_loss
 from .metrics import c_index
 from .model import (
@@ -134,11 +134,5 @@ def fit(train: BinnedBatch, val: SurvivalDataset, model_config: ModelConfig,
 
 
 def write_history_csv(records, path) -> None:
-    """Epoch log: repr-formatted floats keep reruns byte-identical."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,lr,loss,likelihood,pairwise,calibration,val_c_index\n")
-        for r in records:
-            fh.write(
-                f"{r.epoch},{r.lr!r},{r.loss!r},{r.likelihood!r},"
-                f"{r.pairwise!r},{r.calibration!r},{r.val_c_index!r}\n"
-            )
+    """Epoch log, one row per :class:`EpochRecord`, in field order."""
+    write_table(path, [f.name for f in fields(EpochRecord)], map(astuple, records))

@@ -166,6 +166,9 @@ class TestSynthCommand:
         assert len(ds) == 400 and ds.n_features == 5
         sidecar = json.loads(
             (data_csv.parent / "synthetic.csv.oracle.json").read_text())
+        assert list(sidecar) == ["format", "version", "seed", "bayes_c_index",
+                                 "oracle_risks"]
+        assert sidecar["format"] == "binsurv-oracle" and sidecar["version"] == 1
         assert sidecar["seed"] == 11
         assert len(sidecar["oracle_risks"]) == 400
         assert 0.5 < sidecar["bayes_c_index"] <= 1.0
@@ -197,6 +200,16 @@ class TestSynthCommand:
                     "--out", str(out)]) == 2
         assert "target censor rate 0.5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # neither the CSV nor its sidecar
+
+    def test_no_comparable_pair_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # seed 0 draws one event and one censored row at an earlier time, so
+        # the oracle C-index is undefined; it is computed before any write
+        out = tmp_path / "sub" / "x.csv"
+        assert run(["synth", "--n", "2", "--censor-rate", "0.5", "--seed", "0",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no comparable pairs for the concordance index\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainCommand:
@@ -486,14 +499,24 @@ def test_repeated_ablation_row_is_named(data_csv, tmp_path, capsys, rows, messag
     assert not out.exists()
 
 
+ORACLE_TAG = '"format": "binsurv-oracle", "version": 1'
+
+
 @pytest.mark.parametrize("sidecar, message", [
-    ('{"seed": 0}', "bayes_c_index must be a number, got None"),
-    ('{"bayes_c_index": "0.8"}', "bayes_c_index must be a number, got '0.8'"),
-    ('{"bayes_c_index": NaN}', "bayes_c_index must be finite, got nan"),
-    ('{"bayes_c_index": true}', "bayes_c_index must be a number, got True"),
-    ("[0.8]", "not a JSON object"),
+    ('{%s, "seed": 0}' % ORACLE_TAG, "bayes_c_index must be a number, got None"),
+    ('{%s, "bayes_c_index": "0.8"}' % ORACLE_TAG,
+     "bayes_c_index must be a number, got '0.8'"),
+    ('{%s, "bayes_c_index": NaN}' % ORACLE_TAG, "bayes_c_index must be finite, got nan"),
+    ('{%s, "bayes_c_index": true}' % ORACLE_TAG,
+     "bayes_c_index must be a number, got True"),
+    ("[0.8]", "not a binsurv oracle file"),
     ("{", "not JSON: "),
-], ids=["missing", "string", "nan", "bool", "list", "not-json"])
+    # written before the sidecar carried its format and version
+    ('{"seed": 0, "bayes_c_index": 0.8, "oracle_risks": [0.1]}',
+     "not a binsurv oracle file"),
+    ('{"format": "binsurv-oracle", "version": 2, "bayes_c_index": 0.8}',
+     "unsupported oracle file version 2"),
+], ids=["missing", "string", "nan", "bool", "list", "not-json", "untagged", "version"])
 def test_bad_oracle_sidecar_exits_two_before_training(data_csv, tmp_path, capsys,
                                                       sidecar, message):
     # the sidecar is read before the first row trains, so nothing is written
@@ -561,6 +584,29 @@ class TestUnscorableSplits:
         assert code == 2
         assert f"error: test_csv={test} has no comparable pair" in capsys.readouterr().err
         assert not list(out.rglob("history.csv"))
+
+    def test_ablate_test_split_beyond_the_grid_rejected(self, tmp_path, capsys):
+        # the grid comes from training events in [1, 10], so no evaluation
+        # time reaches the first test event at 20 and the mean TDAUC of every
+        # row would be undefined; the C-index alone could score the split
+        rng = np.random.default_rng(3)
+        paths = {}
+        for name, n, low, high in (("train", 60, 1, 10), ("val", 30, 1, 10),
+                                   ("test", 30, 20, 30)):
+            paths[name] = tmp_path / f"{name}.csv"
+            events = np.arange(n) % 2
+            write_csv(SurvivalDataset(rng.standard_normal((n, 3)),
+                                      rng.uniform(low, high, n), events,
+                                      ("a", "b", "c")), paths[name])
+        out = tmp_path / "o"
+        code = run(["ablate", "--out", str(out), *FAST, "--rows", "mle",
+                    "--set", f"train_csv={paths['train']}",
+                    "--set", f"val_csv={paths['val']}",
+                    "--set", f"test_csv={paths['test']}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: test_csv={paths['test']} has no evaluation time for the mean TDAUC")
+        assert not out.exists()
 
     def test_single_file_split_is_named(self, data_csv, tmp_path, capsys):
         # the validation split is checked before the grid is built

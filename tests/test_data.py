@@ -14,7 +14,7 @@ from binsurv.data import (
     CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
     TimeGrid, apply_scaler, assign_bin, bin_dataset, bin_midpoints,
     build_time_grid, load_csv, load_grid, normalize_time, save_grid,
-    split_dataset, write_csv,
+    split_dataset, write_csv, write_table,
 )
 from helpers import random_dataset, reference_load_csv
 
@@ -551,6 +551,12 @@ class TestGridIO:
                      "t_max_1", "t_max_2"):
             assert getattr(back, name) == getattr(grid, name)
 
+    def test_save_load_save_is_byte_identical(self, tmp_path, rng):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_grid(build_time_grid(random_dataset(rng, 30), 9), first)
+        save_grid(load_grid(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_seven_key_file_loads_to_the_built_grid(self, tmp_path):
         # a grid.json as earlier versions wrote it, derived constants included
         path = tmp_path / "grid.json"
@@ -593,6 +599,32 @@ class TestGridIO:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_grid(path)
+
+
+class TestWriteTable:
+    """The writer of every result CSV: LF line ends, strings and integers as
+    they are and every other cell as repr(float(cell)), also under numpy 2,
+    where repr(np.float64(0.1)) reads np.float64(0.1)."""
+
+    def test_cells_against_literal_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("s", "i", "f", "g"), [
+            ("none", 7, 2.5, 1 / 3),
+            ("x", np.int64(-3), np.float64(0.1), np.float32(0.1)),
+            ("y", 0, np.float64("nan"), -np.inf),
+            ("z", 10**20, float("inf"), np.float64(1e-300)),
+        ])
+        assert path.read_bytes() == (
+            b"s,i,f,g\n"
+            b"none,7,2.5,0.3333333333333333\n"
+            b"x,-3,0.1,0.10000000149011612\n"
+            b"y,0,nan,-inf\n"
+            b"z,100000000000000000000,inf,1e-300\n")
+
+    def test_rows_may_be_an_iterator(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("time", "v"), zip(np.array([1.0, 2.0]), [0.5, 0.25]))
+        assert path.read_bytes() == b"time,v\n1.0,0.5\n2.0,0.25\n"
 
 
 class TestDatasetValidation:
