@@ -18,10 +18,10 @@ from .config import (
     ConfigError, ExperimentConfig, build_config, config_errors, parse_config_file,
 )
 from .data import (
-    CsvFormatError, DegenerateGridError, FeatureScaler, SurvivalDataset,
-    TimeGrid, apply_scaler, bin_dataset, build_time_grid, load_csv, load_grid,
-    read_json_object, require_json_number, save_grid, split_dataset, write_csv,
-    write_json_object, write_table,
+    BinnedBatch, CsvFormatError, DegenerateGridError, FeatureScaler,
+    SurvivalDataset, TimeGrid, apply_scaler, bin_dataset, build_time_grid,
+    load_csv, load_grid, read_json_object, require_json_number, save_grid,
+    split_dataset, write_csv, write_json_object, write_table,
 )
 from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
@@ -78,6 +78,7 @@ class _Setup:
     """Everything a run needs, built and checked before its first write."""
     raw: tuple                     # (train, val, test) as split or read
     train: SurvivalDataset         # standardized with ``scaler``
+    binned: BinnedBatch            # ``train`` normalized and binned on ``grid``
     val: SurvivalDataset
     test: SurvivalDataset | None   # None when there are no held-out rows
     scaler: FeatureScaler
@@ -104,13 +105,16 @@ def _require_scorable(cfg: ExperimentConfig, key: str, dataset: SurvivalDataset,
 
 
 def _setup(cfg: ExperimentConfig) -> _Setup:
-    """Load, split, scale and grid the data, and check every setting.
+    """Load, split, scale, grid and bin the data, and check every setting.
 
     Single-file or pre-split data gives train/val(/test).  The one scaler is
     fitted on the raw training split only, so validation and test rows feed
     no statistic in either mode.  A validation split with no comparable pair
     cannot select a model and is rejected here.
     """
+    for key in ("train_csv", "val_csv", "test_csv"):
+        if cfg.data and getattr(cfg, key):
+            raise ConfigError(f"data= cannot be combined with {key}=")
     weights, training = cfg.loss_weights(), cfg.train_config()
     if cfg.data:
         data = load_csv(cfg.data, cfg.time_col, cfg.event_col)
@@ -123,12 +127,15 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
         raise ConfigError("provide either data= or train_csv= and val_csv=")
     train, val, test = raw
     _require_scorable(cfg, "val_csv", val)
+    scaler = FeatureScaler.fit(train.features)
+    scaled = apply_scaler(train, scaler)
     with config_errors():
         grid = build_time_grid(train, cfg.k_bins)
-    scaler = FeatureScaler.fit(train.features)
+        binned = bin_dataset(scaled, grid)
     return _Setup(
         raw=raw,
-        train=apply_scaler(train, scaler),
+        train=scaled,
+        binned=binned,
         val=apply_scaler(val, scaler),
         test=apply_scaler(test, scaler) if test is not None and len(test) else None,
         scaler=scaler,
@@ -175,8 +182,7 @@ def _train_once(run: _Setup, cfg: ExperimentConfig, weights: LossWeights,
                 out_dir: Path):
     """Shared train-and-persist path used by both `train` and `ablate`."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    best, history = fit(bin_dataset(run.train, run.grid), run.val, run.model,
-                        weights, run.training)
+    best, history = fit(run.binned, run.val, run.model, weights, run.training)
     write_history_csv(history, out_dir / "history.csv")
 
     logits, _ = forward(best, run.train.features, mode="eval")

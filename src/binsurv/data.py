@@ -62,9 +62,9 @@ class TimeGrid:
 
     Three numbers fix the grid: ``k_bins`` and ``t_min``/``t_max``, the
     smallest and largest *event* times seen when the grid was built.
-    ``t_min`` maps to 0.1/k, ``t_max`` to (k - 2.1)/k and everything at or
-    beyond ``t_max_1`` is cropped onto (k - 1)/k, the left edge of the
-    reserved final bin.  The other constants are derived from these three.
+    ``origin`` maps to 0, ``t_min`` to 0.1/k, ``t_max`` to (k - 2.1)/k, and
+    everything at or beyond ``origin + (k - 1)/k * span`` is cropped onto
+    (k - 1)/k, the left edge of the reserved final bin.
     """
 
     k_bins: int
@@ -74,34 +74,28 @@ class TimeGrid:
     def __post_init__(self):
         if self.k_bins < MIN_K_BINS:
             raise ValueError(f"k_bins must be at least {MIN_K_BINS}")
-        if not -math.inf < self.t_min < self.t_max < math.inf:  # NaN fails too
-            raise ValueError("grid times must be finite with t_min < t_max, "
-                             f"got {self.t_min!r} and {self.t_max!r}")
+        if not 0.0 < self.t_min < self.t_max < math.inf:  # NaN fails too
+            raise ValueError("grid times must be finite with t_min < t_max and "
+                             f"t_min > 0, got {self.t_min!r} and {self.t_max!r}")
 
     @property
-    def delta_t(self) -> float:
-        return (self.t_max - self.t_min) / (self.k_bins - 2.2)
-
-    @property
-    def t_min_prime(self) -> float:
-        return self.t_min - 0.1 * self.delta_t
-
-    @property
-    def t_max_1(self) -> float:
-        return self.t_min_prime + (self.k_bins - 1) * self.delta_t
-
-    @property
-    def t_max_2(self) -> float:
-        return self.t_min_prime + self.k_bins * self.delta_t
+    def origin(self) -> float:
+        """Raw time of normalized time 0, one tenth of a bin below ``t_min``."""
+        return self.t_min - 0.1 * self._bin_width
 
     @property
     def span(self) -> float:
-        return self.t_max_2 - self.t_min_prime
+        """Raw-time length of normalized [0, 1), as end minus origin (not k * width)."""
+        return (self.origin + self.k_bins * self._bin_width) - self.origin
+
+    @property
+    def _bin_width(self) -> float:
+        return (self.t_max - self.t_min) / (self.k_bins - 2.2)
 
     def interior_boundaries(self) -> np.ndarray:
         """Raw-time positions of the k - 1 interior bin edges."""
         edges = np.arange(1, self.k_bins) / self.k_bins
-        return self.t_min_prime + edges * self.span
+        return self.origin + edges * self.span
 
 
 def check_paired(names: str, *arrays) -> None:
@@ -214,7 +208,7 @@ def normalize_time(t, grid: TimeGrid):
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError("times must be finite and strictly positive")
     upper = (grid.k_bins - 1) / grid.k_bins
-    return np.clip((arr - grid.t_min_prime) / grid.span, 0.0, upper)
+    return np.clip((arr - grid.origin) / grid.span, 0.0, upper)
 
 
 def assign_bin(t_norm, k_bins: int):

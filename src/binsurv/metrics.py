@@ -454,11 +454,10 @@ class EvalReport:
 
 def default_eval_times(grid: TimeGrid) -> np.ndarray:
     """Interior bin edges (raw time) below the largest training event time,
-    then that time itself."""
-    t_star = grid.t_max
-    pts = [float(b) for b in grid.interior_boundaries() if 0.0 < b < t_star]
-    pts.append(float(t_star))
-    return np.asarray(sorted(set(pts)), dtype=np.float64)
+    then that time itself; np.unique drops edges that round onto one double
+    (t_max - t_min within a few ulps of t_min).  Every edge exceeds t_min > 0."""
+    edges = grid.interior_boundaries()
+    return np.unique(np.append(edges[edges < grid.t_max], grid.t_max))
 
 
 def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid,

@@ -480,6 +480,24 @@ def reference_select_cutoff(scores, times, events, min_group_frac=0.1):
     return best_cut
 
 
+def reference_grid_reads(grid, times):
+    """(normalized ``times``, interior edges, default evaluation times) of
+    ``grid``, read through the chain of derived constants the grid once
+    exposed, delta_t -> t_min_prime -> t_max_2 -> span; a bit-exact oracle
+    for :class:`~binsurv.data.TimeGrid`'s ``origin`` and ``span``."""
+    k = grid.k_bins
+    delta_t = (grid.t_max - grid.t_min) / (k - 2.2)
+    t_min_prime = grid.t_min - 0.1 * delta_t
+    t_max_2 = t_min_prime + k * delta_t
+    span = t_max_2 - t_min_prime
+    t_norm = np.clip((np.asarray(times, dtype=np.float64) - t_min_prime) / span,
+                     0.0, (k - 1) / k)
+    edges = t_min_prime + np.arange(1, k) / k * span
+    pts = [float(b) for b in edges if 0.0 < b < grid.t_max]
+    pts.append(float(grid.t_max))
+    return t_norm, edges, np.asarray(sorted(set(pts)), dtype=np.float64)
+
+
 def reference_load_csv(path, time_column: str = "time",
                        event_column: str = "event") -> SurvivalDataset:
     """The per-cell ``float()`` CSV reader that ``load_csv`` replaced, kept

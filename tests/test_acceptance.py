@@ -156,7 +156,7 @@ def test_a06_ten_bin_grid_reference_points():
     grid = build_time_grid(ds, 10)
     n_lo = normalize_time(3.0, grid)
     n_hi = normalize_time(13.0, grid)
-    n_edge = normalize_time(grid.t_max_1, grid)
+    n_edge = normalize_time(grid.origin + 0.9 * grid.span, grid)  # the crop point
     assert n_lo == pytest.approx(0.01, abs=1e-12)
     assert n_hi == pytest.approx(0.79, abs=1e-12)
     assert n_edge == pytest.approx(0.9, abs=1e-12)

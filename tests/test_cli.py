@@ -415,6 +415,9 @@ def test_rejected_run_writes_nothing(data_csv, tmp_path, capsys, command, data,
     assert not out.exists()
 
 
+DATA_WITH_FILE = "data= cannot be combined with {}="
+
+
 @pytest.mark.parametrize("command, extra, message", [
     ("train", ZERO_WEIGHTS, "at least one of alpha, beta and gamma must be positive"),
     ("train", ["--set", "calib_bins=5"], "unknown config key 'calib_bins'"),
@@ -423,8 +426,12 @@ def test_rejected_run_writes_nothing(data_csv, tmp_path, capsys, command, data,
     ("train", ["--set", "split=0.5,0.5"],
      "split must be three comma-separated ratios, got '0.5,0.5'"),
     ("ablate-presplit", [], "ablate needs a test split (single-CSV mode or test_csv=)"),
+    ("prepare", ["--set", "train_csv=prep/train.csv"], DATA_WITH_FILE.format("train_csv")),
+    ("train", ["--set", "val_csv=prep/val.csv"], DATA_WITH_FILE.format("val_csv")),
+    ("ablate", ["--set", "test_csv=prep/test.csv"], DATA_WITH_FILE.format("test_csv")),
 ], ids=["zero-weights", "calib_bins", "set-without-value", "non-numeric-split",
-        "two-part-split", "ablate-without-test_csv"])
+        "two-part-split", "ablate-without-test_csv", "prepare-data-with-train_csv",
+        "train-data-with-val_csv", "ablate-data-with-test_csv"])
 def test_rejected_train_setting_is_named(data_csv, tmp_path, capsys, command, extra,
                                          message):
     out = tmp_path / "o"
@@ -471,6 +478,24 @@ def test_file_without_features_exits_two(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: {data}: no feature column\n")
+    assert not out.exists()
+
+
+def test_events_a_few_ulps_apart_exit_two_before_writing(tmp_path, capsys):
+    # t_max - t_min is two ulps of t_min: with 40 bins the rounded grid puts
+    # the last training event in the reserved bin
+    train, val = tmp_path / "train.csv", tmp_path / "val.csv"
+    times = [1.0, float(np.nextafter(1.0, 2.0)), 1.0 + 2 * float(np.spacing(1.0))]
+    train.write_text("x1,time,event\n" + "".join(
+        f"{i % 5},{times[i % 3]!r},{i % 2}\n" for i in range(30)), encoding="utf-8")
+    val.write_text("x1,time,event\n" + "".join(
+        f"{i % 5},{i + 1}.0,{i % 2}\n" for i in range(20)), encoding="utf-8")
+    out = tmp_path / "o"
+    code = run(["train", "--set", f"train_csv={train}", "--set", f"val_csv={val}",
+                "--set", "k_bins=40", "--out", str(out), *FAST])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: an event lies in the reserved bin 40, at or beyond the grid's crop point\n")
     assert not out.exists()
 
 
@@ -884,6 +909,8 @@ class TestEvaluateCommand:
         ("grid", lambda p: {**p, "version": True}, "version must be an integer, got True"),
         ("grid", lambda p: {k: v for k, v in p.items() if k != "version"},
          "version must be an integer, got None"),
+        ("grid", lambda p: {**p, "t_min": 0.0},
+         "grid times must be finite with t_min < t_max and t_min > 0"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
             "extra-config-key", "no-tensors", "missing-tensor",
             "reshaped-tensor", "short-tensor", "null-value", "nan-value", "extra-tensor",
@@ -900,7 +927,7 @@ class TestEvaluateCommand:
             "no-event_col", "no-cutoff", "huge-scaler_mean",
             "huge-cutoff", "huge-tensor-value", "grid-huge-t_max",
             "bool-version", "float-version", "string-version", "no-version",
-            "grid-version", "grid-bool-version", "grid-no-version"])
+            "grid-version", "grid-bool-version", "grid-no-version", "grid-zero-t_min"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")

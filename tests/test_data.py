@@ -16,7 +16,8 @@ from binsurv.data import (
     build_time_grid, load_csv, load_grid, normalize_time, save_grid,
     split_dataset, write_csv, write_table,
 )
-from helpers import random_dataset, reference_load_csv
+from binsurv.metrics import default_eval_times
+from helpers import random_dataset, reference_grid_reads, reference_load_csv
 
 
 def make_dataset(times, events, n_features=2, seed=0):
@@ -34,18 +35,21 @@ class TestGridConstruction:
         ds = make_dataset([1.0, 11.0, 5.0], [1, 1, 0])
         grid = build_time_grid(ds, 10)
         assert grid.t_min == 1.0 and grid.t_max == 11.0
-        assert grid.delta_t == pytest.approx(10.0 / 7.8)
-        assert grid.t_min_prime == pytest.approx(1.0 - 0.1 * grid.delta_t)
-        assert grid.t_max_1 == pytest.approx(grid.t_min_prime + 9 * grid.delta_t)
-        assert grid.t_max_2 == pytest.approx(grid.t_min_prime + 10 * grid.delta_t)
-        assert grid.span == pytest.approx(grid.t_max_2 - grid.t_min_prime)
+        # ten bins of width 10 / 7.8, starting one tenth of a bin below t_min
+        assert grid.origin == pytest.approx(1.0 - 1.0 / 7.8)
+        assert grid.span == pytest.approx(100.0 / 7.8)
+        assert normalize_time(1.0, grid) == pytest.approx(0.01)
+        assert normalize_time(11.0, grid) == pytest.approx(0.79)
+        crop = grid.origin + 0.9 * grid.span
+        assert normalize_time([crop, crop + 1.0], grid) == pytest.approx([0.9, 0.9])
+        assert np.all(assign_bin(normalize_time([crop, crop + 1.0], grid), 10) == 10)
 
     def test_censored_times_do_not_shape_the_grid(self):
         base = make_dataset([2.0, 8.0], [1, 1])
         padded = make_dataset([2.0, 8.0, 0.1, 50.0], [1, 1, 0, 0])
         g1, g2 = build_time_grid(base, 6), build_time_grid(padded, 6)
-        assert g1.t_min == g2.t_min and g1.t_max == g2.t_max
-        assert g1.delta_t == g2.delta_t
+        assert g1 == g2
+        assert g1.origin == g2.origin and g1.span == g2.span
 
     def test_needs_two_distinct_event_times(self):
         with pytest.raises(DegenerateGridError):
@@ -63,6 +67,8 @@ class TestGridConstruction:
         (5, 1.0, math.inf, "finite"),
         (5, 2.0, 2.0, "t_min < t_max"),
         (5, 3.0, 2.0, "t_min < t_max"),
+        (5, 0.0, 2.0, "t_min > 0"),
+        (5, -1.0, 2.0, "t_min > 0"),
     ])
     def test_time_grid_rejects_invalid_numbers(self, k_bins, t_min, t_max,
                                                message):
@@ -87,7 +93,9 @@ class TestNormalize:
             grid = build_time_grid(ds, k)
             assert normalize_time(2.0, grid) == pytest.approx(0.1 / k)
             assert normalize_time(6.0, grid) == pytest.approx((k - 2.1) / k)
-            assert normalize_time(grid.t_max_1, grid) == pytest.approx((k - 1) / k)
+            crop = grid.origin + (k - 1) / k * grid.span
+            assert normalize_time(crop, grid) == pytest.approx((k - 1) / k)
+            assert assign_bin(normalize_time(crop, grid), k) == k
             assert normalize_time(1e12, grid) == (k - 1) / k  # exact double
 
     def test_below_origin_clamps_to_zero(self):
@@ -142,13 +150,40 @@ def test_scalar_normalize_and_bin_are_the_array_calls():
     # one return type: a scalar comes back as a numpy value equal to
     # element 0 of the same call on a one-element array
     grid = build_time_grid(make_dataset([2.0, 6.0], [1, 1]), 10)
-    for t in (1e-9, 2.0, 4.5, 6.0, grid.t_max_1, 1e12):
+    for t in (1e-9, 2.0, 4.5, 6.0, grid.origin + 0.9 * grid.span, 1e12):
         t_norm = normalize_time(t, grid)
         assert isinstance(t_norm, (np.generic, np.ndarray))
         assert t_norm == normalize_time(np.array([t]), grid)[0]
         k = assign_bin(float(t_norm), grid.k_bins)
         assert isinstance(k, (np.generic, np.ndarray))
         assert k == assign_bin(np.array([float(t_norm)]), grid.k_bins)[0]
+
+
+def test_grid_reads_match_the_derived_constant_chain_bit_for_bit():
+    # three families of grids, k from 3 to 40 and times from 1e-6 to 1e6:
+    # spreads of 1e-3 to 1e3 times t_min; a tiny t_min under a wide spread,
+    # so the origin lies at or below 0; and t_max a few ulps above t_min,
+    # where neighbouring edges round onto one double
+    rng = np.random.default_rng(34)
+    for i in range(2400):
+        k = int(rng.integers(3, 41))
+        t_min = 10.0 ** rng.uniform(-6.0, 6.0)
+        if i % 3 == 0:
+            t_max = t_min * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0))
+        elif i % 3 == 1:
+            t_min, t_max = 10.0 ** rng.uniform(-6.0, -2.0), 10.0 ** rng.uniform(1.0, 6.0)
+        else:
+            t_max = t_min + int(rng.integers(1, 50)) * np.spacing(t_min)
+        grid = TimeGrid(k, t_min, t_max)
+        assert grid.origin <= 0.0 or i % 3 != 1
+        edges = grid.interior_boundaries()
+        times = np.concatenate([[t_min, t_max, grid.origin + (k - 1) / k * grid.span],
+                                edges, t_min + (t_max - t_min) * rng.random(10),
+                                10.0 ** rng.uniform(-7.0, 7.0, 10)])
+        t_norm, ref_edges, ref_eval = reference_grid_reads(grid, times)
+        assert np.array_equal(normalize_time(times, grid), t_norm), grid
+        assert np.array_equal(edges, ref_edges), grid
+        assert np.array_equal(default_eval_times(grid), ref_eval), grid
 
 
 class TestBinDataset:
@@ -547,8 +582,7 @@ class TestGridIO:
         assert list(payload) == ["format", "version", "k_bins", "t_min", "t_max"]
         back = load_grid(path)
         assert back.k_bins == grid.k_bins
-        for name in ("t_min", "t_max", "delta_t", "t_min_prime",
-                     "t_max_1", "t_max_2"):
+        for name in ("t_min", "t_max", "origin", "span"):
             assert getattr(back, name) == getattr(grid, name)
 
     def test_save_load_save_is_byte_identical(self, tmp_path, rng):
@@ -571,10 +605,11 @@ class TestGridIO:
         built = build_time_grid(make_dataset([0.37, 9.81, 4.2], [1, 1, 0]), 7)
         loaded = load_grid(path)
         assert loaded == built
-        for name in ("t_min", "t_max", "delta_t", "t_min_prime",
-                     "t_max_1", "t_max_2"):
-            assert getattr(loaded, name) == stored[name], name
-            assert getattr(built, name) == stored[name], name
+        # the stored derived constants agree with the grid read from t_min/t_max
+        for grid in (loaded, built):
+            assert (grid.t_min, grid.t_max) == (stored["t_min"], stored["t_max"])
+            assert grid.origin == stored["t_min_prime"]
+            assert grid.span == stored["t_max_2"] - stored["t_min_prime"]
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "bad.json"
