@@ -131,7 +131,7 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
     scaled = apply_scaler(train, scaler)
     with config_errors():
         grid = build_time_grid(train, cfg.k_bins)
-        binned = bin_dataset(scaled, grid)
+    binned = bin_dataset(scaled, grid)  # a grid bins its own events below bin k
     return _Setup(
         raw=raw,
         train=scaled,

@@ -64,7 +64,9 @@ class TimeGrid:
     smallest and largest *event* times seen when the grid was built.
     ``origin`` maps to 0, ``t_min`` to 0.1/k, ``t_max`` to (k - 2.1)/k, and
     everything at or beyond ``origin + (k - 1)/k * span`` is cropped onto
-    (k - 1)/k, the left edge of the reserved final bin.
+    (k - 1)/k, the left edge of the reserved final bin.  A grid whose
+    rounded edges do not strictly increase, or which does not bin ``t_min``
+    into bin 1 and ``t_max`` into bin k - 2, raises DegenerateGridError.
     """
 
     k_bins: int
@@ -77,6 +79,13 @@ class TimeGrid:
         if not 0.0 < self.t_min < self.t_max < math.inf:  # NaN fails too
             raise ValueError("grid times must be finite with t_min < t_max and "
                              f"t_min > 0, got {self.t_min!r} and {self.t_max!r}")
+        edges, k = self.interior_boundaries(), self.k_bins
+        if not (np.all(edges[1:] > edges[:-1]) and assign_bin(normalize_time(
+                [self.t_min, self.t_max], self), k).tolist() == [1, k - 2]):
+            raise DegenerateGridError(
+                f"k_bins={k} cannot lay out event times {float(self.t_min)!r} and "
+                f"{float(self.t_max)!r}: its rounded edges must rise strictly and put "
+                f"them in bins 1 and {k - 2}")
 
     @property
     def origin(self) -> float:
@@ -228,9 +237,8 @@ def bin_midpoints(k_bins: int) -> np.ndarray:
 def bin_dataset(dataset: SurvivalDataset, grid: TimeGrid) -> BinnedBatch:
     """Normalize and bin every sample with a pre-built grid.
 
-    Events never occupy the reserved final bin: on the split the grid was
-    built from, the last event lands in bin k - 2.  An event at or beyond
-    the grid's crop point raises ValueError.
+    A grid puts its own events in bins 1..k-2; any other event at or beyond
+    its crop point, in the reserved final bin, raises ValueError.
     """
     t_norm = normalize_time(dataset.times, grid)
     bins = assign_bin(t_norm, grid.k_bins)

@@ -214,14 +214,13 @@ def calibration_loss(pmfs: np.ndarray, batch: BinnedBatch):
     pred[valid] = mass[valid] / pred_den[valid]
     obs = np.zeros(k)
     obs[valid] = ev_count[valid] / obs_den[valid]
-    diff = np.where(valid, pred - obs, 0.0)
+    diff = pred - obs  # +0.0 off the valid bins, where pred and obs are both 0
     n_valid = int(valid.sum())
     value = float((diff ** 2).sum() / n_valid)
 
     # d pred_g / d p[i, c] = (1[c = g] - pred_g * 1[c >= g]) / pred_den_g,
     # identical for every row i, so the gradient is one per-column vector
-    c_g = np.where(valid, 2.0 * diff / n_valid, 0.0)
-    a_vec = np.where(valid, c_g / np.where(valid, pred_den, 1.0), 0.0)
+    a_vec = 2.0 * diff / n_valid / np.where(valid, pred_den, 1.0)
     col_grad = a_vec - np.cumsum(a_vec * pred)
     grad = np.broadcast_to(col_grad, p.shape).copy()
     return value, grad

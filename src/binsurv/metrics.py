@@ -454,10 +454,9 @@ class EvalReport:
 
 def default_eval_times(grid: TimeGrid) -> np.ndarray:
     """Interior bin edges (raw time) below the largest training event time,
-    then that time itself; np.unique drops edges that round onto one double
-    (t_max - t_min within a few ulps of t_min).  Every edge exceeds t_min > 0."""
+    then that time itself: strictly increasing, and every one exceeds t_min > 0."""
     edges = grid.interior_boundaries()
-    return np.unique(np.append(edges[edges < grid.t_max], grid.t_max))
+    return np.append(edges[edges < grid.t_max], grid.t_max)
 
 
 def evaluate_model(params: ModelParams, dataset: SurvivalDataset, grid: TimeGrid,

@@ -89,7 +89,6 @@ def _tune_censor_rate(event_times: np.ndarray, u_cens: np.ndarray,
     else:
         raise ValueError("could not bracket the target censor rate from below")
 
-    rate = hi
     for _ in range(500):
         mid = math.sqrt(lo * hi)
         frac = censored_fraction(mid)

@@ -482,8 +482,8 @@ def test_file_without_features_exits_two(tmp_path, capsys):
 
 
 def test_events_a_few_ulps_apart_exit_two_before_writing(tmp_path, capsys):
-    # t_max - t_min is two ulps of t_min: with 40 bins the rounded grid puts
-    # the last training event in the reserved bin
+    # t_max - t_min is two ulps of t_min: with 40 bins the rounded grid would
+    # put the last training event in the reserved bin, so no grid is built
     train, val = tmp_path / "train.csv", tmp_path / "val.csv"
     times = [1.0, float(np.nextafter(1.0, 2.0)), 1.0 + 2 * float(np.spacing(1.0))]
     train.write_text("x1,time,event\n" + "".join(
@@ -495,7 +495,8 @@ def test_events_a_few_ulps_apart_exit_two_before_writing(tmp_path, capsys):
                 "--set", "k_bins=40", "--out", str(out), *FAST])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: an event lies in the reserved bin 40, at or beyond the grid's crop point\n")
+        "error: k_bins=40 cannot lay out event times 1.0 and 1.0000000000000004: its "
+        "rounded edges must rise strictly and put them in bins 1 and 38\n")
     assert not out.exists()
 
 
@@ -911,6 +912,9 @@ class TestEvaluateCommand:
          "version must be an integer, got None"),
         ("grid", lambda p: {**p, "t_min": 0.0},
          "grid times must be finite with t_min < t_max and t_min > 0"),
+        # two ulps apart, the checkpoint's 10 bins cannot lay the times out
+        ("grid", lambda p: {**p, "t_min": 1.0, "t_max": 1.0 + 2 ** -51},
+         "k_bins=10 cannot lay out event times 1.0 and 1.0000000000000004"),
     ], ids=["foreign-checkpoint", "checkpoint-version", "mtlr-head",
             "extra-config-key", "no-tensors", "missing-tensor",
             "reshaped-tensor", "short-tensor", "null-value", "nan-value", "extra-tensor",
@@ -927,7 +931,8 @@ class TestEvaluateCommand:
             "no-event_col", "no-cutoff", "huge-scaler_mean",
             "huge-cutoff", "huge-tensor-value", "grid-huge-t_max",
             "bool-version", "float-version", "string-version", "no-version",
-            "grid-version", "grid-bool-version", "grid-no-version", "grid-zero-t_min"])
+            "grid-version", "grid-bool-version", "grid-no-version", "grid-zero-t_min",
+            "grid-two-ulp-times"])
     def test_unreadable_model_file_exits_two(self, run_dir, tmp_path, capsys,
                                              which, edit, message):
         source = run_dir / ("checkpoint.json" if which == "checkpoint" else "grid.json")

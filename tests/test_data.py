@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -163,8 +164,11 @@ def test_grid_reads_match_the_derived_constant_chain_bit_for_bit():
     # three families of grids, k from 3 to 40 and times from 1e-6 to 1e6:
     # spreads of 1e-3 to 1e3 times t_min; a tiny t_min under a wide spread,
     # so the origin lies at or below 0; and t_max a few ulps above t_min,
-    # where neighbouring edges round onto one double
+    # where neighbouring edges can round onto one double.  A grid raises
+    # exactly when the chain's edges do not strictly increase or it bins
+    # t_min or t_max outside bins 1 and k - 2; the rest read as the chain.
     rng = np.random.default_rng(34)
+    raised = 0
     for i in range(2400):
         k = int(rng.integers(3, 41))
         t_min = 10.0 ** rng.uniform(-6.0, 6.0)
@@ -174,6 +178,18 @@ def test_grid_reads_match_the_derived_constant_chain_bit_for_bit():
             t_min, t_max = 10.0 ** rng.uniform(-6.0, -2.0), 10.0 ** rng.uniform(1.0, 6.0)
         else:
             t_max = t_min + int(rng.integers(1, 50)) * np.spacing(t_min)
+        numbers = SimpleNamespace(k_bins=k, t_min=t_min, t_max=t_max)
+        ends_norm, chain_edges, _ = reference_grid_reads(numbers, [t_min, t_max])
+        holds = (np.all(np.diff(chain_edges) > 0)
+                 and assign_bin(ends_norm, k).tolist() == [1, k - 2])
+        if not holds:
+            assert i % 3 == 2, numbers  # only nearly equal times are rejected
+            message = (f"k_bins={k} cannot lay out event times {float(t_min)!r} "
+                       f"and {float(t_max)!r}:")
+            with pytest.raises(DegenerateGridError, match=re.escape(message)):
+                TimeGrid(k, t_min, t_max)
+            raised += 1
+            continue
         grid = TimeGrid(k, t_min, t_max)
         assert grid.origin <= 0.0 or i % 3 != 1
         edges = grid.interior_boundaries()
@@ -184,6 +200,19 @@ def test_grid_reads_match_the_derived_constant_chain_bit_for_bit():
         assert np.array_equal(normalize_time(times, grid), t_norm), grid
         assert np.array_equal(edges, ref_edges), grid
         assert np.array_equal(default_eval_times(grid), ref_eval), grid
+    assert 0 < raised < 800  # some of the ulp family, not all of it
+
+
+def test_grids_spread_a_millionth_of_t_min_or_more_construct():
+    # k from 3 to 40, t_min from 1e-6 to 1e6, t_max - t_min from 1e-6 to 1e3
+    # times t_min: every grid lays out its two event times
+    rng = np.random.default_rng(37)
+    n = 20_000
+    ks = rng.integers(3, 41, n)
+    t_min = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    t_max = t_min * (1.0 + 10.0 ** rng.uniform(-6.0, 3.0, n))
+    for k, lo, hi in zip(ks.tolist(), t_min.tolist(), t_max.tolist()):
+        TimeGrid(k, lo, hi)
 
 
 class TestBinDataset:
