@@ -25,9 +25,8 @@ from .data import (
 )
 from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
-    UndefinedMetricError, c_index, default_eval_times, evaluable_tdauc_times,
-    evaluate_model, has_comparable_pair, select_cutoff, write_curve_csv,
-    write_report_csv,
+    UndefinedMetricError, c_index, default_eval_times, evaluate_model, m_tdauc,
+    select_cutoff, write_curve_csv, write_report_csv,
 )
 from .model import (
     ModelConfig, TrainedModel, apply_head, forward, load_checkpoint, predict_risk,
@@ -90,18 +89,19 @@ class _Setup:
 
 def _require_scorable(cfg: ExperimentConfig, key: str, dataset: SurvivalDataset,
                       grid: TimeGrid | None = None) -> None:
-    """Reject a split the C-index cannot score, or with ``grid`` one with no
-    time of its evaluation grid for the mean TDAUC, naming the file ``key``
-    of the config, or in single-file mode the split's part of data=."""
+    """Reject a split the C-index cannot score, or with ``grid`` one the mean
+    TDAUC cannot score on that grid, naming the file ``key`` of the config,
+    or in single-file mode the split's part of data=.  Neither metric's
+    definedness depends on the scores, so constant ones stand in for them."""
     label = (f"the {key.removesuffix('_csv')} split of data={cfg.data}"
              if cfg.data else f"{key}={getattr(cfg, key)}")
-    if not has_comparable_pair(dataset.times, dataset.events):
-        raise ConfigError(f"{label} has no comparable pair (an event followed "
-                          "by a later time), so its C-index is undefined")
-    if grid is not None and not evaluable_tdauc_times(
-            dataset.times, dataset.events, default_eval_times(grid)).size:
-        raise ConfigError(f"{label} has no evaluation time for the mean TDAUC (a grid "
-                          "time at or after its first event and before its last time)")
+    scores = np.zeros(len(dataset))
+    try:
+        c_index(scores, dataset.times, dataset.events)
+        if grid is not None:
+            m_tdauc(scores, dataset.times, dataset.events, default_eval_times(grid))
+    except UndefinedMetricError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
 
 
 def _setup(cfg: ExperimentConfig) -> _Setup:

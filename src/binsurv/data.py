@@ -200,7 +200,7 @@ def build_time_grid(dataset: SurvivalDataset, k_bins: int) -> TimeGrid:
     finite interval plus the reserved "beyond observation" bin.
     """
     event_times = dataset.times[dataset.events == 1]
-    if np.unique(event_times).size < 2:
+    if not event_times.size or event_times.min() == event_times.max():
         raise DegenerateGridError(
             "time grid needs at least two distinct event times"
         )

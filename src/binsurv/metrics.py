@@ -77,9 +77,10 @@ def c_index(scores, times, events) -> float:
     # time order; same-time samples by score, so none is later and lower
     order = np.lexsort((s, t))
     s, t, is_event = s[order], t[order], e[order] == 1
-    den = _comparable_pair_count(t, is_event)
+    den = int((t.size - np.searchsorted(t, t[is_event], side="right")).sum())
     if den == 0:
-        raise UndefinedMetricError("no comparable pairs for the concordance index")
+        raise UndefinedMetricError("no comparable pairs for the concordance index "
+                                   "(no event is followed by a later time)")
     lower = _later_lower_count(s, is_event)
     n = t.size
     t_rank = np.cumsum(np.concatenate(([False], t[1:] != t[:-1])))
@@ -91,18 +92,6 @@ def c_index(scores, times, events) -> float:
     tied = int((np.searchsorted(sorted_key, last_of_score, side="right")
                 - np.searchsorted(sorted_key, ev_key, side="right")).sum())
     return float((lower + 0.5 * tied) / den)
-
-
-def _comparable_pair_count(t, is_event) -> int:
-    """Pairs (event i, t_i < t_j) among samples sorted by time ``t``."""
-    return int((t.size - np.searchsorted(t, t[is_event], side="right")).sum())
-
-
-def has_comparable_pair(times, events) -> bool:
-    """Whether some event precedes a later time, so :func:`c_index` is
-    defined: exactly when some event is earlier than the latest time."""
-    t, e = check_outcomes(times, events)
-    return t.size > 0 and bool((t[e == 1] < t.max()).any())
 
 
 def _later_lower_count(s, is_event) -> int:
@@ -233,22 +222,18 @@ def tdauc(scores, times, events, t_grid) -> np.ndarray:
     return np.asarray(values)
 
 
-def evaluable_tdauc_times(times, events, t_grid) -> np.ndarray:
-    """The points of ``t_grid`` at which TDAUC has cases and controls, those
-    t with earliest event time <= t < latest time; possibly none."""
-    t_grid = _checked_grid(t_grid)
-    tm, e = check_outcomes(times, events)
-    first_event = tm[e == 1].min(initial=np.inf)
-    return t_grid[(first_event <= t_grid) & (t_grid < tm.max(initial=-np.inf))]
-
-
 def _tdauc_curve(scores, times, events, t_grid):
-    """(times, values, mean) of TDAUC over the grid points
-    :func:`evaluable_tdauc_times` keeps; the mean is the mean TDAUC."""
+    """(times, values, mean) of TDAUC over the points of ``t_grid`` that have
+    cases and controls, those t with earliest event time <= t < latest time;
+    the mean is the mean TDAUC."""
     s, tm, e = _scored(scores, times, events)
-    ts = evaluable_tdauc_times(tm, e, t_grid)
+    t_grid = _checked_grid(t_grid)
+    first_event = tm[e == 1].min(initial=np.inf)
+    ts = t_grid[(first_event <= t_grid) & (t_grid < tm.max(initial=-np.inf))]
     if ts.size == 0:
-        raise UndefinedMetricError("no evaluable time points for mean TDAUC")
+        raise UndefinedMetricError("no evaluable time points for mean TDAUC (no grid "
+                                   "time at or after the first event and before the "
+                                   "last time)")
     values = tdauc(s, tm, e, ts)
     return ts, values, float(np.mean(values))
 
@@ -392,14 +377,17 @@ def select_cutoff(scores, times, events, min_group_frac: float = 0.1) -> float:
     if not 0.0 <= min_group_frac <= 0.5:
         raise ValueError(f"min_group_frac must be a finite value in [0, 0.5], "
                          f"got {min_group_frac!r}")
-    uniq = np.unique(s)
+    n = s.size
+    ordered = np.sort(s)
+    distinct = np.ones(n, dtype=bool)  # the first of each run of equal scores
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    uniq = ordered[distinct]
     if uniq.size < 2:
         raise UndefinedMetricError("cutoff selection needs at least two distinct scores")
-    n = s.size
     min_count = max(1, math.ceil(min_group_frac * n))
     candidates = (uniq[:-1] + uniq[1:]) / 2.0
     # rows scoring above each candidate
-    n_high = n - np.searchsorted(np.sort(s), candidates, side="right")
+    n_high = n - np.searchsorted(ordered, candidates, side="right")
     first = np.count_nonzero(n_high > n - min_count)
     stop = np.count_nonzero(n_high >= min_count)
     if first >= stop:

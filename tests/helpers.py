@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,12 +25,22 @@ from binsurv.model import (
 
 GRAD_FLOOR = 1e-4  # relative-error denominator floor for near-zero gradients
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def readme_python_blocks() -> list[str]:
     """The source of every ```python block of README.md, in order."""
     return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
                       re.DOTALL)
+
+
+def run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run the Python source ``code`` in a new interpreter in ``cwd``, with
+    this checkout's ``src`` first on PYTHONPATH; its output is captured."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600)
 
 
 def random_dataset(rng, n, n_features=3, censor_frac=0.3, censored_low=False):

@@ -3,11 +3,8 @@
 import ast
 import inspect
 import json
-import os
 import re
 import shutil
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -32,7 +29,7 @@ from binsurv.model import (
 from binsurv.synth import SynthConfig
 from binsurv.training import TrainConfig
 
-from helpers import README, readme_python_blocks
+from helpers import README, readme_python_blocks, run_fresh
 
 
 def run(args):
@@ -49,6 +46,13 @@ def data_csv(tmp_path_factory):
 
 FAST = ["--set", "epochs=5", "--set", "batch_size=64", "--set", "lr_init=0.05",
         "--set", "hidden_dim=8", "--set", "n_blocks=1"]
+
+
+# what c_index and the mean TDAUC raise on rows they cannot score
+NO_PAIR = ("no comparable pairs for the concordance index "
+           "(no event is followed by a later time)")
+NO_TDAUC_TIME = ("no evaluable time points for mean TDAUC (no grid time at or "
+                 "after the first event and before the last time)")
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +211,7 @@ class TestSynthCommand:
         out = tmp_path / "sub" / "x.csv"
         assert run(["synth", "--n", "2", "--censor-rate", "0.5", "--seed", "0",
                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: no comparable pairs for the concordance index\n")
+        assert capsys.readouterr().err == f"error: {NO_PAIR}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -595,7 +598,7 @@ class TestUnscorableSplits:
                     "--set", f"test_csv={prep_dir / 'test.csv'}"])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: val_csv={val} has no comparable pair" in err
+        assert f"error: val_csv={val}: {NO_PAIR}" in err
         assert not list(out.rglob("history.csv"))  # no epoch ran
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -608,7 +611,7 @@ class TestUnscorableSplits:
                     "--set", f"val_csv={prep_dir / 'val.csv'}",
                     "--set", f"test_csv={test}"])
         assert code == 2
-        assert f"error: test_csv={test} has no comparable pair" in capsys.readouterr().err
+        assert f"error: test_csv={test}: {NO_PAIR}" in capsys.readouterr().err
         assert not list(out.rglob("history.csv"))
 
     def test_ablate_test_split_beyond_the_grid_rejected(self, tmp_path, capsys):
@@ -631,7 +634,7 @@ class TestUnscorableSplits:
                     "--set", f"test_csv={paths['test']}"])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            f"error: test_csv={paths['test']} has no evaluation time for the mean TDAUC")
+            f"error: test_csv={paths['test']}: {NO_TDAUC_TIME}")
         assert not out.exists()
 
     def test_single_file_split_is_named(self, data_csv, tmp_path, capsys):
@@ -640,7 +643,7 @@ class TestUnscorableSplits:
         code = run(["train", "--data", str(data), "--out", str(tmp_path / "o"),
                     *FAST])
         assert code == 2
-        assert (f"error: the val split of data={data} has no comparable pair"
+        assert (f"error: the val split of data={data}: {NO_PAIR}"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -1120,9 +1123,26 @@ def test_package_exports_exactly_what_readme_imports():
 @pytest.mark.parametrize("block", range(len(README_BLOCKS)))
 def test_readme_python_block_runs_on_its_own(readme_dir, block):
     # a fresh interpreter, so the block runs on its own imports only
-    src = str(Path(binsurv.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", README_BLOCKS[block]],
-                            cwd=readme_dir, env={**os.environ, "PYTHONPATH": path},
-                            capture_output=True, text=True, timeout=600)
+    result = run_fresh(README_BLOCKS[block], readme_dir)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "ablate", "evaluate", "synth"])
+def test_no_command_imports_numpy_ma(data_csv, run_dir, tmp_path, command):
+    # no command needs numpy.ma, and a plain np.unique imports it
+    args = {
+        "prepare": ["prepare", "--data", str(data_csv), "--out", "o"],
+        "train": ["train", "--data", str(data_csv), "--out", "o", *FAST,
+                  "--set", "epochs=1"],
+        "ablate": ["ablate", "--data", str(data_csv), "--out", "o", *FAST,
+                   "--set", "epochs=1", "--rows", "mle"],
+        "evaluate": ["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                     "--grid", str(run_dir / "grid.json"),
+                     "--data", str(run_dir / "test.csv"), "--out", "o"],
+        "synth": ["synth", "--n", "300", "--out", "o.csv"],
+    }[command]
+    result = run_fresh("import sys\nfrom binsurv.cli import main\n"
+                       f"assert main({args!r}) == 0\n"
+                       "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n",
+                       tmp_path)
     assert result.returncode == 0, result.stderr

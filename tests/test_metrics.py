@@ -12,7 +12,7 @@ import binsurv.metrics
 from binsurv.data import TimeGrid, bin_dataset, build_time_grid, check_outcomes
 from binsurv.metrics import (
     UndefinedMetricError, _log_rank_tables, brier_score_t, c_index, default_eval_times,
-    evaluate_model, has_comparable_pair, hazard_ratio, ibs, kaplan_meier,
+    evaluate_model, hazard_ratio, ibs, kaplan_meier,
     log_rank, m_tdauc, select_cutoff, tdauc,
 )
 from binsurv.model import (
@@ -128,7 +128,7 @@ class TestKaplanMeier:
                 assert value == lookup(np.array([t]))[0]
 
 
-class TestHasComparablePair:
+class TestCIndexDefined:
     @given(ROWS)
     @example([])                            # empty input
     @example([(1.0, 1)])                    # one row
@@ -136,10 +136,15 @@ class TestHasComparablePair:
     @example([(2.0, 1), (2.0, 1), (2.0, 0)])  # every event tied at the maximum
     @example([(1.0, 1), (2.0, 1), (2.0, 0)])
     @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_pair_scan(self, rows):
+    def test_undefined_exactly_without_a_brute_force_pair(self, rows):
+        # constant scores, as the CLI's split check passes: every pair ties
         t = np.array([r[0] for r in rows], dtype=np.float64)
         e = np.array([r[1] for r in rows], dtype=np.int64)
-        assert has_comparable_pair(t, e) is (len(comparable_pairs(t, e)) > 0)
+        if len(comparable_pairs(t, e)):
+            assert c_index(np.zeros(t.size), t, e) == 0.5
+        else:
+            with pytest.raises(UndefinedMetricError, match="no event is followed"):
+                c_index(np.zeros(t.size), t, e)
 
 
 # every metric entry point as a function of four rows' outcomes alone
@@ -157,7 +162,6 @@ OUTCOME_METRICS = {
     "kaplan_meier": kaplan_meier,
     "brier_score_t": lambda t, e: brier_score_t(OUTCOME_PMFS, t, e, [2.5], OUTCOME_GRID),
     "ibs": lambda t, e: ibs(OUTCOME_PMFS, t, e, [2.5], OUTCOME_GRID),
-    "has_comparable_pair": has_comparable_pair,
 }
 TIME_MESSAGE = "times must be finite and strictly positive"
 EVENT_MESSAGE = "events must be 0 or 1"
@@ -469,6 +473,23 @@ class TestGridForms:
             assert m_tdauc(scores, times, events, t_grid) == float(np.mean(got))
         else:
             with pytest.raises(UndefinedMetricError):
+                m_tdauc(scores, times, events, t_grid)
+
+
+class TestMeanTdaucDefined:
+    @given(graded_cohorts())
+    @settings(max_examples=300, deadline=None)
+    def test_undefined_exactly_when_no_grid_time_has_a_case_and_a_control(
+            self, cohort):
+        times, events, scores, _, t_grid = cohort
+        scorable = any(
+            any(t <= q and e == 1 for t, e in zip(times, events))
+            and any(t > q for t in times)
+            for q in t_grid)
+        if scorable:
+            assert 0.0 <= m_tdauc(scores, times, events, t_grid) <= 1.0
+        else:
+            with pytest.raises(UndefinedMetricError, match="no grid time"):
                 m_tdauc(scores, times, events, t_grid)
 
 
