@@ -18,10 +18,10 @@ from .config import (
     ConfigError, ExperimentConfig, build_config, config_errors, parse_config_file,
 )
 from .data import (
-    BinnedBatch, CsvFormatError, DegenerateGridError, FeatureScaler,
-    SurvivalDataset, TimeGrid, apply_scaler, bin_dataset, build_time_grid,
-    load_csv, load_grid, read_json_object, require_json_number, save_grid,
-    split_dataset, write_csv, write_json_object, write_table,
+    BinnedBatch, FeatureScaler, SurvivalDataset, TimeGrid, apply_scaler,
+    bin_dataset, build_time_grid, load_csv, load_grid, read_json_object,
+    require_json_number, save_grid, split_dataset, write_csv, write_json_object,
+    write_table,
 )
 from .losses import PAIRWISE_KINDS, LossWeights
 from .metrics import (
@@ -116,15 +116,15 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
         if cfg.data and getattr(cfg, key):
             raise ConfigError(f"data= cannot be combined with {key}=")
     weights, training = cfg.loss_weights(), cfg.train_config()
-    if cfg.data:
-        data = load_csv(cfg.data, cfg.time_col, cfg.event_col)
-        with config_errors():
-            raw = split_dataset(data, cfg.split, cfg.seed)
-    elif cfg.train_csv and cfg.val_csv:
-        raw = tuple(load_csv(path, cfg.time_col, cfg.event_col) if path else None
-                    for path in (cfg.train_csv, cfg.val_csv, cfg.test_csv))
-    else:
-        raise ConfigError("provide either data= or train_csv= and val_csv=")
+    with config_errors():
+        if cfg.data:
+            raw = split_dataset(load_csv(cfg.data, cfg.time_col, cfg.event_col),
+                                cfg.split, cfg.seed)
+        elif cfg.train_csv and cfg.val_csv:
+            raw = tuple(load_csv(path, cfg.time_col, cfg.event_col) if path else None
+                        for path in (cfg.train_csv, cfg.val_csv, cfg.test_csv))
+        else:
+            raise ConfigError("provide either data= or train_csv= and val_csv=")
     train, val, test = raw
     _require_scorable(cfg, "val_csv", val)
     scaler = FeatureScaler.fit(train.features)
@@ -227,18 +227,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    # a ValueError means the file exists but is not a model file this
-    # version reads
+    # a ValueError means an input file exists but is not one this version
+    # reads, or the three do not fit together
     with config_errors():
         model = load_checkpoint(args.checkpoint)
         grid = load_grid(args.grid)
-    if grid.k_bins != model.params.config.k_bins:
-        raise ConfigError(f"grid has {grid.k_bins} bins but the checkpoint was "
-                          f"trained with {model.params.config.k_bins}")
-    test_raw = load_csv(args.data, args.time_col or model.time_col,
-                        args.event_col or model.event_col)
-    with config_errors():
-        test = model.prepare(test_raw)
+        if grid.k_bins != model.params.config.k_bins:
+            raise ValueError(f"grid has {grid.k_bins} bins but the checkpoint was "
+                             f"trained with {model.params.config.k_bins}")
+        test = model.prepare(load_csv(args.data, args.time_col or model.time_col,
+                                      args.event_col or model.event_col))
     try:
         report = evaluate_model(model.params, test, grid, cutoff=model.cutoff)
     except UndefinedMetricError as exc:
@@ -399,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CsvFormatError, DegenerateGridError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -16,7 +16,8 @@ class ConfigError(ValueError):
 
 @contextmanager
 def config_errors():
-    """Re-raise a ValueError from validating a setting as a ConfigError."""
+    """Re-raise a ValueError from validating a setting or an input file as a
+    ConfigError."""
     try:
         yield
     except ValueError as exc:
@@ -82,17 +83,21 @@ class ExperimentConfig:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read '#'-commented key=value lines."""
+    """Read '#'-commented key=value lines of UTF-8 text (a BOM is skipped)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {line_no}: expected key=value")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -109,24 +114,17 @@ def _parse_split(text: str) -> tuple:
 def build_config(values: dict[str, str]) -> ExperimentConfig:
     """Typed construction with unknown-key and bad-value diagnostics."""
     cfg = ExperimentConfig()
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    known = {f.name for f in fields(ExperimentConfig)}
     for key, text in values.items():
         if key not in known:
             raise ConfigError(f"unknown config key '{key}'")
-        current = getattr(cfg, key)
-        try:
-            if key == "split":
-                value = _parse_split(text)
-            elif isinstance(current, int):
-                value = int(text)
-            elif isinstance(current, float):
-                value = float(text)
-            else:
-                value = text
-        except ConfigError:  # _parse_split's own message names the fault
-            raise
-        except ValueError:
-            raise ConfigError(f"bad value for '{key}': {text!r}") from None
+        if key == "split":
+            value = _parse_split(text)
+        else:
+            try:  # int, float or str, as the default is
+                value = type(getattr(cfg, key))(text)
+            except ValueError:
+                raise ConfigError(f"bad value for '{key}': {text!r}") from None
         setattr(cfg, key, value)
     if cfg.seed < 0:  # numpy's generators reject it with a message naming no key
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")

@@ -273,26 +273,29 @@ def load_csv(path, time_column: str = "time",
 
     Features are returned unscaled: standardization is the caller's step
     (the CLI fits one scaler on the training split).  Every failure raises
-    :class:`CsvFormatError`.
+    :class:`CsvFormatError`, bytes that are not UTF-8 text included.
     """
     if time_column == event_column:
         raise CsvFormatError(f"{path}: '{time_column}' is both the time and event column")
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise CsvFormatError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        for required in (time_column, event_column):
-            if required not in header:
-                raise CsvFormatError(f"{path}: missing column '{required}'")
-        for i, name in enumerate(header):
-            if not name:
-                raise CsvFormatError(f"{path}: column {i + 1} has an empty name")
-            if name in header[:i]:
-                raise CsvFormatError(f"{path}: duplicate column '{name}'")
-        if len(header) == 2:
-            raise CsvFormatError(f"{path}: no feature column")
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if header is None:
+        raise CsvFormatError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    for required in (time_column, event_column):
+        if required not in header:
+            raise CsvFormatError(f"{path}: missing column '{required}'")
+    for i, name in enumerate(header):
+        if not name:
+            raise CsvFormatError(f"{path}: column {i + 1} has an empty name")
+        if name in header[:i]:
+            raise CsvFormatError(f"{path}: duplicate column '{name}'")
+    if len(header) == 2:
+        raise CsvFormatError(f"{path}: no feature column")
     if not text:
         raise CsvFormatError(f"{path}: no data rows")
     t_idx = header.index(time_column)
@@ -303,31 +306,23 @@ def load_csv(path, time_column: str = "time",
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # after the final line break
-    numpy_error = None
-    if "" in lines:
-        rejected = True  # loadtxt would skip a blank line silently
-    else:
-        try:
-            table = np.loadtxt(lines, dtype=np.float64, delimiter=",",
-                               comments=None, quotechar='"', ndmin=2)
-        except ValueError as exc:
-            rejected, numpy_error = True, str(exc)
-        else:
-            rejected = table.shape != (len(lines), len(header))
-            if not rejected:
-                try:  # the outcome check, before any feature is read
-                    dataset = SurvivalDataset(
-                        np.ascontiguousarray(table[:, feat_idx]),
-                        np.ascontiguousarray(table[:, t_idx]), table[:, e_idx],
-                        feature_names)
-                except ValueError:
-                    rejected = True
-    if rejected:
+    spanning = "line break inside a quoted cell"
+    try:
+        if "" in lines:  # loadtxt would skip a blank line silently
+            raise ValueError(spanning)
+        table = np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                           comments=None, quotechar='"', ndmin=2)
+        if table.shape != (len(lines), len(header)):
+            raise ValueError(spanning)
+        # the outcome check, before any feature is read
+        dataset = SurvivalDataset(
+            np.ascontiguousarray(table[:, feat_idx]),
+            np.ascontiguousarray(table[:, t_idx]), table[:, e_idx], feature_names)
+    except ValueError as exc:
         _raise_first_bad_row(path, text, header, t_idx, e_idx)
         # every row passed float(): numpy refused a spelling float() reads,
         # or a quoted cell spans lines (blank or not)
-        raise CsvFormatError(
-            f"{path}: {numpy_error or 'line break inside a quoted cell'}")
+        raise CsvFormatError(f"{path}: {exc}") from None
 
     features = dataset.features
     # one vectorised pass instead of a per-cell check
@@ -463,9 +458,10 @@ def require_json_number(path, key: str, value, integer: bool = False) -> None:
 
 def read_json_object(path, file_format: str, kind: str, version: int) -> dict:
     """The JSON object in file ``path`` tagged ``format: file_format`` and the
-    JSON integer ``version``; other content raises ValueError naming the
-    file, and an earlier version is named as no longer read."""
-    with open(path, "r", encoding="utf-8") as fh:
+    JSON integer ``version``, read as UTF-8 with an optional byte-order mark;
+    other content raises ValueError naming the file, and an earlier version
+    is named as no longer read."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8

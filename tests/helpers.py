@@ -202,7 +202,9 @@ def slow_brier(pmfs, times, events, t_star, grid):
 def reference_brier_curve(pmfs, times, events, t_grid, grid):
     """Brier score at each grid time, one pass per time that reads its own
     weights from the Kaplan-Meier curve of the rows' censoring times: the
-    per-time form ``metrics.brier_score_t`` replaced.
+    per-time form ``metrics.brier_score_t`` replaced.  Every weight read is
+    positive: each event row is at risk at its own time, and a row beyond t*
+    keeps the censoring curve above 0 before t*.
     """
     from binsurv.data import assign_bin, normalize_time
     from binsurv.model import predict_survival
@@ -223,24 +225,9 @@ def reference_brier_curve(pmfs, times, events, t_grid, grid):
 
         had_event = (t <= t_star) & (e == 1)
         still_out = t > t_star
-        dropped = 0
-        total = 0.0
-
-        usable = had_event & (g_i > 0.0)
-        dropped += int(np.count_nonzero(had_event & ~usable))
-        total += (surv[usable] ** 2 / g_i[usable]).sum()
-
+        total = (surv[had_event] ** 2 / g_i[had_event]).sum()
         if np.any(still_out):
-            if g_star > 0.0:
-                total += ((1.0 - surv[still_out]) ** 2).sum() / g_star
-            else:
-                dropped += int(np.count_nonzero(still_out))
-        if dropped:
-            warnings.warn(
-                f"brier score at t*={t_star!r}: {dropped} sample(s) dropped "
-                "because the censoring weight is zero",
-                RuntimeWarning,
-            )
+            total += ((1.0 - surv[still_out]) ** 2).sum() / g_star
         curve.append(float(total / n))
     return np.asarray(curve)
 

@@ -144,6 +144,12 @@ class TestConfigModule:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_file(path)
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # some editors start a UTF-8 file with U+FEFF
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffepochs = 3\n", encoding="utf-8")
+        assert parse_config_file(path) == {"epochs": "3"}
+
     def test_resolved_lines_cover_every_key(self):
         cfg = build_config({})
         lines = cfg.resolved_lines()
@@ -484,6 +490,50 @@ def test_file_without_features_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def latin1_copy(src, dst):
+    """``src`` with byte 0xE9 (e-acute in Latin-1) after the first cell of
+    its third data row, so that the file is no longer UTF-8."""
+    lines = src.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b",", b"\xe9,", 1)
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "train-presplit", "ablate",
+                                     "evaluate"])
+def test_csv_that_is_not_utf8_exits_two_and_names_it(data_csv, run_dir, tmp_path,
+                                                     capsys, command):
+    out = tmp_path / "o"
+    if command == "evaluate":
+        bad = latin1_copy(run_dir / "test.csv", tmp_path / "test.csv")
+        args = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.json"),
+                "--grid", str(run_dir / "grid.json"), "--data", str(bad)]
+    elif command == "train-presplit":
+        bad = latin1_copy(data_csv, tmp_path / "val.csv")
+        args = ["train", "--set", f"train_csv={data_csv}", "--set", f"val_csv={bad}",
+                *FAST]
+    else:
+        bad = latin1_copy(data_csv, tmp_path / "cohort.csv")
+        args = [command, "--data", str(bad), *FAST]
+    assert run([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid continuation byte)\n")
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_exits_two_and_names_it(data_csv, tmp_path,
+                                                             capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"# caf\xe9\nepochs = 3\n")
+    out = tmp_path / "o"
+    code = run(["train", "--config", str(config), "--data", str(data_csv),
+                "--out", str(out), *FAST])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: not UTF-8 text (invalid continuation byte)\n")
+    assert not out.exists()
+
+
 def test_events_a_few_ulps_apart_exit_two_before_writing(tmp_path, capsys):
     # t_max - t_min is two ulps of t_min: with 40 bins the rounded grid would
     # put the last training event in the reserved bin, so no grid is built
@@ -791,6 +841,19 @@ class TestEvaluateCommand:
         assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "a") == 0
         assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "b",
                              checkpoint=checkpoint) == 0
+        for name in ("report.csv", "brier_curve.csv", "tdauc_curve.csv", "tdauc.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
+    def test_model_files_with_byte_order_mark_evaluate_the_same(self, run_dir,
+                                                                tmp_path):
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for name in ("checkpoint.json", "grid.json"):
+            (marked / name).write_bytes(b"\xef\xbb\xbf" + (run_dir / name).read_bytes())
+        assert self.evaluate(run_dir, run_dir / "test.csv", tmp_path / "a") == 0
+        assert self.evaluate(marked, run_dir / "test.csv", tmp_path / "b",
+                             checkpoint=marked / "checkpoint.json") == 0
         for name in ("report.csv", "brier_curve.csv", "tdauc_curve.csv", "tdauc.svg"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name

@@ -394,6 +394,18 @@ class TestCsvIO:
         assert np.array_equal(ds.times, [1.0, 2.0])
         assert np.array_equal(ds.features[:, 0], [0.2, 0.4])
 
+    @pytest.mark.parametrize("row", [1, 2000], ids=["first-row", "beyond-first-read"])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, row):
+        # 0xE9 is e-acute in Latin-1; the second case puts it past the first
+        # 8 KiB, which the header read has already decoded
+        rows = [b"1.0,1,0.2\n"] * 3000
+        rows[row - 1] = b"1.0,1,caf\xe9\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"time,event,x1\n" + b"".join(rows))
+        with pytest.raises(CsvFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
+
     def test_line_break_inside_quoted_cell_rejected(self, tmp_path):
         path = self.write(tmp_path, 'time,event,x1\n1.0,1,"0.5\n"\n2.0,0,0.1\n')
         with pytest.raises(CsvFormatError, match="line break inside a quoted cell"):
